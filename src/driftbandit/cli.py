@@ -12,7 +12,6 @@ import csv
 import json
 import platform
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,6 @@ from .analysis import (
     comp_frequency_bound,
     egreedy_comp_bound,
     egreedy_regret_bound,
-    min_pairwise_gap,
     summarize,
     thompson_comp_bound,
     thompson_regret_bound,
@@ -33,8 +31,9 @@ from .analysis import (
 )
 from .core import BanditError, BanditInstance, DriftModel, NoiseModel
 from .experiment import ExperimentConfig, ExperimentError, run_experiment
-from .mechanism import MechanismOptions, run, trajectory_rows, write_trajectory_csv, TRAJECTORY_COLUMNS
-from .policies import POLICY_NAMES, PolicyKind
+from .mechanism import (TRAJECTORY_COLUMNS, MechanismOptions, fmt_real, run,
+                        trajectory_rows, write_trajectory_csv)
+from .policies import POLICIES, POLICY_NAMES, PolicyKind
 from .rng import ScriptedRng, ScriptExhaustedError
 
 DEFAULT_MEANS = "0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2,0.1"
@@ -46,21 +45,6 @@ SWEEP_COLUMNS = ("policy", "l", "regret_mean", "regret_std", "comp_mean",
 CURVE_COLUMNS = ("policy", "l", "t", "cum_regret_mean", "cum_compensation_mean")
 
 
-@dataclass
-class OutputBundle:
-    """Where one command put its files."""
-
-    manifest: Path
-    summary_csv: Path | None = None
-    trajectory_csv: Path | None = None
-    bounds_txt: Path | None = None
-    curves_csv: Path | None = None
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".9g")
-
-
 def _parse_means(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in text.split(","))
@@ -68,15 +52,9 @@ def _parse_means(text: str) -> tuple[float, ...]:
         raise ValueError(f"could not parse means list {text!r}")
 
 
-def _write_manifest(bundle: OutputBundle, command: str, seed: int, config: dict) -> None:
-    outputs = {
-        name: path.name
-        for name, path in (("summary_csv", bundle.summary_csv),
-                           ("trajectory_csv", bundle.trajectory_csv),
-                           ("bounds_txt", bundle.bounds_txt),
-                           ("curves_csv", bundle.curves_csv))
-        if path is not None
-    }
+def _write_manifest(out_dir: Path, command: str, seed: int, config: dict,
+                    outputs: dict[str, str]) -> None:
+    """manifest.json in `out_dir`; `outputs` maps each output's role to its file name."""
     body = {
         "command": command,
         "package": "driftbandit",
@@ -87,26 +65,33 @@ def _write_manifest(bundle: OutputBundle, command: str, seed: int, config: dict)
         "config": config,
         "outputs": outputs,
     }
-    with open(bundle.manifest, "w") as fh:
+    with open(out_dir / "manifest.json", "w") as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _build_env(args) -> BanditInstance:
-    return BanditInstance(_parse_means(args.means), NoiseModel(args.noise, args.sigma))
+def _simulation(args, parser, draws: str | None = None):
+    """(instance, policy, drift, options, stream) from the flags run and trace share.
 
-
-def _build_drift(args) -> DriftModel:
-    cap = getattr(args, "cap", None)
-    return DriftModel(args.drift, lipschitz=args.l, cap=cap)
-
-
-def _build_policy(args) -> PolicyKind:
-    return PolicyKind(args.policy, args.c if args.policy == "egreedy" else None)
-
-
-def _project_option(args) -> bool | None:
-    return {"auto": None, "on": True, "off": False}[args.project]
+    The stream is run()'s seed argument: --seed, or a ScriptedRng over the
+    comma-separated `draws`.  A bad flag exits 2, checked in the order means
+    and noise, drift, policy, draws, horizon.
+    """
+    try:
+        instance = BanditInstance(_parse_means(args.means), NoiseModel(args.noise, args.sigma))
+        drift = DriftModel(args.drift, lipschitz=args.l, cap=args.cap)
+        policy = PolicyKind(args.policy, args.c if POLICIES[args.policy].takes_c else None)
+        if draws is None:
+            stream = args.seed
+        else:
+            stream = ScriptedRng([float(v) for v in draws.split(",")] if draws else [])
+    except ValueError as exc:
+        parser.error(str(exc))
+    if args.T < instance.k:
+        parser.error(f"--T {args.T} is shorter than the warm start over {instance.k} arms")
+    options = MechanismOptions(
+        project_feedback={"auto": None, "on": True, "off": False}[args.project])
+    return instance, policy, drift, options, stream
 
 
 def _gnuplot_script(path: Path, data_file: str, xcol: int, ycols: dict) -> None:
@@ -120,42 +105,32 @@ def _gnuplot_script(path: Path, data_file: str, xcol: int, ycols: dict) -> None:
 # ---------------------------------------------------------------- run
 
 def _cmd_run(args, parser) -> int:
-    try:
-        instance = _build_env(args)
-        drift = _build_drift(args)
-        policy = _build_policy(args)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.T < instance.k:
-        parser.error(f"--T {args.T} is shorter than the warm start over {instance.k} arms")
-    options = MechanismOptions(project_feedback=_project_option(args))
-    traj = run(instance, policy, drift, options, args.T, args.seed)
+    instance, policy, drift, options, seed = _simulation(args, parser)
+    traj = run(instance, policy, drift, options, args.T, seed)
     metrics = summarize(traj, instance)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    bundle = OutputBundle(manifest=out_dir / "manifest.json",
-                          summary_csv=out_dir / "summary.csv",
-                          trajectory_csv=out_dir / "trajectory.csv")
-    write_trajectory_csv(traj, bundle.trajectory_csv)
-    with open(bundle.summary_csv, "w", newline="") as fh:
+    write_trajectory_csv(traj, out_dir / "trajectory.csv")
+    with open(out_dir / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
-        writer.writerow((policy.name, _fmt(args.l), str(args.T), str(args.seed),
-                         _fmt(metrics.regret), _fmt(metrics.compensation),
-                         str(metrics.comp_rounds), _fmt(metrics.arm1_rel_error)))
+        writer.writerow((policy.name, fmt_real(args.l), str(args.T), str(args.seed),
+                         fmt_real(metrics.regret), fmt_real(metrics.compensation),
+                         str(metrics.comp_rounds), fmt_real(metrics.arm1_rel_error)))
     _gnuplot_script(out_dir / "trajectory.gp", "trajectory.csv", 1,
                     {"cum_regret": 9, "cum_compensation": 10})
     config = {
         "policy": policy.name, "c": policy.c, "means": list(instance.arm_means),
         "noise": args.noise, "sigma": args.sigma, "drift": args.drift,
-        "cap": getattr(args, "cap", None), "l": args.l, "T": args.T,
+        "cap": args.cap, "l": args.l, "T": args.T,
         "seed": args.seed, "project": args.project,
     }
-    _write_manifest(bundle, "run", args.seed, config)
-    print(f"policy={policy.name} l={_fmt(args.l)} T={args.T} seed={args.seed} "
-          f"regret={_fmt(metrics.regret)} compensation={_fmt(metrics.compensation)} "
-          f"comp_rounds={metrics.comp_rounds} arm1_rel_error={_fmt(metrics.arm1_rel_error)}")
+    _write_manifest(out_dir, "run", args.seed, config,
+                    {"summary_csv": "summary.csv", "trajectory_csv": "trajectory.csv"})
+    print(f"policy={policy.name} l={fmt_real(args.l)} T={args.T} seed={args.seed} "
+          f"regret={fmt_real(metrics.regret)} compensation={fmt_real(metrics.compensation)} "
+          f"comp_rounds={metrics.comp_rounds} arm1_rel_error={fmt_real(metrics.arm1_rel_error)}")
     return 0
 
 
@@ -174,30 +149,29 @@ def _cmd_sweep(args, parser) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    bundle = OutputBundle(manifest=out_dir / "manifest.json",
-                          summary_csv=out_dir / "sweep.csv")
-    with open(bundle.summary_csv, "w", newline="") as fh:
+    outputs = {"summary_csv": "sweep.csv"}
+    with open(out_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         for cell in result.cells:
-            writer.writerow((cell.policy.name, _fmt(cell.l), _fmt(cell.regret_mean),
-                             _fmt(cell.regret_std), _fmt(cell.comp_mean),
-                             _fmt(cell.comp_std), _fmt(cell.comp_rounds_mean),
-                             _fmt(cell.arm1_err_mean)))
+            writer.writerow((cell.policy.name, fmt_real(cell.l), fmt_real(cell.regret_mean),
+                             fmt_real(cell.regret_std), fmt_real(cell.comp_mean),
+                             fmt_real(cell.comp_std), fmt_real(cell.comp_rounds_mean),
+                             fmt_real(cell.arm1_err_mean)))
     if config.capture_trajectories:
-        bundle.curves_csv = out_dir / "curves.csv"
-        with open(bundle.curves_csv, "w", newline="") as fh:
+        outputs["curves_csv"] = "curves.csv"
+        with open(out_dir / "curves.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CURVE_COLUMNS)
             for cell in result.cells:
                 for t, reg, comp in zip(cell.curve_rounds, cell.regret_curve_mean,
                                         cell.comp_curve_mean):
-                    writer.writerow((cell.policy.name, _fmt(cell.l), str(t),
-                                     _fmt(reg), _fmt(comp)))
+                    writer.writerow((cell.policy.name, fmt_real(cell.l), str(t),
+                                     fmt_real(reg), fmt_real(comp)))
         _gnuplot_script(out_dir / "curves.gp", "curves.csv", 3,
                         {"cum_regret_mean": 4, "cum_compensation_mean": 5})
-    _write_manifest(bundle, "sweep", config.master_seed, config.to_dict())
-    print(f"wrote {bundle.summary_csv} ({len(result.cells)} cells)")
+    _write_manifest(out_dir, "sweep", config.master_seed, config.to_dict(), outputs)
+    print(f"wrote {out_dir / 'sweep.csv'} ({len(result.cells)} cells)")
     return 0
 
 
@@ -207,19 +181,18 @@ def _cmd_bounds(args, parser) -> int:
     try:
         means = _parse_means(args.means)
         instance = BanditInstance(means, NoiseModel("bernoulli"))
-        delta_lower = args.delta_lower if args.delta_lower is not None else min_pairwise_gap(means)
         inputs = BoundInputs.from_instance(instance, horizon=args.T, lipschitz=args.l,
-                                           c=args.c, delta_lower=delta_lower)
+                                           c=args.c, delta_lower=args.delta_lower)
     except ValueError as exc:
         parser.error(str(exc))
     lines = [
-        f"inputs: K={inputs.k} T={inputs.horizon} l={_fmt(inputs.lipschitz)} "
-        f"c={_fmt(inputs.c)} delta={_fmt(inputs.delta_min)} "
-        f"delta_lower={_fmt(inputs.delta_lower)}",
+        f"inputs: K={inputs.k} T={inputs.horizon} l={fmt_real(inputs.lipschitz)} "
+        f"c={fmt_real(inputs.c)} delta={fmt_real(inputs.delta_min)} "
+        f"delta_lower={fmt_real(inputs.delta_lower)}",
     ]
     if not check_c_condition(inputs.c, inputs.delta_min):
-        lines.append(f"warning: c={_fmt(inputs.c)} fails the exploration-schedule "
-                     f"condition c >= 36/delta = {_fmt(36.0 / inputs.delta_min)}")
+        lines.append(f"warning: c={fmt_real(inputs.c)} fails the exploration-schedule "
+                     f"condition c >= 36/delta = {fmt_real(36.0 / inputs.delta_min)}")
     rows = (
         ("ucb regret", ucb_regret_bound(inputs)),
         ("ucb compensation", ucb_comp_bound(inputs)),
@@ -231,18 +204,16 @@ def _cmd_bounds(args, parser) -> int:
     )
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
-        lines.append(f"{name:<{width}}  <= {_fmt(value)}")
+        lines.append(f"{name:<{width}}  <= {fmt_real(value)}")
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out_dir is not None:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        bundle = OutputBundle(manifest=out_dir / "manifest.json",
-                              bounds_txt=out_dir / "bounds.txt")
-        bundle.bounds_txt.write_text(text)
+        (out_dir / "bounds.txt").write_text(text)
         config = {"means": list(means), "l": args.l, "c": args.c,
-                  "delta_lower": delta_lower, "T": args.T}
-        _write_manifest(bundle, "bounds", 0, config)
+                  "delta_lower": inputs.delta_lower, "T": args.T}
+        _write_manifest(out_dir, "bounds", 0, config, {"bounds_txt": "bounds.txt"})
     return 0
 
 
@@ -251,17 +222,7 @@ def _cmd_bounds(args, parser) -> int:
 def _cmd_trace(args, parser) -> int:
     if args.T > 20:
         parser.error("trace supports T <= 20 (use run for longer horizons)")
-    try:
-        instance = _build_env(args)
-        drift = _build_drift(args)
-        policy = _build_policy(args)
-        draws = [float(v) for v in args.draws.split(",")] if args.draws else []
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.T < instance.k:
-        parser.error(f"--T {args.T} is shorter than the warm start over {instance.k} arms")
-    options = MechanismOptions(project_feedback=_project_option(args))
-    rng = ScriptedRng(draws)
+    instance, policy, drift, options, rng = _simulation(args, parser, args.draws)
     try:
         traj = run(instance, policy, drift, options, args.T, rng)
     except ScriptExhaustedError as exc:

@@ -163,6 +163,21 @@ class PolicyView(NamedTuple):
     pulls: tuple[int, ...]
 
 
+def accounting_totals(gap_vector: Sequence[float],
+                      arms: Sequence[ArmState]) -> tuple[float, float]:
+    """(sum of gap_i * pulls_i, sum of comp_sum_i), added left to right in arm order.
+
+    Builtin sum() (compensated since Python 3.12), np.sum (pairwise) and a
+    running per-round total each round differently, and would change outputs.
+    """
+    regret = 0.0
+    comp = 0.0
+    for g, a in zip(gap_vector, arms):
+        regret += g * a.pulls
+        comp += a.comp_sum
+    return regret, comp
+
+
 @dataclass
 class SimState:
     """Global simulation state for one run.
@@ -185,17 +200,11 @@ class SimState:
 
     @property
     def cum_regret(self) -> float:
-        total = 0.0
-        for g, a in zip(self.gap_vector, self.arms):
-            total += g * a.pulls
-        return total
+        return accounting_totals(self.gap_vector, self.arms)[0]
 
     @property
     def cum_compensation(self) -> float:
-        total = 0.0
-        for a in self.arms:
-            total += a.comp_sum
-        return total
+        return accounting_totals(self.gap_vector, self.arms)[1]
 
     def policy_view(self) -> PolicyView:
         posted = []

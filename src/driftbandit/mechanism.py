@@ -10,21 +10,20 @@ posted means at the start of the round, before the new pull lands.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .core import (
     ArmState,
     BanditInstance,
-    DiagnosticError,
     DriftModel,
     SimState,
     WarmStartError,
+    accounting_totals,
     drift_apply,
     sample_reward,
 )
-from .policies import PolicyKind, greedy_choice, select_arm
+from .policies import POLICIES, PolicyKind, greedy_choice, select_arm
 from .rng import NumpyRng, RngStream
 
 TRAJECTORY_COLUMNS = (
@@ -52,19 +51,18 @@ class RoundRecord:
 class MechanismOptions:
     """Knobs for the loop.
 
-    project_feedback=None means "policy default": projection to [0, 1] is on
-    for egreedy and off otherwise.  Use resolve() to pin it for a policy.
-    debug enables the per-round UCB drift inequality checks.
+    project_feedback=None means "policy default" (POLICIES[name].projects_feedback).
+    resolve() pins it; warm_start() and step() take resolved options only.
+    debug runs the policy's per-round debug check, if it has one.
     """
 
     project_feedback: bool | None = None
-    warm_start: bool = True
     debug: bool = False
 
     def resolve(self, policy: PolicyKind) -> "MechanismOptions":
         if self.project_feedback is not None:
             return self
-        return replace(self, project_feedback=policy.name == "egreedy")
+        return replace(self, project_feedback=POLICIES[policy.name].projects_feedback)
 
 
 class Curve(NamedTuple):
@@ -99,13 +97,14 @@ def warm_start(state: SimState, instance: BanditInstance,
     """Pull each arm once, in index order, with no compensation.
 
     Resolves the undefined posted mean at zero pulls for every policy.
-    Rounds 1..K; afterwards the state sits at round K+1.  project_feedback
-    must already be resolved to a bool here (run() does this); None projects
-    nothing.
+    Rounds 1..K; afterwards the state sits at round K+1.  `options` must be
+    resolved (MechanismOptions.resolve; run() does this).
     """
+    project = options.project_feedback
+    if project is None:
+        raise ValueError("warm_start needs options.resolve(policy): project_feedback is None")
     if state.round != 1 or any(a.pulls for a in state.arms):
         raise WarmStartError("warm start requires a fresh state")
-    project = bool(options.project_feedback)
     records = []
     for arm_idx in range(instance.k):
         r = sample_reward(instance, arm_idx, state.rng)
@@ -119,27 +118,13 @@ def warm_start(state: SimState, instance: BanditInstance,
     return records
 
 
-def _check_ucb_drift_bounds(state: SimState, view, chosen: int, x: float,
-                            lipschitz: float) -> None:
-    # Selection implies x_t <= sqrt(2 ln t / n_{I_t}); cumulative drift obeys
-    # B_i <= 2 l sqrt(2 n_i ln t).  Checked with a round-off guard only.
-    t = view.t
-    log_t = math.log(t)
-    bonus = math.sqrt(2.0 * log_t / view.pulls[chosen])
-    if x > bonus + 1e-9 * max(1.0, bonus):
-        raise DiagnosticError(
-            f"round {t}: compensation {x} exceeds per-round drift bound {bonus}")
-    for i, arm in enumerate(state.arms):
-        cap = 2.0 * lipschitz * math.sqrt(2.0 * arm.pulls * log_t)
-        if arm.drift_sum > cap + 1e-9 * max(1.0, cap):
-            raise DiagnosticError(
-                f"round {t}: arm {i} cumulative drift {arm.drift_sum} exceeds bound {cap}")
-
-
 def step(state: SimState, policy: PolicyKind, drift: DriftModel,
          instance: BanditInstance, options: MechanismOptions) -> RoundRecord:
-    """Play one incentivized round and update the state in place."""
+    """Play one incentivized round and update the state in place; `options` must be resolved."""
     view = state.policy_view()
+    project = options.project_feedback
+    if project is None:
+        raise ValueError("step needs options.resolve(policy): project_feedback is None")
     chosen = select_arm(policy, view, state.rng)
     greedy = greedy_choice(view)
     compensated = chosen != greedy
@@ -149,13 +134,12 @@ def step(state: SimState, policy: PolicyKind, drift: DriftModel,
     else:
         x = 0.0
         b = 0.0
-    if options.debug and policy.name == "ucb":
-        _check_ucb_drift_bounds(state, view, chosen, x, drift.lipschitz)
+    if options.debug:
+        check = POLICIES[policy.name].debug_check
+        if check is not None:
+            check(state, view, chosen, x, drift.lipschitz)
     r = sample_reward(instance, chosen, state.rng)
     fb = r + b
-    project = options.project_feedback
-    if project is None:
-        project = policy.name == "egreedy"
     if project:
         fb = min(1.0, max(0.0, fb))
     _credit(state.arms[chosen], fb, b, x, compensated)
@@ -195,12 +179,11 @@ def run(instance: BanditInstance, policy: PolicyKind, drift: DriftModel,
             curve.regret.append(state.cum_regret)
             curve.compensation.append(state.cum_compensation)
 
-    if options.warm_start:
-        warm = warm_start(state, instance, options)
-        if keep_records:
-            records.extend(warm)
-        for rec in warm:
-            capture(rec.t)
+    warm = warm_start(state, instance, options)
+    if keep_records:
+        records.extend(warm)
+    for rec in warm:
+        capture(rec.t)
     while state.round <= horizon:
         rec = step(state, policy, drift, instance, options)
         if keep_records:
@@ -209,7 +192,8 @@ def run(instance: BanditInstance, policy: PolicyKind, drift: DriftModel,
     return Trajectory(records=records, final=state, curve=curve)
 
 
-def _fmt(x: float) -> str:
+def fmt_real(x: float) -> str:
+    """A real as every CSV and printed line writes it: 9 significant digits."""
     return format(x, ".9g")
 
 
@@ -222,22 +206,17 @@ def trajectory_rows(trajectory: Trajectory):
     if not trajectory.records:
         raise ValueError("trajectory carries no records (captured with keep_records=False?)")
     gaps = trajectory.final.gap_vector
-    pulls = [0] * len(gaps)
-    comp_sums = [0.0] * len(gaps)
+    arms = [ArmState() for _ in gaps]
     for rec in trajectory.records:
-        pulls[rec.chosen] += 1
+        arm = arms[rec.chosen]
+        arm.pulls += 1
         if rec.compensated:
-            comp_sums[rec.chosen] += rec.compensation
-        cum_regret = 0.0
-        for g, n in zip(gaps, pulls):
-            cum_regret += g * n
-        cum_comp = 0.0
-        for c in comp_sums:
-            cum_comp += c
+            arm.comp_sum += rec.compensation
+        cum_regret, cum_comp = accounting_totals(gaps, arms)
         yield (str(rec.t), str(rec.chosen), str(rec.greedy),
-               "1" if rec.compensated else "0", _fmt(rec.compensation),
-               _fmt(rec.drift), _fmt(rec.raw_reward), _fmt(rec.feedback),
-               _fmt(cum_regret), _fmt(cum_comp))
+               "1" if rec.compensated else "0", fmt_real(rec.compensation),
+               fmt_real(rec.drift), fmt_real(rec.raw_reward), fmt_real(rec.feedback),
+               fmt_real(cum_regret), fmt_real(cum_comp))
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:

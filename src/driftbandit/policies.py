@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .core import PolicyView
+from .core import DiagnosticError, PolicyView, SimState
 from .rng import RngStream
-
-POLICY_NAMES = ("ucb", "egreedy", "thompson", "greedy")
 
 
 @dataclass(frozen=True)
@@ -30,11 +29,12 @@ class PolicyKind:
     c: float | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in POLICY_NAMES:
+        rule = POLICIES.get(self.name)
+        if rule is None:
             raise ValueError(f"unknown policy {self.name!r}, expected one of {POLICY_NAMES}")
-        if self.name == "egreedy":
+        if rule.takes_c:
             if self.c is None or self.c <= 0:
-                raise ValueError("egreedy requires c > 0")
+                raise ValueError(f"{self.name} requires c > 0")
         elif self.c is not None:
             raise ValueError(f"policy {self.name!r} takes no c parameter")
 
@@ -121,13 +121,47 @@ def greedy_choice(view: PolicyView) -> int:
     return _argmax(view.posted)
 
 
+def _check_ucb_drift_bounds(state: SimState, view: PolicyView, chosen: int, x: float,
+                            lipschitz: float) -> None:
+    # Selection implies x_t <= sqrt(2 ln t / n_{I_t}); cumulative drift obeys
+    # B_i <= 2 l sqrt(2 n_i ln t).  Checked with a round-off guard only.
+    t = view.t
+    log_t = math.log(t)
+    bonus = math.sqrt(2.0 * log_t / view.pulls[chosen])
+    if x > bonus + 1e-9 * max(1.0, bonus):
+        raise DiagnosticError(
+            f"round {t}: compensation {x} exceeds per-round drift bound {bonus}")
+    for i, arm in enumerate(state.arms):
+        cap = 2.0 * lipschitz * math.sqrt(2.0 * arm.pulls * log_t)
+        if arm.drift_sum > cap + 1e-9 * max(1.0, cap):
+            raise DiagnosticError(
+                f"round {t}: arm {i} cumulative drift {arm.drift_sum} exceeds bound {cap}")
+
+
+@dataclass(frozen=True)
+class PolicyRule:
+    """Everything that tells one principal apart from the others."""
+
+    select: Callable[[PolicyView, float | None, RngStream], int]  # (view, c, rng) -> arm
+    takes_c: bool = False  # whether PolicyKind carries an exploration constant c
+    projects_feedback: bool = False  # default of MechanismOptions.project_feedback
+    debug_check: Callable[[SimState, PolicyView, int, float, float], None] | None = None
+
+
+POLICIES: dict[str, PolicyRule] = {
+    # UCB1 (Auer, Cesa-Bianchi & Fischer 2002)
+    "ucb": PolicyRule(lambda view, c, rng: ucb_select(view),
+                      debug_check=_check_ucb_drift_bounds),
+    # epsilon_t-greedy, eps_t = min(1, cK/t) (Auer, Cesa-Bianchi & Fischer 2002)
+    "egreedy": PolicyRule(egreedy_select, takes_c=True, projects_feedback=True),
+    # Gaussian Thompson sampling (Agrawal & Goyal 2013)
+    "thompson": PolicyRule(lambda view, c, rng: thompson_sample(view, rng)),
+    # no-incentive baseline: always the player's own pick
+    "greedy": PolicyRule(lambda view, c, rng: greedy_choice(view)),
+}
+POLICY_NAMES = tuple(POLICIES)
+
+
 def select_arm(policy: PolicyKind, view: PolicyView, rng: RngStream) -> int:
-    """Dispatch the principal's choice for one round."""
-    name = policy.name
-    if name == "ucb":
-        return ucb_select(view)
-    if name == "egreedy":
-        return egreedy_select(view, policy.c, rng)
-    if name == "thompson":
-        return thompson_sample(view, rng)
-    return greedy_choice(view)
+    """The principal's choice for one round."""
+    return POLICIES[policy.name].select(view, policy.c, rng)

@@ -5,6 +5,7 @@ import pytest
 from driftbandit import (
     ArmState,
     BanditInstance,
+    DiagnosticError,
     DriftModel,
     MechanismOptions,
     NoiseModel,
@@ -107,6 +108,34 @@ def test_step_requires_warm_start():
     state = SimState.fresh(inst, NumpyRng(0))
     with pytest.raises(WarmStartError):
         step(state, PolicyKind.greedy(), NO_DRIFT, inst, MechanismOptions())
+
+
+def test_warm_start_and_step_reject_unresolved_options():
+    inst = BanditInstance((0.9, 0.8), NoiseModel("gaussian", 0.0))
+    state = SimState.fresh(inst, NumpyRng(0))
+    with pytest.raises(ValueError, match="resolve"):
+        warm_start(state, inst, MechanismOptions())
+    assert state.round == 1 and all(a.pulls == 0 for a in state.arms)
+    warm_start(state, inst, MechanismOptions().resolve(PolicyKind.ucb()))
+    with pytest.raises(ValueError, match="resolve"):
+        step(state, PolicyKind.ucb(), NO_DRIFT, inst, MechanismOptions())
+
+
+@pytest.mark.parametrize("policy", [
+    PolicyKind.egreedy(1e-9), PolicyKind.thompson(), PolicyKind.greedy(),
+])
+def test_debug_checks_ucb_only(policy):
+    # arm 0 carries far more drift than B_0 <= 2 l sqrt(2 n_0 ln t) allows
+    inst = BanditInstance((0.9, 0.8), NoiseModel("gaussian", 0.0))
+    arms = [ArmState(pulls=1, feedback_sum=0.9, drift_sum=50.0),
+            ArmState(pulls=1, feedback_sum=0.8)]
+    debug = MechanismOptions(project_feedback=False, debug=True)
+    drift = DriftModel("linear", lipschitz=1.0)
+    with pytest.raises(DiagnosticError, match="cumulative drift"):
+        step(make_state(inst, arms), PolicyKind.ucb(), drift, inst, debug)
+    arms = [ArmState(pulls=1, feedback_sum=0.9, drift_sum=50.0),
+            ArmState(pulls=1, feedback_sum=0.8)]
+    step(make_state(inst, arms, ScriptedRng([0.5, 0.0, 0.0])), policy, drift, inst, debug)
 
 
 def test_step_compensation_zero_on_posted_tie():

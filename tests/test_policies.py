@@ -15,6 +15,7 @@ from driftbandit import (
     ucb_index,
     ucb_select,
 )
+from driftbandit.policies import POLICIES, POLICY_NAMES
 
 
 def view(posted, pulls, t):
@@ -175,6 +176,13 @@ def test_policy_kind_validation():
     with pytest.raises(ValueError):
         PolicyKind("softmax")
     assert PolicyKind.egreedy(4).c == 4.0
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_every_policy_name_builds_a_policy_kind(name):
+    policy = PolicyKind(name, 4.0 if POLICIES[name].takes_c else None)
+    assert select_arm(policy, view([0.3, 0.9], [1, 1], 3),
+                      ScriptedRng([0.99, 0.0, 0.0])) in (0, 1)
 
 
 def test_select_arm_dispatch():
