@@ -38,6 +38,9 @@ class BoundInputs:
             raise ValueError("lipschitz must be >= 0")
         if self.delta_lower <= 0:
             raise ValueError("delta_lower must be > 0")
+        for name in ("lipschitz", "delta_lower", "c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         positive = [g for g in self.gaps if g > 0]
         if not positive:
             raise ValueError("need at least one suboptimal arm")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import platform
 import sys
 from pathlib import Path
@@ -106,6 +107,8 @@ def _gnuplot_script(path: Path, data_file: str, xcol: int, ycols: dict) -> None:
 
 def _cmd_run(args, parser) -> int:
     instance, policy, drift, options, seed = _simulation(args, parser)
+    if seed < 0:
+        parser.error(f"--seed must be >= 0, got {seed}")
     traj = run(instance, policy, drift, options, args.T, seed)
     metrics = summarize(traj, instance)
 
@@ -299,6 +302,10 @@ def _validate_common(args, parser) -> None:
         parser.error("--sigma must be >= 0")
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be >= 1")
+    for dest in ("l", "sigma", "cap", "c", "delta_lower"):
+        value = getattr(args, dest, None)
+        if value is not None and not math.isfinite(value):
+            parser.error(f"--{dest.replace('_', '-')} must be finite, got {value}")
 
 
 def main(argv=None) -> int:

@@ -7,6 +7,7 @@ only statistic visible to the principal and the players.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -60,6 +61,8 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -111,9 +114,13 @@ class DriftModel:
             raise ValueError(f"unknown drift kind {self.kind!r}")
         if self.lipschitz < 0:
             raise ValueError("lipschitz coefficient must be >= 0")
+        if not math.isfinite(self.lipschitz):
+            raise ValueError(f"lipschitz coefficient must be finite, got {self.lipschitz}")
         if self.kind == "clipped_linear":
             if self.cap is None or self.cap < 0:
                 raise ValueError("clipped_linear requires cap >= 0")
+            if not math.isfinite(self.cap):
+                raise ValueError(f"clipped_linear requires a finite cap, got {self.cap}")
         elif self.cap is not None:
             raise ValueError(f"cap is only meaningful for clipped_linear, not {self.kind!r}")
 

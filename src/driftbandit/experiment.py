@@ -7,6 +7,7 @@ bit-identical across machines and across any parallel execution order.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from statistics import fmean, median, stdev
@@ -15,7 +16,7 @@ from typing import Sequence
 from .analysis import SummaryMetrics, summarize
 from .core import BanditInstance, DriftModel, NoiseModel
 from .mechanism import Curve, MechanismOptions, run
-from .policies import PolicyKind
+from .policies import POLICY_NAMES, PolicyKind
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -81,6 +82,8 @@ class ExperimentConfig:
             raise ValueError("l_values must be non-empty")
         if any(l < 0 for l in self.l_values):
             raise ValueError("drift coefficients must be >= 0")
+        if not all(math.isfinite(l) for l in self.l_values):
+            raise ValueError(f"l_values must be finite, got {list(self.l_values)}")
         if not self.policies:
             raise ValueError("policies must be non-empty")
         if self.replications < 1:
@@ -123,25 +126,62 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """The config of a JSON object in the README schema (to_dict() round-trips).
+
+        Raises ValueError naming the key on an unknown key, a project_feedback
+        entry that is not a policy name with a bool, or a whole-number field
+        that is not a whole number.
+        """
+        _known_keys("config", data, _CONFIG_KEYS)
         noise = data.get("noise", {})
-        policies = tuple(
-            PolicyKind(p["name"], p.get("c")) for p in data["policies"]
-        )
+        _known_keys("noise", noise, ("kind", "sigma"))
+        for entry in data["policies"]:
+            _known_keys("policy entry", entry, ("name", "c"))
+        policies = tuple(PolicyKind(p["name"], p.get("c")) for p in data["policies"])
+        overrides = dict(data.get("project_feedback", {}))
+        for name, project in overrides.items():
+            if name not in POLICY_NAMES:
+                raise ValueError(f"project_feedback: unknown policy {name!r}, "
+                                 f"expected one of {POLICY_NAMES}")
+            if not isinstance(project, bool):
+                raise ValueError(f"project_feedback[{name!r}] must be true or false, "
+                                 f"got {project!r}")
         return cls(
             arm_means=tuple(data["arm_means"]),
             policies=policies,
             l_values=tuple(data["l_values"]),
-            horizon=int(data["horizon"]),
-            replications=int(data["replications"]),
-            master_seed=int(data["master_seed"]),
+            horizon=_whole("horizon", data["horizon"]),
+            replications=_whole("replications", data["replications"]),
+            master_seed=_whole("master_seed", data["master_seed"]),
             noise_kind=noise.get("kind", "gaussian"),
             noise_sigma=float(noise.get("sigma", 1.0)),
             drift_kind=data.get("drift_kind", "linear"),
             drift_cap=data.get("drift_cap"),
-            project_overrides=dict(data.get("project_feedback", {})),
+            project_overrides=overrides,
             capture_trajectories=bool(data.get("capture_trajectories", False)),
-            trajectory_stride=int(data.get("trajectory_stride", 10)),
+            trajectory_stride=_whole("trajectory_stride", data.get("trajectory_stride", 10)),
         )
+
+
+_CONFIG_KEYS = ("arm_means", "noise", "policies", "drift_kind", "drift_cap", "l_values",
+                "horizon", "replications", "master_seed", "project_feedback",
+                "capture_trajectories", "trajectory_stride")
+
+
+def _known_keys(where: str, data: dict, keys: tuple[str, ...]) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {data!r}")
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {unknown}, expected some of {list(keys)}")
+
+
+def _whole(key: str, value) -> int:
+    """`value` as an int; ValueError naming `key` unless it is a whole number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -256,6 +296,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> AggregateResult:
                 try:
                     outcomes[item] = future.result()
                 except Exception as exc:
+                    # leave the pool without waiting for the rest of the grid
+                    pool.shutdown(cancel_futures=True)
                     raise ExperimentError(_describe_failure(config, item, exc)) from exc
 
     cells = []

@@ -35,6 +35,8 @@ class PolicyKind:
         if rule.takes_c:
             if self.c is None or self.c <= 0:
                 raise ValueError(f"{self.name} requires c > 0")
+            if not math.isfinite(self.c):
+                raise ValueError(f"{self.name} requires a finite c")
         elif self.c is not None:
             raise ValueError(f"policy {self.name!r} takes no c parameter")
 

@@ -218,6 +218,10 @@ def test_bound_inputs_validation():
     with pytest.raises(ValueError):
         BoundInputs(k=2, horizon=10, lipschitz=0.0, gaps=(0.0, 0.0),
                     delta_min=0.0, delta_lower=0.1, c=4.0)  # no suboptimal arm
+    for field in ("lipschitz", "delta_lower", "c"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=field):
+                inputs(**{field: bad})
 
 
 def test_bound_inputs_from_instance_defaults_delta_lower():

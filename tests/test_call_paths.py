@@ -1,0 +1,73 @@
+"""The module attributes the benchmark's per-layer spans patch stay on the call path.
+
+benchmarks/layers.py times each layer by replacing module attributes such as
+`driftbandit.mechanism.step` with timing wrappers.  A refactor that calls
+around one of them would silently zero its span, so every patched name is
+checked here: a small run, sweep and `driftbandit run` must reach it.
+"""
+
+import pytest
+
+from driftbandit import (
+    BanditInstance,
+    DriftModel,
+    ExperimentConfig,
+    MechanismOptions,
+    NoiseModel,
+    PolicyKind,
+    cli,
+    experiment,
+    mechanism,
+)
+from driftbandit.core import SimState
+
+ROUND_NAMES = ("step", "select_arm", "greedy_choice", "sample_reward")
+
+
+def count_calls(monkeypatch, owner, name, counts):
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("policy", [
+    PolicyKind.ucb(), PolicyKind.egreedy(4.0), PolicyKind.thompson(), PolicyKind.greedy(),
+])
+def test_run_reaches_each_patched_round_name(monkeypatch, policy):
+    counts = dict.fromkeys(ROUND_NAMES + ("policy_view",), 0)
+    for name in ROUND_NAMES:
+        count_calls(monkeypatch, mechanism, name, counts)
+    count_calls(monkeypatch, SimState, "policy_view", counts)
+    inst = BanditInstance((0.9, 0.5, 0.2), NoiseModel("gaussian", 1.0))
+    mechanism.run(inst, policy, DriftModel("linear", lipschitz=1.0), MechanismOptions(),
+                  20, 3, keep_records=False)
+    steps = 20 - inst.k
+    assert counts == {"step": steps, "select_arm": steps, "greedy_choice": steps,
+                      "sample_reward": 20, "policy_view": steps}
+
+
+def test_sweep_reaches_each_patched_item_and_round_name(monkeypatch):
+    counts = dict.fromkeys(ROUND_NAMES + ("run", "summarize"), 0)
+    for name in ROUND_NAMES:
+        count_calls(monkeypatch, mechanism, name, counts)
+    for name in ("run", "summarize"):
+        count_calls(monkeypatch, experiment, name, counts)
+    config = ExperimentConfig(arm_means=(0.9, 0.5), policies=(PolicyKind.ucb(),),
+                              l_values=(0.0, 1.0), horizon=10, replications=2,
+                              master_seed=1)
+    experiment.run_experiment(config, jobs=1)
+    assert counts["run"] == counts["summarize"] == 4
+    assert counts["step"] == counts["select_arm"] == counts["greedy_choice"] == 4 * 8
+    assert counts["sample_reward"] == 4 * 10
+
+
+def test_cli_run_reaches_run_and_summarize(monkeypatch, tmp_path):
+    counts = {"run": 0, "summarize": 0}
+    for name in counts:
+        count_calls(monkeypatch, cli, name, counts)
+    assert cli.main(["run", "--policy", "ucb", "--T", "20", "--out-dir", str(tmp_path)]) == 0
+    assert counts == {"run": 1, "summarize": 1}

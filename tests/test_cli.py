@@ -40,6 +40,32 @@ def test_run_rejects_negative_drift_coefficient(tmp_path, capsys):
     assert "must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["run", "--policy", "ucb", "--l", "nan"], "--l"),
+    (["run", "--policy", "ucb", "--l", "inf"], "--l"),
+    (["run", "--policy", "ucb", "--sigma", "nan"], "--sigma"),
+    (["run", "--policy", "ucb", "--drift", "clipped_linear", "--cap", "inf"], "--cap"),
+    (["run", "--policy", "egreedy", "--c", "nan"], "--c"),
+    (["trace", "--policy", "ucb", "--l", "nan", "--draws", "0"], "--l"),
+    (["bounds", "--delta-lower", "nan"], "--delta-lower"),
+    (["bounds", "--c", "inf"], "--c"),
+])
+def test_non_finite_flag_exits_2_naming_it(tmp_path, capsys, args, flag):
+    with pytest.raises(SystemExit) as err:
+        run_cli(args + (["--out-dir", str(tmp_path)] if args[0] != "trace" else []))
+    assert err.value.code == 2
+    assert f"{flag} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_run_negative_seed_exits_2_naming_it(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["run", "--policy", "ucb", "--T", "20", "--seed", "-1",
+                 "--out-dir", str(tmp_path)])
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_run_outputs_and_summary_schema(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["run", "--policy", "egreedy", "--c", "4", "--l", "0.5",
@@ -143,6 +169,24 @@ def test_sweep_rejects_empty_l_values(tmp_path, capsys):
         run_cli(["sweep", "--config", str(path), "--out-dir", str(tmp_path / "o")])
     assert err.value.code == 2
     assert "l_values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change,key", [
+    ({"l_values": [float("nan")]}, "l_values"),
+    ({"policies": [{"name": "ucb", "cc": 3}]}, "cc"),
+    ({"horizn": 60}, "horizn"),
+    ({"project_feedback": {"ucbb": True}}, "ucbb"),
+    ({"horizon": 100.7}, "horizon"),
+    ({"replications": 2.9}, "replications"),
+    ({"trajectory_stride": 2.5}, "trajectory_stride"),
+])
+def test_sweep_rejects_bad_config_naming_the_key(tmp_path, capsys, change, key):
+    path = write_config(tmp_path, small_config(**change))
+    with pytest.raises(SystemExit) as err:
+        run_cli(["sweep", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_curves_output(tmp_path):

@@ -59,6 +59,11 @@ def test_drift_model_validation():
         DriftModel("linear", lipschitz=1.0, cap=0.5)  # cap meaningless
     with pytest.raises(ValueError):
         DriftModel("sublinear", lipschitz=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DriftModel("linear", lipschitz=bad)
+        with pytest.raises(ValueError, match="finite"):
+            DriftModel("clipped_linear", lipschitz=1.0, cap=bad)
 
 
 @given(
@@ -159,6 +164,9 @@ def test_instance_validation():
         NoiseModel("poisson")
     with pytest.raises(ValueError):
         NoiseModel("gaussian", sigma=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel("gaussian", sigma=bad)
 
 
 # ---------------------------------------------------------------- rewards

@@ -93,6 +93,9 @@ def test_config_validation():
         ExperimentConfig(**{**SMALL_CONFIG, "trajectory_stride": 0})
     with pytest.raises(ValueError):
         ExperimentConfig(**{**SMALL_CONFIG, "arm_means": (0.5, 0.5)})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="l_values"):
+            ExperimentConfig(**{**SMALL_CONFIG, "l_values": (0.0, bad)})
 
 
 def test_config_dict_round_trip():
@@ -112,6 +115,29 @@ def test_config_parses_policy_c():
     })
     assert config.policies[0] == PolicyKind.egreedy(4.0)
     assert config.noise_kind == "gaussian" and config.noise_sigma == 1.0
+
+
+@pytest.mark.parametrize("change,key", [
+    ({"policies": [{"name": "ucb", "cc": 3}]}, "cc"),
+    ({"horizn": 100}, "horizn"),
+    ({"noise": {"kind": "gaussian", "sigm": 2.0}}, "sigm"),
+    ({"project_feedback": {"ucbb": True}}, "ucbb"),
+    ({"project_feedback": {"ucb": "off"}}, "project_feedback"),
+    ({"horizon": 100.7}, "horizon"),
+    ({"replications": 2.9}, "replications"),
+    ({"trajectory_stride": 2.5}, "trajectory_stride"),
+    ({"master_seed": 3.5}, "master_seed"),
+    ({"horizon": "100"}, "horizon"),
+])
+def test_config_from_dict_rejects_naming_the_key(change, key):
+    data = {**ExperimentConfig(**SMALL_CONFIG).to_dict(), **change}
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict(data)
+
+
+def test_config_from_dict_accepts_whole_floats():
+    data = {**ExperimentConfig(**SMALL_CONFIG).to_dict(), "horizon": 120.0}
+    assert ExperimentConfig.from_dict(data) == ExperimentConfig(**SMALL_CONFIG)
 
 
 # ---------------------------------------------------------------- run_experiment
@@ -193,6 +219,15 @@ def test_run_experiment_names_failing_triple():
     assert "policy=ucb" in str(err.value)
     assert "l=0.0" in str(err.value)
     assert "rep=0" in str(err.value)
+
+
+def test_run_experiment_jobs2_names_failing_triple():
+    # only the thompson items fail; the error names the first failing triple
+    bad = ExperimentConfig(**SMALL_CONFIG)
+    object.__setattr__(bad.policies[1], "name", "missing")
+    with pytest.raises(ExperimentError) as err:
+        run_experiment(bad, jobs=2)
+    assert "policy=missing, l=0.0, rep=0" in str(err.value)
 
 
 def test_sublinear_growth_bernoulli_drift():

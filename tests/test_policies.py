@@ -175,6 +175,9 @@ def test_policy_kind_validation():
         PolicyKind("ucb", 3.0)  # c meaningless
     with pytest.raises(ValueError):
         PolicyKind("softmax")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PolicyKind("egreedy", bad)
     assert PolicyKind.egreedy(4).c == 4.0
 
 
