@@ -11,7 +11,9 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .rng import RngStream
+import numpy as np
+
+from .rng import LaneStreams, RngStream
 
 
 class BanditError(Exception):
@@ -137,6 +139,27 @@ def drift_apply(model: DriftModel, x: float) -> float:
     return b
 
 
+def lane_drift(models: Sequence[DriftModel]):
+    """drift_apply for many lanes at once: x[j] -> drift_apply(models[j], x[j]).
+
+    The models may differ only in their Lipschitz coefficient.  Returns a
+    function of the (lanes,) compensation array, which must be >= 0.
+    """
+    kinds = {(m.kind, m.cap) for m in models}
+    if len(kinds) != 1:
+        raise ValueError(f"lanes must share one drift kind and cap, got {sorted(kinds, key=str)}")
+    kind, cap = kinds.pop()
+    lipschitz = np.array([m.lipschitz for m in models])
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        if kind == "zero":
+            return np.zeros_like(x)
+        b = lipschitz * x
+        return np.minimum(b, cap) if kind == "clipped_linear" else b
+
+    return apply
+
+
 @dataclass(slots=True)
 class ArmState:
     """Running statistics for one arm, all in drifted-feedback terms."""
@@ -231,3 +254,21 @@ def sample_reward(instance: BanditInstance, arm: int, rng: RngStream) -> float:
     if noise.kind == "bernoulli":
         return 1.0 if rng.uniform() < mu else 0.0
     return mu + noise.sigma * rng.normal()
+
+
+def lane_rewards(instance: BanditInstance):
+    """sample_reward for many lanes at once.
+
+    Returns a function of (arms, draws): lane j pulls arms[j] and draws from
+    its own stream in `draws`, exactly as sample_reward would.
+    """
+    means = np.asarray(instance.arm_means)
+    noise = instance.noise
+
+    def sample(arms: np.ndarray, draws: LaneStreams) -> np.ndarray:
+        mu = means[arms]
+        if noise.kind == "bernoulli":
+            return np.where(draws.uniform() < mu, 1.0, 0.0)
+        return mu + noise.sigma * draws.normal()
+
+    return sample

@@ -3,6 +3,12 @@
 Each (policy, l, replication) triple gets its own stream seed derived from
 the master seed with a fixed 64-bit mixing function, so results are
 bit-identical across machines and across any parallel execution order.
+
+The work items of one policy run as lanes of the lockstep engine
+(lockstep.run_lanes), which gives each lane exactly what mechanism.run gives
+for its triple.  A chunk is the lanes of one policy played together; a
+policy is split into several chunks only when there are fewer policies than
+worker processes.
 """
 
 from __future__ import annotations
@@ -13,9 +19,11 @@ from dataclasses import dataclass, field
 from statistics import fmean, median, stdev
 from typing import Sequence
 
-from .analysis import SummaryMetrics, summarize
+from . import analysis
+from .analysis import SummaryMetrics
 from .core import BanditInstance, DriftModel, NoiseModel
-from .mechanism import Curve, MechanismOptions, run
+from .lockstep import run_lanes
+from .mechanism import Curve, MechanismOptions, Trajectory
 from .policies import POLICY_NAMES, PolicyKind
 
 _MASK64 = (1 << 64) - 1
@@ -228,15 +236,46 @@ class AggregateResult:
         raise KeyError(f"no cell for ({policy_name}, {l})")
 
 
-def _run_one(config: ExperimentConfig, p_idx: int, l_idx: int,
-             rep: int) -> tuple[SummaryMetrics, Curve | None]:
+Chunk = tuple[int, tuple[tuple[int, int], ...]]  # (policy index, its (l index, rep) lanes)
+
+# run and summarize are a chunk's two steps, called through this module's
+# globals once per chunk each; the per-layer benchmark wraps them to time chunks.
+
+
+def run(config: ExperimentConfig, chunk: Chunk) -> list[Trajectory]:
+    """Play every lane of `chunk` in lockstep; one trajectory per lane."""
+    p_idx, lanes = chunk
     policy = config.policies[p_idx]
-    drift = config.drift_model(config.l_values[l_idx])
-    seed = derive_seed(config.master_seed, p_idx, l_idx, rep)
     stride = config.trajectory_stride if config.capture_trajectories else None
-    traj = run(config.instance(), policy, drift, config.options_for(policy),
-               config.horizon, seed, stride=stride, keep_records=False)
-    return summarize(traj, config.instance()), traj.curve
+    return run_lanes(
+        config.instance(), policy,
+        [config.drift_model(config.l_values[l_idx]) for l_idx, _ in lanes],
+        config.options_for(policy), config.horizon,
+        [derive_seed(config.master_seed, p_idx, l_idx, rep) for l_idx, rep in lanes],
+        stride=stride)
+
+
+def summarize(config: ExperimentConfig,
+              trajectories: list[Trajectory]) -> list[tuple[SummaryMetrics, Curve | None]]:
+    """analysis.summarize and the curve of every lane of a chunk."""
+    instance = config.instance()
+    return [(analysis.summarize(traj, instance), traj.curve) for traj in trajectories]
+
+
+def _run_chunk(config: ExperimentConfig,
+               chunk: Chunk) -> list[tuple[SummaryMetrics, Curve | None]]:
+    return summarize(config, run(config, chunk))
+
+
+def _chunks(config: ExperimentConfig, jobs: int) -> list[Chunk]:
+    """All lanes of each policy in one chunk, split only to give every worker one."""
+    lanes = [(l_idx, rep) for l_idx in range(len(config.l_values))
+             for rep in range(config.replications)]
+    parts = min(len(lanes), -(-jobs // len(config.policies)))
+    size = -(-len(lanes) // parts)
+    return [(p_idx, tuple(lanes[i:i + size]))
+            for p_idx in range(len(config.policies))
+            for i in range(0, len(lanes), size)]
 
 
 def _aggregate_cell(policy: PolicyKind, l: float,
@@ -275,30 +314,32 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> AggregateResult:
     """Run every (policy, l, replication) work item and aggregate per cell.
 
     `jobs` bounds parallel worker processes; results do not depend on it.
+    A failing chunk raises ExperimentError naming the chunk's first triple.
     """
-    items = [
-        (p_idx, l_idx, rep)
-        for p_idx in range(len(config.policies))
-        for l_idx in range(len(config.l_values))
-        for rep in range(config.replications)
-    ]
+    chunks = _chunks(config, jobs)
     outcomes: dict[tuple[int, int, int], tuple[SummaryMetrics, Curve | None]] = {}
+
+    def collect(chunk: Chunk, results) -> None:
+        p_idx, lanes = chunk
+        for (l_idx, rep), outcome in zip(lanes, results):
+            outcomes[(p_idx, l_idx, rep)] = outcome
+
     if jobs <= 1:
-        for item in items:
+        for chunk in chunks:
             try:
-                outcomes[item] = _run_one(config, *item)
+                collect(chunk, _run_chunk(config, chunk))
             except Exception as exc:
-                raise ExperimentError(_describe_failure(config, item, exc)) from exc
+                raise ExperimentError(_describe_failure(config, chunk, exc)) from exc
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_run_one, config, *item): item for item in items}
-            for future, item in futures.items():
+            futures = {pool.submit(_run_chunk, config, chunk): chunk for chunk in chunks}
+            for future, chunk in futures.items():
                 try:
-                    outcomes[item] = future.result()
+                    collect(chunk, future.result())
                 except Exception as exc:
                     # leave the pool without waiting for the rest of the grid
                     pool.shutdown(cancel_futures=True)
-                    raise ExperimentError(_describe_failure(config, item, exc)) from exc
+                    raise ExperimentError(_describe_failure(config, chunk, exc)) from exc
 
     cells = []
     for p_idx, policy in enumerate(config.policies):
@@ -308,8 +349,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> AggregateResult:
     return AggregateResult(config=config, cells=tuple(cells))
 
 
-def _describe_failure(config: ExperimentConfig, item: tuple[int, int, int],
-                      exc: Exception) -> str:
-    p_idx, l_idx, rep = item
-    return (f"replication failed at policy={config.policies[p_idx].name}, "
-            f"l={config.l_values[l_idx]}, rep={rep}: {exc}")
+def _describe_failure(config: ExperimentConfig, chunk: Chunk, exc: Exception) -> str:
+    p_idx, lanes = chunk
+    l_idx, rep = lanes[0]
+    return (f"replications failed in the chunk of {len(lanes)} starting at "
+            f"policy={config.policies[p_idx].name}, l={config.l_values[l_idx]}, "
+            f"rep={rep}: {exc}")

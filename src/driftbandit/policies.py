@@ -5,6 +5,13 @@ counts exposed through a PolicyView; true means and undrifted empirical means
 are not reachable from here.  Ties break to the lowest arm index everywhere,
 and a uniform draw u maps to arm floor(u * K), so scripted-stream traces are
 exact.
+
+Each rule also has a lane form for the lockstep engine: the view's posted
+means and pulls are (lanes, K) float arrays, the draws come from a
+LaneStreams, and the result is one arm per lane.  A lane form does the
+scalar form's float operations in the same order and draws in the same
+order, and np.argmax keeps the first maximum like _argmax, so each lane
+picks what the scalar rule would.
 """
 
 from __future__ import annotations
@@ -13,8 +20,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .core import DiagnosticError, PolicyView, SimState
-from .rng import RngStream
+from .rng import LaneStreams, RngStream
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,11 @@ def ucb_select(view: PolicyView) -> int:
     return _argmax(scores)
 
 
+def ucb_select_lanes(view: PolicyView) -> np.ndarray:
+    s = math.sqrt(2.0 * math.log(view.t))
+    return (view.posted + s / np.sqrt(view.pulls)).argmax(axis=1)
+
+
 def epsilon_schedule(c: float, k: int, t: int) -> float:
     """Exploration probability min(1, cK/t)."""
     if c <= 0:
@@ -109,6 +123,17 @@ def egreedy_select(view: PolicyView, c: float, rng: RngStream) -> int:
     return _argmax(view.posted)
 
 
+def egreedy_select_lanes(view: PolicyView, c: float, draws: LaneStreams) -> np.ndarray:
+    k = view.posted.shape[1]
+    eps = epsilon_schedule(c, k, view.t)
+    chosen = view.posted.argmax(axis=1)
+    explore = np.flatnonzero(draws.uniform() < eps)
+    if explore.size:
+        arm = (draws.uniform(explore) * k).astype(np.int64)
+        chosen[explore] = np.minimum(arm, k - 1)
+    return chosen
+
+
 def thompson_sample(view: PolicyView, rng: RngStream) -> int:
     """Gaussian posterior sampling: theta_i = posted_i + z_i / sqrt(pulls_i + 1).
 
@@ -118,9 +143,18 @@ def thompson_sample(view: PolicyView, rng: RngStream) -> int:
     return _argmax(scores)
 
 
+def thompson_sample_lanes(view: PolicyView, draws: LaneStreams) -> np.ndarray:
+    z = draws.normals(view.posted.shape[1])
+    return (view.posted + z / np.sqrt(view.pulls + 1.0)).argmax(axis=1)
+
+
 def greedy_choice(view: PolicyView) -> int:
     """The player's myopic pick: argmax of posted means."""
     return _argmax(view.posted)
+
+
+def greedy_choice_lanes(view: PolicyView) -> np.ndarray:
+    return view.posted.argmax(axis=1)
 
 
 def _check_ucb_drift_bounds(state: SimState, view: PolicyView, chosen: int, x: float,
@@ -145,6 +179,8 @@ class PolicyRule:
     """Everything that tells one principal apart from the others."""
 
     select: Callable[[PolicyView, float | None, RngStream], int]  # (view, c, rng) -> arm
+    # the same rule for (lanes, K) views: (view, c, draws) -> one arm per lane
+    select_lanes: Callable[[PolicyView, float | None, LaneStreams], np.ndarray]
     takes_c: bool = False  # whether PolicyKind carries an exploration constant c
     projects_feedback: bool = False  # default of MechanismOptions.project_feedback
     debug_check: Callable[[SimState, PolicyView, int, float, float], None] | None = None
@@ -153,13 +189,17 @@ class PolicyRule:
 POLICIES: dict[str, PolicyRule] = {
     # UCB1 (Auer, Cesa-Bianchi & Fischer 2002)
     "ucb": PolicyRule(lambda view, c, rng: ucb_select(view),
+                      lambda view, c, draws: ucb_select_lanes(view),
                       debug_check=_check_ucb_drift_bounds),
     # epsilon_t-greedy, eps_t = min(1, cK/t) (Auer, Cesa-Bianchi & Fischer 2002)
-    "egreedy": PolicyRule(egreedy_select, takes_c=True, projects_feedback=True),
+    "egreedy": PolicyRule(egreedy_select, egreedy_select_lanes,
+                          takes_c=True, projects_feedback=True),
     # Gaussian Thompson sampling (Agrawal & Goyal 2013)
-    "thompson": PolicyRule(lambda view, c, rng: thompson_sample(view, rng)),
+    "thompson": PolicyRule(lambda view, c, rng: thompson_sample(view, rng),
+                           lambda view, c, draws: thompson_sample_lanes(view, draws)),
     # no-incentive baseline: always the player's own pick
-    "greedy": PolicyRule(lambda view, c, rng: greedy_choice(view)),
+    "greedy": PolicyRule(lambda view, c, rng: greedy_choice(view),
+                         lambda view, c, draws: greedy_choice_lanes(view)),
 }
 POLICY_NAMES = tuple(POLICIES)
 

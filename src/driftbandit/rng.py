@@ -73,6 +73,116 @@ class NumpyRng:
         return v
 
 
+class _LaneBlocks:
+    """One kind of draw (uniform or normal) for many lanes, each with its own block.
+
+    Lane j holds a `_BLOCK`-value block like NumpyRng's buffer and refills it
+    from fills[j] when a draw finds it used up, so the refills of the two
+    kinds interleave on each lane's generator exactly as in NumpyRng.  While
+    every lane has drawn equally often, the lanes share one position and a
+    draw is a slice of all blocks.
+    """
+
+    __slots__ = ("_fills", "_buf", "_flat", "_start", "_pos", "_step", "_room")
+
+    def __init__(self, fills):
+        lanes = len(fills)
+        self._fills = fills  # fills[j](out=row) writes lane j's next block into row
+        self._buf = np.empty((lanes, _BLOCK))
+        self._flat = self._buf.reshape(-1)
+        self._start = np.arange(lanes) * _BLOCK  # flat index of each lane's block
+        self._pos = np.full(lanes, _BLOCK)  # each lane's next draw; _BLOCK: used up
+        self._step: int | None = _BLOCK  # the lanes' common position, or None; then _pos is stale
+        self._room = 0  # draws every lane can take before its block runs out
+
+    def take(self, n: int, lanes: np.ndarray | None = None) -> np.ndarray:
+        """The next n draws of each lane in `lanes` (all lanes if None), shape (lanes, n)."""
+        step = self._step
+        if step is not None:
+            if lanes is None and step + n <= _BLOCK:
+                self._step = step + n
+                return self._buf[:, step:step + n].copy()
+            self._pos.fill(step)
+            self._step = None
+            self._room = _BLOCK - step
+        if self._room < n:
+            self._room = _BLOCK - int(self._pos.max())
+            if self._room < n:
+                return self._take_near_refill(n, lanes)
+        self._room -= n
+        return self._gather(n, lanes)
+
+    def _gather(self, n: int, lanes) -> np.ndarray:
+        if lanes is None:
+            at = self._start + self._pos
+            self._pos += n
+        else:
+            at = self._start[lanes] + self._pos[lanes]
+            self._pos[lanes] += n
+        if n == 1:
+            return self._flat[at][:, None]
+        return self._flat[at[:, None] + np.arange(n)]
+
+    def _take_near_refill(self, n: int, lanes) -> np.ndarray:
+        rows = np.arange(len(self._pos)) if lanes is None else lanes
+        for lane in rows[self._pos[rows] == _BLOCK].tolist():
+            self._fills[lane](out=self._buf[lane])  # used up: refilled at this draw
+            self._pos[lane] = 0
+        if (self._pos[rows] + n > _BLOCK).any():  # a block runs out within the n draws
+            out = np.array([self._take_one(lane, n) for lane in rows.tolist()]).reshape(-1, n)
+        else:
+            out = self._gather(n, lanes)
+        self._room = _BLOCK - int(self._pos.max())
+        if lanes is None and (self._pos == self._pos[0]).all():
+            self._step = int(self._pos[0])
+        return out
+
+    def _take_one(self, lane: int, n: int) -> np.ndarray:
+        # NumpyRng's order: use up the block, then refill at the next draw
+        buf = self._buf[lane]
+        pos = int(self._pos[lane])
+        parts = []
+        while n:
+            if pos >= _BLOCK:
+                self._fills[lane](out=buf)
+                pos = 0
+            got = min(n, _BLOCK - pos)
+            parts.append(buf[pos:pos + got].copy())
+            pos += got
+            n -= got
+        self._pos[lane] = pos
+        return np.concatenate(parts)
+
+
+class LaneStreams:
+    """Many NumpyRng streams drawn together, one lane per stream.
+
+    Lane j replays NumpyRng(seeds[j]) exactly: for any per-lane sequence of
+    uniform/normal calls it returns the values NumpyRng would, because each
+    lane refills its uniform and normal blocks at the same draws.  Every lane
+    draws, except in uniform(lanes), which draws for the named lanes only.
+    """
+
+    __slots__ = ("_uniform", "_normal")
+
+    def __init__(self, seeds):
+        gens = [np.random.default_rng(s) for s in seeds]
+        self._uniform = _LaneBlocks([g.random for g in gens])
+        self._normal = _LaneBlocks([g.standard_normal for g in gens])
+
+    def uniform(self, lanes: np.ndarray | None = None) -> np.ndarray:
+        """One uniform per lane in `lanes`."""
+        return self._uniform.take(1, lanes)[:, 0]
+
+    def normal(self) -> np.ndarray:
+        """One standard normal per lane."""
+        return self._normal.take(1)[:, 0]
+
+    def normals(self, n: int) -> np.ndarray:
+        """n consecutive standard normals per lane, shape (lanes, n)."""
+        return self._normal.take(n)
+
+
 class ScriptedRng:
     """Replays a fixed list of numbers, in call order, regardless of kind.
 

@@ -230,6 +230,19 @@ def test_run_experiment_jobs2_names_failing_triple():
     assert "policy=missing, l=0.0, rep=0" in str(err.value)
 
 
+@pytest.mark.parametrize("jobs,named", [(1, "l=0.0, rep=0"), (2, "l=-1.0, rep=0")])
+def test_run_experiment_names_first_triple_of_failing_chunk(jobs, named):
+    # one policy: one chunk at jobs=1, two chunks (one per l) at jobs=2;
+    # only the lanes with l=-1.0 fail
+    bad = ExperimentConfig(**{**SMALL_CONFIG, "policies": (PolicyKind.ucb(),),
+                              "replications": 2})
+    object.__setattr__(bad, "l_values", (0.0, -1.0))
+    with pytest.raises(ExperimentError) as err:
+        run_experiment(bad, jobs=jobs)
+    assert f"policy=ucb, {named}" in str(err.value)
+    assert "lipschitz" in str(err.value)
+
+
 def test_sublinear_growth_bernoulli_drift():
     # log-growth signature: second half adds less than the first half
     config = ExperimentConfig(
