@@ -41,6 +41,8 @@ class BoundInputs:
         for name in ("lipschitz", "delta_lower", "c"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.c <= 0:
+            raise ValueError(f"c must be > 0, got {self.c}")
         positive = [g for g in self.gaps if g > 0]
         if not positive:
             raise ValueError("need at least one suboptimal arm")
@@ -98,8 +100,6 @@ def egreedy_arm_slope(c: float, lipschitz: float, gap: float) -> float:
 def egreedy_regret_bound(inputs: BoundInputs) -> float:
     """Regret bound for incentivized epsilon-greedy (requires c > 0; the
     schedule condition c >= 36/delta is advisory, see check_c_condition)."""
-    if inputs.c <= 0:
-        raise ValueError("c must be > 0")
     log_t = math.log(inputs.horizon)
     total = inputs.c * (inputs.k - 1) * (inputs.k + math.pi ** 2 / 6.0)
     for g in inputs.gaps:
@@ -114,8 +114,6 @@ def egreedy_comp_bound(inputs: BoundInputs) -> float:
     The (+1) on the log factor follows the derivation's final form; the
     tighter display without it does not cover small horizons.
     """
-    if inputs.c <= 0:
-        raise ValueError("c must be > 0")
     c = inputs.c
     return (max(inputs.lipschitz, 1.0) * (c + math.sqrt(3.0 * c)) * inputs.k
             * (math.log(inputs.horizon) + 1.0))

@@ -181,6 +181,8 @@ def _cmd_sweep(args, parser) -> int:
 # ---------------------------------------------------------------- bounds
 
 def _cmd_bounds(args, parser) -> int:
+    if args.c <= 0:
+        parser.error(f"--c must be > 0, got {args.c}")
     try:
         means = _parse_means(args.means)
         instance = BanditInstance(means, NoiseModel("bernoulli"))

@@ -222,6 +222,9 @@ def test_bound_inputs_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=field):
                 inputs(**{field: bad})
+    for bad_c in (0.0, -1.0):
+        with pytest.raises(ValueError, match="c must be > 0"):
+            inputs(c=bad_c)
 
 
 def test_bound_inputs_from_instance_defaults_delta_lower():

@@ -58,6 +58,15 @@ def test_non_finite_flag_exits_2_naming_it(tmp_path, capsys, args, flag):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("c", ["0", "-2.5"])
+def test_bounds_non_positive_c_exits_2_naming_it(tmp_path, capsys, c):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["bounds", "--c", c, "--out-dir", str(tmp_path)])
+    assert err.value.code == 2
+    assert "--c must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_run_negative_seed_exits_2_naming_it(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         run_cli(["run", "--policy", "ucb", "--T", "20", "--seed", "-1",
