@@ -4,11 +4,13 @@ Each (policy, l, replication) triple gets its own stream seed derived from
 the master seed with a fixed 64-bit mixing function, so results are
 bit-identical across machines and across any parallel execution order.
 
-The work items of one policy run as lanes of the lockstep engine
-(lockstep.run_lanes), which gives each lane exactly what mechanism.run gives
-for its triple.  A chunk is the lanes of one policy played together; a
-policy is split into several chunks only when there are fewer policies than
-worker processes.
+Work items run as lanes of the lockstep engine (lockstep.run_lanes), which
+gives each lane exactly what mechanism.run gives for its triple, and plays
+the lanes of several policies together.  A lockstep round costs about the
+same for few lanes as for many, so the grid is played in as few chunks as
+there are workers: the work units (the lanes of one policy, or a part of
+them when there are fewer policies than workers) are dealt round-robin to
+min(jobs, units) chunks, and each chunk is one lockstep.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Sequence
 from . import analysis
 from .analysis import SummaryMetrics
 from .core import BanditInstance, DriftModel, NoiseModel
-from .lockstep import run_lanes
+from .lockstep import Lane, run_lanes
 from .mechanism import Curve, MechanismOptions, Trajectory
 from .policies import POLICY_NAMES, PolicyKind
 
@@ -236,23 +238,20 @@ class AggregateResult:
         raise KeyError(f"no cell for ({policy_name}, {l})")
 
 
-Chunk = tuple[int, tuple[tuple[int, int], ...]]  # (policy index, its (l index, rep) lanes)
+Chunk = tuple[tuple[int, int, int], ...]  # the (policy index, l index, rep) lanes of one lockstep
 
 # run and summarize are a chunk's two steps, called through this module's
 # globals once per chunk each; the per-layer benchmark wraps them to time chunks.
 
 
 def run(config: ExperimentConfig, chunk: Chunk) -> list[Trajectory]:
-    """Play every lane of `chunk` in lockstep; one trajectory per lane."""
-    p_idx, lanes = chunk
-    policy = config.policies[p_idx]
+    """Play every lane of `chunk` in one lockstep; one trajectory per lane."""
     stride = config.trajectory_stride if config.capture_trajectories else None
-    return run_lanes(
-        config.instance(), policy,
-        [config.drift_model(config.l_values[l_idx]) for l_idx, _ in lanes],
-        config.options_for(policy), config.horizon,
-        [derive_seed(config.master_seed, p_idx, l_idx, rep) for l_idx, rep in lanes],
-        stride=stride)
+    lanes = [Lane(config.policies[p_idx], config.options_for(config.policies[p_idx]),
+                  config.drift_model(config.l_values[l_idx]),
+                  derive_seed(config.master_seed, p_idx, l_idx, rep))
+             for p_idx, l_idx, rep in chunk]
+    return run_lanes(config.instance(), lanes, config.horizon, stride=stride)
 
 
 def summarize(config: ExperimentConfig,
@@ -268,14 +267,19 @@ def _run_chunk(config: ExperimentConfig,
 
 
 def _chunks(config: ExperimentConfig, jobs: int) -> list[Chunk]:
-    """All lanes of each policy in one chunk, split only to give every worker one."""
+    """The grid's work units dealt round-robin to min(jobs, units) chunks.
+
+    A unit is the lanes of one policy, split into parts of equal size only
+    when there are fewer policies than jobs, so that every worker gets one.
+    """
     lanes = [(l_idx, rep) for l_idx in range(len(config.l_values))
              for rep in range(config.replications)]
     parts = min(len(lanes), -(-jobs // len(config.policies)))
-    size = -(-len(lanes) // parts)
-    return [(p_idx, tuple(lanes[i:i + size]))
-            for p_idx in range(len(config.policies))
-            for i in range(0, len(lanes), size)]
+    cuts = [len(lanes) * i // parts for i in range(parts + 1)]  # parts of equal size, +-1
+    units = [tuple((p_idx, l_idx, rep) for l_idx, rep in lanes[a:b])
+             for p_idx in range(len(config.policies)) for a, b in zip(cuts, cuts[1:])]
+    count = min(jobs, len(units))
+    return [tuple(lane for unit in units[c::count] for lane in unit) for c in range(count)]
 
 
 def _aggregate_cell(policy: PolicyKind, l: float,
@@ -316,13 +320,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> AggregateResult:
     `jobs` bounds parallel worker processes; results do not depend on it.
     A failing chunk raises ExperimentError naming the chunk's first triple.
     """
-    chunks = _chunks(config, jobs)
+    chunks = _chunks(config, max(jobs, 1))
     outcomes: dict[tuple[int, int, int], tuple[SummaryMetrics, Curve | None]] = {}
 
     def collect(chunk: Chunk, results) -> None:
-        p_idx, lanes = chunk
-        for (l_idx, rep), outcome in zip(lanes, results):
-            outcomes[(p_idx, l_idx, rep)] = outcome
+        outcomes.update(zip(chunk, results))
 
     if jobs <= 1:
         for chunk in chunks:
@@ -350,8 +352,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> AggregateResult:
 
 
 def _describe_failure(config: ExperimentConfig, chunk: Chunk, exc: Exception) -> str:
-    p_idx, lanes = chunk
-    l_idx, rep = lanes[0]
-    return (f"replications failed in the chunk of {len(lanes)} starting at "
+    p_idx, l_idx, rep = chunk[0]
+    return (f"replications failed in the chunk of {len(chunk)} starting at "
             f"policy={config.policies[p_idx].name}, l={config.l_values[l_idx]}, "
             f"rep={rep}: {exc}")

@@ -1,17 +1,20 @@
-"""The lockstep engine: many runs of one policy played together, round by round.
+"""The lockstep engine: many runs, of one or several policies, played together round by round.
 
-Each lane is one mechanism.run with its own drift coefficient and seed.  The
-lanes advance together as (lanes, K) arrays.  Every lane does the scalar
-loop's float operations in the same order and draws its own NumpyRng stream
-in the documented per-round order, so each lane ends with the ArmStates and
-curve that mechanism.run gives for the same inputs, equal under ==.
-mechanism.run stays the executable spec; records, scripted streams and debug
-checks exist only there.
+Each lane is one mechanism.run with its own policy, options, drift coefficient
+and seed.  The lanes advance together as (lanes, K) arrays.  Lanes that share
+a policy and resolved options form a group: a contiguous slice of the rows
+with its own LaneStreams, where the policy's lane rule selects and the
+rewards are drawn.  The greedy pick, compensation, drift and credit run once
+over all lanes.  Every lane does the scalar loop's float operations in the
+same order and draws its own NumpyRng stream in the documented per-round
+order, so each lane ends with the ArmStates and curve that mechanism.run
+gives for the same inputs, equal under ==.  mechanism.run stays the
+executable spec; records, scripted streams and debug checks exist only there.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,44 +32,66 @@ from .mechanism import Curve, MechanismOptions, Trajectory
 from .policies import POLICIES, PolicyKind, greedy_choice_lanes
 from .rng import LaneStreams
 
-# the ArmState fields, in the order of the last axis of the engine's state
-_FIELDS = ("pulls", "feedback_sum", "drift_sum", "comp_count", "comp_sum")
-_PULLS, _FEEDBACK, _DRIFT, _COMP_COUNT, _COMP_SUM = range(len(_FIELDS))
+
+class Lane(NamedTuple):
+    """One run to play: mechanism.run(instance, policy, drift, options, horizon, seed)."""
+
+    policy: PolicyKind
+    options: MechanismOptions
+    drift: DriftModel
+    seed: int
 
 
-def run_lanes(instance: BanditInstance, policy: PolicyKind, drifts: Sequence[DriftModel],
-              options: MechanismOptions, horizon: int, seeds: Sequence[int],
+class _Group(NamedTuple):
+    """The lanes of one policy and resolved options: rows of the engine's arrays."""
+
+    rows: slice
+    select: Callable[[PolicyView, float | None, LaneStreams], np.ndarray]  # select_lanes
+    c: float | None
+    draws: LaneStreams
+    project: bool
+
+
+def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
               *, stride: int | None = None) -> list[Trajectory]:
-    """mechanism.run(instance, policy, drifts[j], options, horizon, seeds[j],
-    stride=stride, keep_records=False) for every lane j, played in lockstep.
+    """mechanism.run(instance, lane.policy, lane.drift, lane.options, horizon,
+    lane.seed, stride=stride, keep_records=False) for every lane, played in lockstep.
 
     The drift models may differ only in their Lipschitz coefficient.  The
-    returned trajectories carry no records, and their final states no stream.
+    returned trajectories, in the order of `lanes`, carry no records, and
+    their final states no stream.
     """
-    if len(drifts) != len(seeds) or not seeds:
-        raise ValueError(f"need one drift model per seed, got {len(drifts)} and {len(seeds)}")
+    if not lanes:
+        raise ValueError("need at least one lane")
     if horizon < instance.k:
         raise ValueError(f"horizon {horizon} shorter than warm start over {instance.k} arms")
     if stride is not None and stride < 1:
         raise ValueError("stride must be >= 1")
-    options = options.resolve(policy)
-    if options.debug:
-        raise ValueError("debug checks run in mechanism.run only")
-    select = POLICIES[policy.name].select_lanes
-    lanes, k = len(seeds), instance.k
-    draws = LaneStreams(seeds)
-    drift = lane_drift(drifts)
+    members: dict[tuple[PolicyKind, MechanismOptions], list[int]] = {}
+    for j, lane in enumerate(lanes):
+        options = lane.options.resolve(lane.policy)
+        if options.debug:
+            raise ValueError("debug checks run in mechanism.run only")
+        members.setdefault((lane.policy, options), []).append(j)
+    order = [j for js in members.values() for j in js]  # engine row -> index in `lanes`
+    groups = []
+    start = 0
+    for (policy, options), js in members.items():
+        groups.append(_Group(slice(start, start + len(js)), POLICIES[policy.name].select_lanes,
+                             policy.c, LaneStreams([lanes[j].seed for j in js]),
+                             options.project_feedback))
+        start += len(js)
+    n, k = len(order), instance.k
+    drift = lane_drift([lanes[j].drift for j in order])
     reward = lane_rewards(instance)
-    project = options.project_feedback
 
-    state = np.zeros((len(_FIELDS), lanes, k))  # state[f][j, i]: field f of lane j's arm i
-    by_row = state.reshape(len(_FIELDS), lanes * k)  # one column per (lane, arm)
-    first = np.arange(lanes) * k  # column of each lane's arm 0
-    pulls, feedback = state[_PULLS], state[_FEEDBACK]
-    credit = np.zeros((len(_FIELDS), lanes))  # what this round adds to each lane's pulled arm
-    credit[_PULLS] = 1.0
+    # field[j, i]: that ArmState field of lane j's arm i; the flat views index (lane, arm) cells
+    pulls, feedback, drift_sum, comp_count, comp_sum = (np.zeros((n, k)) for _ in range(5))
+    pulls_at, feedback_at, drift_at, comp_count_at, comp_sum_at = (
+        a.reshape(-1) for a in (pulls, feedback, drift_sum, comp_count, comp_sum))
+    first = np.arange(n) * k  # flat index of each lane's arm 0
     # per-arm views of the live state, so accounting_totals sums every lane at once
-    columns = [ArmState(pulls=pulls[:, i], comp_sum=state[_COMP_SUM][:, i]) for i in range(k)]
+    columns = [ArmState(pulls=pulls[:, i], comp_sum=comp_sum[:, i]) for i in range(k)]
     rounds: list[int] = []
     totals: list[tuple[np.ndarray, np.ndarray]] = []
 
@@ -75,45 +100,55 @@ def run_lanes(instance: BanditInstance, policy: PolicyKind, drifts: Sequence[Dri
             rounds.append(t)
             totals.append(accounting_totals(instance.gap_vector, columns))
 
-    def play(at: np.ndarray, fb: np.ndarray, b, x, compensated) -> None:
-        credit[_FEEDBACK] = fb
-        credit[_DRIFT] = b
-        credit[_COMP_COUNT] = compensated
-        credit[_COMP_SUM] = x
-        by_row[:, at] += credit
-
+    r = np.empty(n)
     for arm in range(k):  # warm start: each arm once, in index order, unpaid
-        r = reward(np.full(lanes, arm), draws)
-        play(first + arm, np.clip(r, 0.0, 1.0) if project else r, 0.0, 0.0, 0.0)
-    for t in range(1, k + 1):  # as in mechanism.run: sampled after the whole warm start
-        capture(t)
+        for g in groups:
+            r[g.rows] = reward(np.full(g.rows.stop - g.rows.start, arm), g.draws)
+            if g.project:
+                np.clip(r[g.rows], 0.0, 1.0, out=r[g.rows])
+        pulls[:, arm] += 1.0
+        feedback[:, arm] += r
+        capture(arm + 1)
+    chosen = np.empty(n, dtype=np.int64)
     for t in range(k + 1, horizon + 1):
         posted = feedback / pulls
-        view = PolicyView(t, posted, pulls)
-        chosen = select(view, policy.c, draws)
-        greedy = greedy_choice_lanes(view)
+        for g in groups:  # each lane draws for its selection, then for its reward
+            rows = g.rows
+            chosen[rows] = g.select(PolicyView(t, posted[rows], pulls[rows]), g.c, g.draws)
+            r[rows] = reward(chosen[rows], g.draws)
+        greedy = greedy_choice_lanes(PolicyView(t, posted, pulls))
         at = first + chosen
-        flat = posted.reshape(-1)
-        x = flat[first + greedy] - flat[at]  # 0.0 where chosen == greedy
+        posted_at = posted.reshape(-1)
+        x = posted_at[first + greedy] - posted_at[at]  # 0.0 where chosen == greedy
         b = drift(x)
-        fb = reward(chosen, draws) + b
-        if project:
-            fb = np.clip(fb, 0.0, 1.0)
-        play(at, fb, b, x, chosen != greedy)
+        fb = r + b
+        for g in groups:
+            if g.project:
+                np.clip(fb[g.rows], 0.0, 1.0, out=fb[g.rows])
+        pulls_at[at] += 1.0
+        feedback_at[at] += fb
+        drift_at[at] += b
+        comp_count_at[at] += chosen != greedy
+        comp_sum_at[at] += x
         capture(t)
 
-    curves = [None] * lanes
+    curves = [None] * n
     if stride is not None:
         regret = np.array([reg for reg, _ in totals]).T.tolist()
         comp = np.array([c for _, c in totals]).T.tolist()
-        curves = [Curve(list(rounds), regret[j], comp[j]) for j in range(lanes)]
-    return [Trajectory(records=[], final=_final_state(instance, horizon, arms), curve=curve)
-            for arms, curve in zip(state.transpose(1, 2, 0).tolist(), curves)]
+        curves = [Curve(list(rounds), regret[row], comp[row]) for row in range(n)]
+    fields = zip(*(a.tolist() for a in (pulls, feedback, drift_sum, comp_count, comp_sum)))
+    out: list[Trajectory] = [None] * n
+    for j, arms, curve in zip(order, fields, curves):
+        out[j] = Trajectory(records=[], final=_final_state(instance, horizon, *arms), curve=curve)
+    return out
 
 
-def _final_state(instance: BanditInstance, horizon: int, arms: list[list[float]]) -> SimState:
+def _final_state(instance: BanditInstance, horizon: int, pulls, feedback, drift_sum,
+                 comp_count, comp_sum) -> SimState:
     return SimState(
         round=horizon + 1,
-        arms=[ArmState(pulls=int(a[_PULLS]), feedback_sum=a[_FEEDBACK], drift_sum=a[_DRIFT],
-                       comp_count=int(a[_COMP_COUNT]), comp_sum=a[_COMP_SUM]) for a in arms],
+        arms=[ArmState(pulls=int(p), feedback_sum=f, drift_sum=d, comp_count=int(cc),
+                       comp_sum=cs)
+              for p, f, d, cc, cs in zip(pulls, feedback, drift_sum, comp_count, comp_sum)],
         gap_vector=instance.gap_vector, rng=None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import (
     ArmState,
@@ -92,13 +92,14 @@ def _credit(arm: ArmState, feedback: float, drift: float, compensation: float,
         arm.comp_sum += compensation
 
 
-def warm_start(state: SimState, instance: BanditInstance,
-               options: MechanismOptions) -> list[RoundRecord]:
+def warm_start(state: SimState, instance: BanditInstance, options: MechanismOptions,
+               after_pull: Callable[[int], None] | None = None) -> list[RoundRecord]:
     """Pull each arm once, in index order, with no compensation.
 
     Resolves the undefined posted mean at zero pulls for every policy.
     Rounds 1..K; afterwards the state sits at round K+1.  `options` must be
-    resolved (MechanismOptions.resolve; run() does this).
+    resolved (MechanismOptions.resolve; run() does this).  `after_pull(t)`,
+    if given, is called once the pull of round t is credited.
     """
     project = options.project_feedback
     if project is None:
@@ -114,6 +115,8 @@ def warm_start(state: SimState, instance: BanditInstance,
             t=state.round, chosen=arm_idx, greedy=arm_idx, compensated=False,
             compensation=0.0, drift=0.0, raw_reward=r, feedback=fb,
             regret_increment=state.gap_vector[arm_idx]))
+        if after_pull is not None:
+            after_pull(state.round)
         state.round += 1
     return records
 
@@ -160,7 +163,8 @@ def run(instance: BanditInstance, policy: PolicyKind, drift: DriftModel,
     RngStream instance (e.g. ScriptedRng for golden traces).  Deterministic:
     identical inputs give bit-identical trajectories.  With `stride`, the
     cumulative regret/compensation are sampled every stride rounds (plus the
-    final round) into Trajectory.curve.
+    final round) into Trajectory.curve; the point of round t reads the totals
+    after t pulls, warm-start rounds included.
     """
     if horizon < instance.k:
         raise ValueError(f"horizon {horizon} shorter than warm start over {instance.k} arms")
@@ -179,11 +183,9 @@ def run(instance: BanditInstance, policy: PolicyKind, drift: DriftModel,
             curve.regret.append(state.cum_regret)
             curve.compensation.append(state.cum_compensation)
 
-    warm = warm_start(state, instance, options)
+    warm = warm_start(state, instance, options, after_pull=capture)
     if keep_records:
         records.extend(warm)
-    for rec in warm:
-        capture(rec.t)
     while state.round <= horizon:
         rec = step(state, policy, drift, instance, options)
         if keep_records:

@@ -99,9 +99,8 @@ class _LaneBlocks:
         """The next n draws of each lane in `lanes` (all lanes if None), shape (lanes, n)."""
         step = self._step
         if step is not None:
-            if lanes is None and step + n <= _BLOCK:
-                self._step = step + n
-                return self._buf[:, step:step + n].copy()
+            if lanes is None:
+                return self._take_shared(step, n)
             self._pos.fill(step)
             self._step = None
             self._room = _BLOCK - step
@@ -111,6 +110,25 @@ class _LaneBlocks:
                 return self._take_near_refill(n, lanes)
         self._room -= n
         return self._gather(n, lanes)
+
+    def _take_shared(self, step: int, n: int) -> np.ndarray:
+        # every lane at `step`: slice all blocks, refilling all at a draw that finds them used up
+        if step + n <= _BLOCK:
+            self._step = step + n
+            return self._buf[:, step:step + n].copy()
+        out = np.empty((len(self._buf), n))
+        done = 0
+        while done < n:
+            if step == _BLOCK:
+                for fill, row in zip(self._fills, self._buf):
+                    fill(out=row)
+                step = 0
+            got = min(n - done, _BLOCK - step)
+            out[:, done:done + got] = self._buf[:, step:step + got]
+            done += got
+            step += got
+        self._step = step
+        return out
 
     def _gather(self, n: int, lanes) -> np.ndarray:
         if lanes is None:

@@ -53,7 +53,8 @@ def test_run_reaches_each_patched_round_name(monkeypatch, policy):
 
 
 def test_sweep_reaches_each_patched_item_and_round_name(monkeypatch):
-    # a sweep plays each policy's lanes in lockstep: experiment.run and
+    # a sweep plays its lanes in lockstep, one chunk per worker (so one at
+    # jobs=1, whatever the number of policies): experiment.run and
     # experiment.summarize once per chunk, equally often, and never the
     # scalar round functions
     counts = dict.fromkeys(ROUND_NAMES + ("policy_view", "run", "summarize"), 0)
@@ -67,7 +68,7 @@ def test_sweep_reaches_each_patched_item_and_round_name(monkeypatch):
                               l_values=(0.0, 1.0), horizon=10, replications=2,
                               master_seed=1)
     experiment.run_experiment(config, jobs=1)
-    assert counts == {**dict.fromkeys(ROUND_NAMES + ("policy_view",), 0), "run": 2, "summarize": 2}
+    assert counts == {**dict.fromkeys(ROUND_NAMES + ("policy_view",), 0), "run": 1, "summarize": 1}
 
 
 def test_cli_run_reaches_run_and_summarize(monkeypatch, tmp_path):

@@ -15,6 +15,7 @@ from driftbandit import (
     run_experiment,
     summarize,
 )
+from driftbandit.experiment import _chunks
 
 SMALL_CONFIG = dict(
     arm_means=(0.9, 0.6, 0.3),
@@ -204,6 +205,23 @@ def test_run_experiment_curves():
         assert len(cell.regret_curve_mean) == math.ceil(config.horizon / 25)
         # cumulative means are non-decreasing
         assert list(cell.regret_curve_mean) == sorted(cell.regret_curve_mean)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_policies", [1, 2, 3, 4])
+def test_chunks_deal_every_triple_once(n_policies, jobs):
+    policies = (PolicyKind.ucb(), PolicyKind.thompson(), PolicyKind.egreedy(4.0),
+                PolicyKind.greedy())[:n_policies]
+    config = ExperimentConfig(**{**SMALL_CONFIG, "policies": policies, "replications": 3})
+    chunks = _chunks(config, jobs)
+    dealt = [triple for chunk in chunks for triple in chunk]
+    assert sorted(dealt) == [(p, l, rep) for p in range(n_policies) for l in range(2)
+                             for rep in range(3)]
+    # a unit is one policy, or a part of one when there are fewer policies than jobs
+    units = n_policies * min(6, -(-jobs // n_policies))
+    assert len(chunks) == min(jobs, units)
+    if jobs == 1:
+        assert len(chunks) == 1
 
 
 def test_run_experiment_rejects_short_horizon():

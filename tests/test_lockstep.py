@@ -25,7 +25,7 @@ from driftbandit import (
     run_experiment,
     summarize,
 )
-from driftbandit.lockstep import run_lanes
+from driftbandit.lockstep import Lane, run_lanes
 from driftbandit.rng import LaneStreams
 
 POLICIES = st.one_of(
@@ -47,15 +47,19 @@ def _drift(kind: str, cap, l: float) -> DriftModel:
     return DriftModel(kind, lipschitz=0.0 if kind == "zero" else l, cap=cap)
 
 
-def _assert_lanes_equal_scalar(instance, policy, drifts, options, horizon, seeds, stride):
-    lanes = run_lanes(instance, policy, drifts, options, horizon, seeds, stride=stride)
-    assert len(lanes) == len(seeds)
-    for lane, drift, seed in zip(lanes, drifts, seeds):
-        scalar = run(instance, policy, drift, options, horizon, seed,
+def _one_policy(policy, drifts, options, seeds):
+    return [Lane(policy, options, drift, seed) for drift, seed in zip(drifts, seeds)]
+
+
+def _assert_lanes_equal_scalar(instance, lanes, horizon, stride):
+    played = run_lanes(instance, lanes, horizon, stride=stride)
+    assert len(played) == len(lanes)
+    for got, lane in zip(played, lanes):
+        scalar = run(instance, lane.policy, lane.drift, lane.options, horizon, lane.seed,
                      stride=stride, keep_records=False)
-        assert summarize(lane, instance) == summarize(scalar, instance)
-        assert lane.curve == scalar.curve
-        assert lane.final.arms == scalar.final.arms
+        assert summarize(got, instance) == summarize(scalar, instance)
+        assert got.curve == scalar.curve
+        assert got.final.arms == scalar.final.arms
 
 
 @settings(max_examples=60, deadline=None)
@@ -68,8 +72,26 @@ def test_run_lanes_equals_scalar_run(policy, means, noise, drift, ls, project, h
     instance = BanditInstance(means, noise)
     drifts = [_drift(*drift, l) for l in ls]
     seeds = [derive_seed(seed_base, 0, j, 0) for j in range(len(ls))]
-    _assert_lanes_equal_scalar(instance, policy, drifts, MechanismOptions(project_feedback=project),
-                               instance.k + horizon_extra, seeds, stride)
+    lanes = _one_policy(policy, drifts, MechanismOptions(project_feedback=project), seeds)
+    _assert_lanes_equal_scalar(instance, lanes, instance.k + horizon_extra, stride)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lanes=st.lists(st.tuples(POLICIES, L_VALUE), min_size=1, max_size=8),
+       overrides=st.dictionaries(st.sampled_from(["ucb", "egreedy", "thompson", "greedy"]),
+                                 st.booleans()),
+       means=MEANS, noise=NOISE, drift=DRIFT,
+       horizon_extra=st.one_of(st.integers(0, 40), st.integers(100, 1300)),
+       stride=st.one_of(st.none(), st.integers(1, 7), st.integers(8, 60)), seed_base=SEED)
+def test_mixed_policy_lanes_equal_scalar_run(lanes, overrides, means, noise, drift,
+                                             horizon_extra, stride, seed_base):
+    # lanes of several policies in one lockstep, in any order, with projection
+    # overrides that differ between policies; strides below and above K
+    instance = BanditInstance(means, noise)
+    mixed = [Lane(policy, MechanismOptions(project_feedback=overrides.get(policy.name)),
+                  _drift(*drift, l), derive_seed(seed_base, 1, j, 0))
+             for j, (policy, l) in enumerate(lanes)]
+    _assert_lanes_equal_scalar(instance, mixed, instance.k + horizon_extra, stride)
 
 
 @pytest.mark.parametrize("noise", [NoiseModel("bernoulli"), NoiseModel("gaussian", 1.0)])
@@ -79,7 +101,8 @@ def test_every_policy_past_several_block_refills(policy, noise):
     instance = BanditInstance((0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1), noise)
     drifts = [DriftModel("clipped_linear", lipschitz=l, cap=0.3) for l in (0.0, 0.7, 1.1)]
     seeds = [derive_seed(20260809, 2, j, 1) for j in range(len(drifts))]
-    _assert_lanes_equal_scalar(instance, policy, drifts, MechanismOptions(), 2100, seeds, 9)
+    _assert_lanes_equal_scalar(instance, _one_policy(policy, drifts, MechanismOptions(), seeds),
+                               2100, 9)
 
 
 class _RefillLog:
@@ -118,7 +141,8 @@ def test_egreedy_gaussian_lanes_refill_in_different_orders():
         run(instance, policy, drift, MechanismOptions(), horizon, log, keep_records=False)
         orders.add(tuple(log.refills))
     assert len(orders) > 1
-    _assert_lanes_equal_scalar(instance, policy, drifts, MechanismOptions(), horizon, seeds, 50)
+    _assert_lanes_equal_scalar(instance, _one_policy(policy, drifts, MechanismOptions(), seeds),
+                               horizon, 50)
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,6 +164,33 @@ def test_lane_streams_replay_numpy_rng(seeds, ops):
             lanes = [j for j in range(len(seeds)) if mask >> j & 1] or [0]
             pick = None if len(lanes) == len(seeds) else np.array(lanes)
             assert draws.uniform(pick).tolist() == [scalar[j].uniform() for j in lanes]
+
+
+def test_run_lanes_warm_start_points_read_the_pulls_so_far():
+    # the hand values of test_mechanism: 2.1 after seven of nine warm-start pulls
+    instance = BanditInstance((0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1),
+                              NoiseModel("gaussian", 1.0))
+    lanes = [Lane(policy, MechanismOptions(), DriftModel("linear", lipschitz=1.1), seed)
+             for seed, policy in enumerate([PolicyKind.ucb(), PolicyKind.thompson(),
+                                            PolicyKind.egreedy(4.0), PolicyKind.ucb()])]
+    for got in run_lanes(instance, lanes, 20, stride=7):
+        assert got.curve.rounds == [7, 14, 20]
+        assert got.curve.regret[0] == 2.1
+        assert got.curve.compensation[0] == 0.0
+
+
+def test_lane_streams_thompson_draws_past_shared_refills():
+    # nine normals then one a round, as Thompson's selection and reward draw;
+    # 1024 is not a multiple of 10, so the shared blocks run out inside a take
+    seeds = [derive_seed(3, 2, j, 0) for j in range(31)]
+    draws = LaneStreams(seeds)
+    scalar = [NumpyRng(s) for s in seeds]
+    for _ in range(350):  # 3500 normals a lane: three refills after the first fill
+        assert draws.normals(9).tolist() == [[rng.normal() for _ in range(9)]
+                                             for rng in scalar]
+        assert draws.normal().tolist() == [rng.normal() for rng in scalar]
+    assert draws.normals(2100).tolist() == [[rng.normal() for _ in range(2100)]
+                                            for rng in scalar]
 
 
 @settings(max_examples=15, deadline=None)
@@ -179,12 +230,15 @@ def test_run_experiment_equals_scalar_items(policies, means, noise, drift, ls, r
 def test_run_lanes_rejects_what_run_rejects():
     instance = BanditInstance((0.9, 0.5, 0.2), NoiseModel("gaussian", 1.0))
     drift = DriftModel("linear", lipschitz=1.0)
+    ucb = Lane(PolicyKind.ucb(), MechanismOptions(), drift, 1)
+    with pytest.raises(ValueError, match="lane"):
+        run_lanes(instance, [], 20)
     with pytest.raises(ValueError, match="warm start"):
-        run_lanes(instance, PolicyKind.ucb(), [drift], MechanismOptions(), 2, [1])
+        run_lanes(instance, [ucb], 2)
     with pytest.raises(ValueError, match="stride"):
-        run_lanes(instance, PolicyKind.ucb(), [drift], MechanismOptions(), 20, [1], stride=0)
+        run_lanes(instance, [ucb], 20, stride=0)
     with pytest.raises(ValueError, match="debug"):
-        run_lanes(instance, PolicyKind.ucb(), [drift], MechanismOptions(debug=True), 20, [1])
+        run_lanes(instance, [ucb._replace(options=MechanismOptions(debug=True))], 20)
     with pytest.raises(ValueError, match="drift kind"):
-        run_lanes(instance, PolicyKind.ucb(), [drift, DriftModel("zero")], MechanismOptions(),
-                  20, [1, 2])
+        run_lanes(instance, [ucb, Lane(PolicyKind.thompson(), MechanismOptions(),
+                                       DriftModel("zero"), 2)], 20)

@@ -268,6 +268,24 @@ def test_run_curve_capture():
     assert traj.curve.regret[-1] == traj.final.cum_regret
 
 
+def test_run_curve_warm_start_points_read_the_pulls_so_far():
+    # a point at t <= K reads the totals after t warm-start pulls, arms 0..t-1
+    # once each: the in-order sum of the first t gaps, and no compensation
+    inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
+    traj = run(inst, PolicyKind.ucb(), NO_DRIFT, MechanismOptions(), 20, 1,
+               stride=7, keep_records=False)
+    assert traj.curve.rounds == [7, 14, 20]
+    # 0 + 0.1 + 0.2 + 0.3 + 0.4 + 0.5 + 0.6, not all nine gaps (3.6)
+    assert traj.curve.regret[0] == 2.1
+    assert traj.curve.compensation[0] == 0.0
+    warm = run(inst, PolicyKind.ucb(), NO_DRIFT, MechanismOptions(), 9, 1,
+               stride=1, keep_records=False)
+    assert warm.curve.rounds == list(range(1, 10))
+    assert warm.curve.regret == [0.0, 0.09999999999999998, 0.30000000000000004,
+                                 0.6000000000000001, 1.0, 1.5, 2.1, 2.8, 3.5999999999999996]
+    assert warm.curve.compensation == [0.0] * 9
+
+
 # ---------------------------------------------------------------- csv rows
 
 def test_trajectory_rows_cumulative_columns():
