@@ -158,7 +158,9 @@ def test_run_experiment_deterministic():
 
 def test_run_experiment_jobs_do_not_change_results():
     config = ExperimentConfig(**SMALL_CONFIG)
-    assert run_experiment(config, jobs=1) == run_experiment(config, jobs=2)
+    serial = run_experiment(config, jobs=1)
+    assert serial == run_experiment(config, jobs=2)
+    assert serial == run_experiment(config, jobs=0)  # below 1: serial, as jobs=1
 
 
 @pytest.mark.parametrize("replications", [3, 4])
