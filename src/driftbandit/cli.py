@@ -33,7 +33,7 @@ from .analysis import (
 from .core import BanditError, BanditInstance, DriftModel, NoiseModel
 from .experiment import ExperimentConfig, ExperimentError, run_experiment
 from .mechanism import (TRAJECTORY_COLUMNS, MechanismOptions, fmt_real, run,
-                        trajectory_rows, write_trajectory_csv)
+                        trajectory_blocks, write_trajectory_csv)
 from .policies import POLICIES, POLICY_NAMES, PolicyKind
 from .rng import ScriptedRng, ScriptExhaustedError
 
@@ -80,8 +80,15 @@ def _simulation(args, parser, draws: str | None = None):
     """
     try:
         instance = BanditInstance(_parse_means(args.means), NoiseModel(args.noise, args.sigma))
+        if args.drift == "clipped_linear" and (args.cap is None or args.cap < 0):
+            parser.error("--drift clipped_linear requires --cap >= 0")
+        if args.drift != "clipped_linear" and args.cap is not None:
+            parser.error(f"--cap applies to --drift clipped_linear only, not {args.drift}")
         drift = DriftModel(args.drift, lipschitz=args.l, cap=args.cap)
-        policy = PolicyKind(args.policy, args.c if POLICIES[args.policy].takes_c else None)
+        takes_c = POLICIES[args.policy].takes_c
+        if takes_c and args.c <= 0:
+            parser.error(f"--c must be > 0 for {args.policy}, got {args.c}")
+        policy = PolicyKind(args.policy, args.c if takes_c else None)
         if draws is None:
             stream = args.seed
         else:
@@ -183,6 +190,8 @@ def _cmd_sweep(args, parser) -> int:
 def _cmd_bounds(args, parser) -> int:
     if args.c <= 0:
         parser.error(f"--c must be > 0, got {args.c}")
+    if args.T < 2:
+        parser.error(f"--T must be >= 2 for the log-based bounds, got {args.T}")
     try:
         means = _parse_means(args.means)
         instance = BanditInstance(means, NoiseModel("bernoulli"))
@@ -233,8 +242,8 @@ def _cmd_trace(args, parser) -> int:
     except ScriptExhaustedError as exc:
         parser.error(str(exc))
     print(",".join(TRAJECTORY_COLUMNS))
-    for row in trajectory_rows(traj):
-        print(",".join(row))
+    for lines in trajectory_blocks(traj):
+        print("\n".join(lines))
     return 0
 
 

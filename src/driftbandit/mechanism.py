@@ -9,9 +9,10 @@ posted means at the start of the round, before the new pull lands.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .core import (
     ArmState,
@@ -19,7 +20,6 @@ from .core import (
     DriftModel,
     SimState,
     WarmStartError,
-    accounting_totals,
     drift_apply,
     sample_reward,
 )
@@ -194,35 +194,78 @@ def run(instance: BanditInstance, policy: PolicyKind, drift: DriftModel,
     return Trajectory(records=records, final=state, curve=curve)
 
 
+REAL_FORMAT = "%.9g"  # every real in every CSV and printed line: 9 significant digits
+BLOCK_ROUNDS = 1024  # trajectory rounds formatted and written together
+
+_INT_COLUMNS = frozenset(("t", "chosen", "greedy", "compensated"))
+_ROW_TEMPLATE = ",".join("%d" if c in _INT_COLUMNS else REAL_FORMAT for c in TRAJECTORY_COLUMNS)
+
+
 def fmt_real(x: float) -> str:
-    """A real as every CSV and printed line writes it: 9 significant digits."""
-    return format(x, ".9g")
+    """A real as every CSV and printed line writes it (REAL_FORMAT)."""
+    return REAL_FORMAT % x
+
+
+def cumulative_blocks(trajectory: Trajectory):
+    """Yield (records, cum_regret, cum_compensation) for each block of BLOCK_ROUNDS rounds.
+
+    The totals after each round come from running per-arm pull counts and
+    compensation sums, as SimState derives them: per arm, np.cumsum adds the
+    round's increment (0 or 1 pull, the paid compensation or 0.0) in round
+    order under the previous block's carry row; then the arms are added left
+    to right as accounting_totals does.  So the values are bit-equal to a
+    per-round accounting_totals, since adding +0.0 leaves a non-negative sum
+    unchanged.
+    """
+    records = trajectory.records
+    if not records:
+        raise ValueError("trajectory carries no records (captured with keep_records=False?)")
+    gaps = trajectory.final.gap_vector
+    pulls_carry = np.zeros(len(gaps), dtype=np.int64)
+    paid_carry = np.zeros(len(gaps))
+    for start in range(0, len(records), BLOCK_ROUNDS):
+        block = records[start:start + BLOCK_ROUNDS]
+        rows = np.arange(1, len(block) + 1)
+        chosen = [r.chosen for r in block]
+        pulls = np.zeros((len(block) + 1, len(gaps)), dtype=np.int64)
+        paid = np.zeros((len(block) + 1, len(gaps)))
+        pulls[0] = pulls_carry
+        paid[0] = paid_carry
+        pulls[rows, chosen] = 1
+        paid[rows, chosen] = [r.compensation if r.compensated else 0.0 for r in block]
+        pulls = pulls.cumsum(axis=0)
+        paid = paid.cumsum(axis=0)
+        pulls_carry, paid_carry = pulls[-1], paid[-1]
+        regret = 0.0
+        comp = 0.0
+        for i, g in enumerate(gaps):
+            regret = regret + g * pulls[1:, i]
+            comp = comp + paid[1:, i]
+        yield block, regret, comp
+
+
+def trajectory_blocks(trajectory: Trajectory):
+    """Yield the CSV lines (no terminator) of each block, in TRAJECTORY_COLUMNS order.
+
+    Every consumer of a trajectory's rows (write_trajectory_csv, `trace`,
+    trajectory_rows) reads these lines, so the format lives here only.
+    """
+    for block, regret, comp in cumulative_blocks(trajectory):
+        yield [_ROW_TEMPLATE % (r.t, r.chosen, r.greedy, r.compensated, r.compensation,
+                                r.drift, r.raw_reward, r.feedback, cum_regret, cum_comp)
+               for r, cum_regret, cum_comp in zip(block, regret.tolist(), comp.tolist())]
 
 
 def trajectory_rows(trajectory: Trajectory):
-    """Yield CSV rows (strings) in TRAJECTORY_COLUMNS order.
-
-    Cumulative columns are recomputed from running pull counts against the
-    true gaps, matching the exact accounting identity of SimState.
-    """
-    if not trajectory.records:
-        raise ValueError("trajectory carries no records (captured with keep_records=False?)")
-    gaps = trajectory.final.gap_vector
-    arms = [ArmState() for _ in gaps]
-    for rec in trajectory.records:
-        arm = arms[rec.chosen]
-        arm.pulls += 1
-        if rec.compensated:
-            arm.comp_sum += rec.compensation
-        cum_regret, cum_comp = accounting_totals(gaps, arms)
-        yield (str(rec.t), str(rec.chosen), str(rec.greedy),
-               "1" if rec.compensated else "0", fmt_real(rec.compensation),
-               fmt_real(rec.drift), fmt_real(rec.raw_reward), fmt_real(rec.feedback),
-               fmt_real(cum_regret), fmt_real(cum_comp))
+    """Yield CSV rows (tuples of strings) in TRAJECTORY_COLUMNS order."""
+    for lines in trajectory_blocks(trajectory):
+        for line in lines:
+            yield tuple(line.split(","))
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
+    """The header and every row, one block at a time, with csv.writer's CRLF terminator."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        writer.writerows(trajectory_rows(trajectory))
+        fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
+        for lines in trajectory_blocks(trajectory):
+            fh.write("\r\n".join(lines) + "\r\n")

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,6 +68,38 @@ def test_bounds_non_positive_c_exits_2_naming_it(tmp_path, capsys, c):
     assert err.value.code == 2
     assert "--c must be > 0" in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["run", "--policy", "ucb", "--drift", "clipped_linear"],
+     "--drift clipped_linear requires --cap >= 0"),
+    (["run", "--policy", "ucb", "--drift", "clipped_linear", "--cap", "-0.5"],
+     "--drift clipped_linear requires --cap >= 0"),
+    (["trace", "--policy", "ucb", "--drift", "clipped_linear", "--draws", "0"],
+     "--drift clipped_linear requires --cap >= 0"),
+    (["run", "--policy", "ucb", "--drift", "linear", "--cap", "0.1"],
+     "--cap applies to --drift clipped_linear only, not linear"),
+    (["trace", "--policy", "ucb", "--drift", "zero", "--cap", "0.1", "--draws", "0"],
+     "--cap applies to --drift clipped_linear only, not zero"),
+    (["run", "--policy", "egreedy", "--c", "0"], "--c must be > 0 for egreedy"),
+    (["trace", "--policy", "egreedy", "--c", "-1", "--draws", "0"], "--c must be > 0 for egreedy"),
+    (["bounds", "--T", "1"], "--T must be >= 2"),
+])
+def test_library_rejections_exit_2_naming_the_flag(tmp_path, capsys, args, message):
+    with pytest.raises(SystemExit) as err:
+        run_cli(args + (["--out-dir", str(tmp_path)] if args[0] != "trace" else []))
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "driftbandit", "bounds", "--T", "100"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "ucb regret" in done.stdout
 
 
 def test_run_negative_seed_exits_2_naming_it(tmp_path, capsys):

@@ -1,6 +1,10 @@
 import math
+import struct
+import tracemalloc
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from driftbandit import (
     ArmState,
@@ -18,7 +22,10 @@ from driftbandit import (
     step,
     trajectory_rows,
     warm_start,
+    write_trajectory_csv,
 )
+from driftbandit.core import accounting_totals
+from driftbandit.mechanism import BLOCK_ROUNDS, REAL_FORMAT, cumulative_blocks, fmt_real
 
 NINE_ARM_MEANS = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
 NO_DRIFT = DriftModel("zero")
@@ -288,21 +295,68 @@ def test_run_curve_warm_start_points_read_the_pulls_so_far():
 
 # ---------------------------------------------------------------- csv rows
 
+def _per_row_totals(trajectory):
+    """The per-row accounting the blocked writer replaced: one accounting_totals per round."""
+    gaps = trajectory.final.gap_vector
+    arms = [ArmState() for _ in gaps]
+    totals = []
+    for rec in trajectory.records:
+        arm = arms[rec.chosen]
+        arm.pulls += 1
+        if rec.compensated:
+            arm.comp_sum += rec.compensation
+        totals.append(accounting_totals(gaps, arms))
+    return totals
+
+
 def test_trajectory_rows_cumulative_columns():
     inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
+    for policy in (PolicyKind.ucb(), PolicyKind.egreedy(4.0), PolicyKind.thompson()):
+        for horizon in (9, BLOCK_ROUNDS - 1, BLOCK_ROUNDS, BLOCK_ROUNDS + 1,
+                        2 * BLOCK_ROUNDS + 3):
+            traj = run(inst, policy, DriftModel("linear", lipschitz=1.1), MechanismOptions(),
+                       horizon, 21)
+            blocks = list(cumulative_blocks(traj))
+            assert [len(records) for records, _, _ in blocks] == [
+                min(BLOCK_ROUNDS, horizon - start) for start in range(0, horizon, BLOCK_ROUNDS)]
+            totals = [(reg, comp) for _, regret, compensation in blocks
+                      for reg, comp in zip(regret.tolist(), compensation.tolist())]
+            expected = _per_row_totals(traj)
+            assert totals == expected
+            assert expected[-1] == (traj.final.cum_regret, traj.final.cum_compensation)
+            rows = list(trajectory_rows(traj))
+            assert [(row[8], row[9]) for row in rows] == [
+                (fmt_real(reg), fmt_real(comp)) for reg, comp in expected]
+
+
+def _float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+@given(st.floats() | st.integers(0, 2**64 - 1).map(_float_from_bits))
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072009e-308)
+def test_real_format_formats_like_format_9g(x):
+    assert REAL_FORMAT % x == format(x, ".9g") == fmt_real(x)
+
+
+def test_write_trajectory_csv_peak_memory_is_bounded(tmp_path):
+    inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
     traj = run(inst, PolicyKind.ucb(), DriftModel("linear", lipschitz=1.1),
-               MechanismOptions(), 60, 21)
-    rows = list(trajectory_rows(traj))
-    assert len(rows) == 60
-    final_regret = float(rows[-1][8])
-    final_comp = float(rows[-1][9])
-    assert final_regret == pytest.approx(traj.final.cum_regret, rel=1e-8)
-    assert final_comp == pytest.approx(traj.final.cum_compensation, rel=1e-8)
-    # cum columns never decrease
-    regs = [float(r[8]) for r in rows]
-    comps = [float(r[9]) for r in rows]
-    assert regs == sorted(regs)
-    assert comps == sorted(comps)
+               MechanismOptions(), 20000, 1)
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The whole trajectory formatted at once peaks near 5 MB; one block well under 1 MB.
+    assert peak < 1_000_000
 
 
 def test_trajectory_rows_requires_records():
