@@ -30,7 +30,7 @@ from .analysis import (
     ucb_comp_bound,
     ucb_regret_bound,
 )
-from .core import BanditError, BanditInstance, DriftModel, NoiseModel
+from .core import DRIFT_KINDS, NOISE_KINDS, BanditError, BanditInstance, DriftModel, NoiseModel
 from .experiment import ExperimentConfig, ExperimentError, run_experiment
 from .mechanism import (TRAJECTORY_COLUMNS, MechanismOptions, fmt_real, run,
                         trajectory_blocks, write_trajectory_csv)
@@ -252,11 +252,11 @@ def _cmd_trace(args, parser) -> int:
 def _add_env_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--means", default=DEFAULT_MEANS,
                    help="comma-separated true arm means in (0,1]")
-    p.add_argument("--noise", choices=("gaussian", "bernoulli"), default="gaussian")
+    p.add_argument("--noise", choices=NOISE_KINDS, default="gaussian")
     p.add_argument("--sigma", type=float, default=1.0,
                    help="gaussian noise standard deviation")
-    p.add_argument("--drift", choices=("zero", "linear", "clipped_linear"),
-                   default="linear", help="drift response to compensation")
+    p.add_argument("--drift", choices=DRIFT_KINDS, default="linear",
+                   help="drift response to compensation")
     p.add_argument("--l", type=float, default=0.0, help="drift Lipschitz coefficient")
     p.add_argument("--cap", type=float, default=None, help="clip level for clipped_linear")
     p.add_argument("--c", type=float, default=4.0, help="egreedy exploration constant")

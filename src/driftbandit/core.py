@@ -51,6 +51,10 @@ def gaps(arm_means: Sequence[float]) -> tuple[tuple[float, ...], float]:
     return vec, min(g for g in vec if g > 0)
 
 
+NOISE_KINDS = ("gaussian", "bernoulli")
+DRIFT_KINDS = ("zero", "linear", "clipped_linear")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Reward noise: 'bernoulli' (mean-parameterized coin) or 'gaussian' (additive)."""
@@ -59,7 +63,7 @@ class NoiseModel:
     sigma: float = 0.0  # gaussian only
 
     def __post_init__(self) -> None:
-        if self.kind not in ("bernoulli", "gaussian"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
@@ -112,7 +116,7 @@ class DriftModel:
     cap: float | None = None  # clipped_linear only
 
     def __post_init__(self) -> None:
-        if self.kind not in ("zero", "linear", "clipped_linear"):
+        if self.kind not in DRIFT_KINDS:
             raise ValueError(f"unknown drift kind {self.kind!r}")
         if self.lipschitz < 0:
             raise ValueError("lipschitz coefficient must be >= 0")

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from . import analysis
 from .analysis import SummaryMetrics
-from .core import BanditInstance, DriftModel, NoiseModel
+from .core import DRIFT_KINDS, NOISE_KINDS, BanditInstance, DriftModel, NoiseModel
 from .lockstep import Lane, run_lanes
 from .mechanism import Curve, MechanismOptions, Trajectory
 from .policies import POLICY_NAMES, PolicyKind
@@ -90,10 +90,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.l_values:
             raise ValueError("l_values must be non-empty")
-        if any(l < 0 for l in self.l_values):
-            raise ValueError("drift coefficients must be >= 0")
-        if not all(math.isfinite(l) for l in self.l_values):
-            raise ValueError(f"l_values must be finite, got {list(self.l_values)}")
+        if not all(0 <= l < math.inf for l in self.l_values):
+            raise ValueError(f"l_values must be finite and >= 0, got {list(self.l_values)}")
         if not self.policies:
             raise ValueError("policies must be non-empty")
         if self.replications < 1:
@@ -102,9 +100,14 @@ class ExperimentConfig:
             raise ValueError("trajectory_stride must be >= 1")
         if self.horizon < len(self.arm_means):
             raise ValueError("horizon is shorter than the warm start over all arms")
-        # fail early on bad environment / drift parameters
-        self.instance()
-        self.drift_model(self.l_values[0])
+        if not 0 <= self.master_seed <= _MASK64:
+            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
+        # fail early on bad environment / drift parameters, naming the key
+        noise = _named("noise.kind" if self.noise_kind not in NOISE_KINDS else "noise.sigma",
+                       NoiseModel, self.noise_kind, self.noise_sigma)
+        _named("arm_means", BanditInstance, tuple(self.arm_means), noise)
+        _named("drift_kind" if self.drift_kind not in DRIFT_KINDS else "drift_cap",
+               self.drift_model, self.l_values[0])
 
     def instance(self) -> BanditInstance:
         return BanditInstance(tuple(self.arm_means), NoiseModel(self.noise_kind, self.noise_sigma))
@@ -139,36 +142,34 @@ class ExperimentConfig:
         """The config of a JSON object in the README schema (to_dict() round-trips).
 
         Raises ValueError naming the key on an unknown key, a project_feedback
-        entry that is not a policy name with a bool, or a whole-number field
-        that is not a whole number.
+        entry that is not a policy name with a bool, a capture_trajectories
+        that is not a bool, a number field or entry that is not a number, or a
+        whole-number field that is not a whole number.
         """
         _known_keys("config", data, _CONFIG_KEYS)
         noise = data.get("noise", {})
         _known_keys("noise", noise, ("kind", "sigma"))
-        for entry in data["policies"]:
-            _known_keys("policy entry", entry, ("name", "c"))
-        policies = tuple(PolicyKind(p["name"], p.get("c")) for p in data["policies"])
         overrides = dict(data.get("project_feedback", {}))
         for name, project in overrides.items():
             if name not in POLICY_NAMES:
                 raise ValueError(f"project_feedback: unknown policy {name!r}, "
                                  f"expected one of {POLICY_NAMES}")
-            if not isinstance(project, bool):
-                raise ValueError(f"project_feedback[{name!r}] must be true or false, "
-                                 f"got {project!r}")
+            _flag(f"project_feedback[{name!r}]", project)
+        cap = data.get("drift_cap")
         return cls(
-            arm_means=tuple(data["arm_means"]),
-            policies=policies,
-            l_values=tuple(data["l_values"]),
+            arm_means=tuple(_number(f"arm_means[{i}]", m) for i, m in enumerate(data["arm_means"])),
+            policies=tuple(_policy(f"policies[{i}]", p) for i, p in enumerate(data["policies"])),
+            l_values=tuple(_number(f"l_values[{i}]", l) for i, l in enumerate(data["l_values"])),
             horizon=_whole("horizon", data["horizon"]),
             replications=_whole("replications", data["replications"]),
             master_seed=_whole("master_seed", data["master_seed"]),
             noise_kind=noise.get("kind", "gaussian"),
-            noise_sigma=float(noise.get("sigma", 1.0)),
+            noise_sigma=float(_number("noise.sigma", noise.get("sigma", 1.0))),
             drift_kind=data.get("drift_kind", "linear"),
-            drift_cap=data.get("drift_cap"),
+            drift_cap=None if cap is None else _number("drift_cap", cap),
             project_overrides=overrides,
-            capture_trajectories=bool(data.get("capture_trajectories", False)),
+            capture_trajectories=_flag("capture_trajectories",
+                                       data.get("capture_trajectories", False)),
             trajectory_stride=_whole("trajectory_stride", data.get("trajectory_stride", 10)),
         )
 
@@ -186,10 +187,36 @@ def _known_keys(where: str, data: dict, keys: tuple[str, ...]) -> None:
         raise ValueError(f"unknown {where} key(s) {unknown}, expected some of {list(keys)}")
 
 
+def _named(key: str, make, *args):
+    """make(*args), with `key` prefixed to the message of a ValueError it raises."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
+def _policy(key: str, entry: dict) -> PolicyKind:
+    _known_keys(key, entry, ("name", "c"))
+    name, c = entry["name"], entry.get("c")
+    c = None if c is None else _number(f"{key}.c", c)
+    return _named(f"{key}.name" if name not in POLICY_NAMES else f"{key}.c", PolicyKind, name, c)
+
+
+def _flag(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _number(key: str, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return value
+
+
 def _whole(key: str, value) -> int:
     """`value` as an int; ValueError naming `key` unless it is a whole number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            isinstance(value, float) and not value.is_integer()):
+    if isinstance(_number(key, value), float) and not value.is_integer():
         raise ValueError(f"{key} must be a whole number, got {value!r}")
     return int(value)
 

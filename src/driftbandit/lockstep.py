@@ -28,7 +28,7 @@ from .core import (
     lane_drift,
     lane_rewards,
 )
-from .mechanism import Curve, MechanismOptions, Trajectory
+from .mechanism import Curve, MechanismOptions, Trajectory, check_run_args
 from .policies import POLICIES, PolicyKind, greedy_choice_lanes
 from .rng import LaneStreams
 
@@ -63,10 +63,7 @@ def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
     """
     if not lanes:
         raise ValueError("need at least one lane")
-    if horizon < instance.k:
-        raise ValueError(f"horizon {horizon} shorter than warm start over {instance.k} arms")
-    if stride is not None and stride < 1:
-        raise ValueError("stride must be >= 1")
+    check_run_args(instance, horizon, stride)
     members: dict[tuple[PolicyKind, MechanismOptions], list[int]] = {}
     for j, lane in enumerate(lanes):
         options = lane.options.resolve(lane.policy)

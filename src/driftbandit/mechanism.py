@@ -154,6 +154,14 @@ def step(state: SimState, policy: PolicyKind, drift: DriftModel,
     return rec
 
 
+def check_run_args(instance: BanditInstance, horizon: int, stride: int | None) -> None:
+    """ValueError unless horizon covers the warm start and stride is None or >= 1."""
+    if horizon < instance.k:
+        raise ValueError(f"horizon {horizon} shorter than warm start over {instance.k} arms")
+    if stride is not None and stride < 1:
+        raise ValueError("stride must be >= 1")
+
+
 def run(instance: BanditInstance, policy: PolicyKind, drift: DriftModel,
         options: MechanismOptions, horizon: int, seed: int | RngStream,
         *, stride: int | None = None, keep_records: bool = True) -> Trajectory:
@@ -166,10 +174,7 @@ def run(instance: BanditInstance, policy: PolicyKind, drift: DriftModel,
     final round) into Trajectory.curve; the point of round t reads the totals
     after t pulls, warm-start rounds included.
     """
-    if horizon < instance.k:
-        raise ValueError(f"horizon {horizon} shorter than warm start over {instance.k} arms")
-    if stride is not None and stride < 1:
-        raise ValueError("stride must be >= 1")
+    check_run_args(instance, horizon, stride)
     rng = seed if not isinstance(seed, int) else NumpyRng(seed)
     state = SimState.fresh(instance, rng)
     options = options.resolve(policy)

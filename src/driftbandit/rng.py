@@ -1,10 +1,12 @@
-"""Deterministic scalar random streams.
+"""Deterministic random streams.
 
 Every run owns exactly one stream.  The draw order is part of the simulation
 contract: within a round the policy draws first (epsilon-greedy: one uniform
 for the explore coin, then one uniform for the arm if exploring; Thompson:
 one normal per arm in arm-index order), then the environment draws once for
-the reward sample.
+the reward sample.  LaneStreams replays many NumpyRng streams together, in
+the lockstep engine's two shapes of draw: normals for every lane, and one
+uniform for some lanes.
 """
 
 from __future__ import annotations
@@ -73,17 +75,41 @@ class NumpyRng:
         return v
 
 
-class _LaneBlocks:
-    """One kind of draw (uniform or normal) for many lanes, each with its own block.
+class _NormalBlocks:
+    """Normals for every lane, from one `_BLOCK`-value block per lane.
 
-    Lane j holds a `_BLOCK`-value block like NumpyRng's buffer and refills it
-    from fills[j] when a draw finds it used up, so the refills of the two
-    kinds interleave on each lane's generator exactly as in NumpyRng.  While
-    every lane has drawn equally often, the lanes share one position and a
-    draw is a slice of all blocks.
+    Every lane draws as often, so the lanes share one position, a draw is a
+    slice, and a draw that finds the blocks used up refills them all.
     """
 
-    __slots__ = ("_fills", "_buf", "_flat", "_start", "_pos", "_step", "_room")
+    __slots__ = ("_fills", "_buf", "_pos")
+
+    def __init__(self, fills):
+        self._fills = fills  # fills[j](out=row) writes lane j's next block into row
+        self._buf = np.empty((len(fills), _BLOCK))
+        self._pos = _BLOCK  # every lane's next draw; _BLOCK: used up
+
+    def take(self, n: int) -> np.ndarray:
+        """The next n draws of every lane, shape (lanes, n)."""
+        pos = self._pos
+        if pos + n <= _BLOCK:
+            self._pos = pos + n
+            return self._buf[:, pos:pos + n].copy()
+        rest = self._buf[:, pos:].copy()  # the blocks run out within this draw
+        for fill, row in zip(self._fills, self._buf):
+            fill(out=row)
+        self._pos = 0
+        return np.concatenate((rest, self.take(n - (_BLOCK - pos))), axis=1)
+
+
+class _UniformBlocks:
+    """One uniform for each drawing lane, from one `_BLOCK`-value block per lane.
+
+    Each lane keeps its own position, and a draw refills only the used-up
+    blocks of the lanes drawing.
+    """
+
+    __slots__ = ("_fills", "_buf", "_flat", "_start", "_pos", "_room")
 
     def __init__(self, fills):
         lanes = len(fills)
@@ -92,84 +118,22 @@ class _LaneBlocks:
         self._flat = self._buf.reshape(-1)
         self._start = np.arange(lanes) * _BLOCK  # flat index of each lane's block
         self._pos = np.full(lanes, _BLOCK)  # each lane's next draw; _BLOCK: used up
-        self._step: int | None = _BLOCK  # the lanes' common position, or None; then _pos is stale
-        self._room = 0  # draws every lane can take before its block runs out
+        self._room = 0  # draws left before a draw must look for used-up blocks
 
-    def take(self, n: int, lanes: np.ndarray | None = None) -> np.ndarray:
-        """The next n draws of each lane in `lanes` (all lanes if None), shape (lanes, n)."""
-        step = self._step
-        if step is not None:
-            if lanes is None:
-                return self._take_shared(step, n)
-            self._pos.fill(step)
-            self._step = None
-            self._room = _BLOCK - step
-        if self._room < n:
-            self._room = _BLOCK - int(self._pos.max())
-            if self._room < n:
-                return self._take_near_refill(n, lanes)
-        self._room -= n
-        return self._gather(n, lanes)
-
-    def _take_shared(self, step: int, n: int) -> np.ndarray:
-        # every lane at `step`: slice all blocks, refilling all at a draw that finds them used up
-        if step + n <= _BLOCK:
-            self._step = step + n
-            return self._buf[:, step:step + n].copy()
-        out = np.empty((len(self._buf), n))
-        done = 0
-        while done < n:
-            if step == _BLOCK:
-                for fill, row in zip(self._fills, self._buf):
-                    fill(out=row)
-                step = 0
-            got = min(n - done, _BLOCK - step)
-            out[:, done:done + got] = self._buf[:, step:step + got]
-            done += got
-            step += got
-        self._step = step
-        return out
-
-    def _gather(self, n: int, lanes) -> np.ndarray:
-        if lanes is None:
-            at = self._start + self._pos
-            self._pos += n
-        else:
-            at = self._start[lanes] + self._pos[lanes]
-            self._pos[lanes] += n
-        if n == 1:
-            return self._flat[at][:, None]
-        return self._flat[at[:, None] + np.arange(n)]
-
-    def _take_near_refill(self, n: int, lanes) -> np.ndarray:
-        rows = np.arange(len(self._pos)) if lanes is None else lanes
-        for lane in rows[self._pos[rows] == _BLOCK].tolist():
-            self._fills[lane](out=self._buf[lane])  # used up: refilled at this draw
-            self._pos[lane] = 0
-        if (self._pos[rows] + n > _BLOCK).any():  # a block runs out within the n draws
-            out = np.array([self._take_one(lane, n) for lane in rows.tolist()]).reshape(-1, n)
-        else:
-            out = self._gather(n, lanes)
-        self._room = _BLOCK - int(self._pos.max())
-        if lanes is None and (self._pos == self._pos[0]).all():
-            self._step = int(self._pos[0])
-        return out
-
-    def _take_one(self, lane: int, n: int) -> np.ndarray:
-        # NumpyRng's order: use up the block, then refill at the next draw
-        buf = self._buf[lane]
-        pos = int(self._pos[lane])
-        parts = []
-        while n:
-            if pos >= _BLOCK:
-                self._fills[lane](out=buf)
-                pos = 0
-            got = min(n, _BLOCK - pos)
-            parts.append(buf[pos:pos + got].copy())
-            pos += got
-            n -= got
-        self._pos[lane] = pos
-        return np.concatenate(parts)
+    def take(self, lanes: np.ndarray | None = None) -> np.ndarray:
+        """The next draw of each lane in `lanes` (all lanes if None)."""
+        if not self._room:
+            drawing = np.arange(len(self._pos)) if lanes is None else lanes
+            for lane in drawing[self._pos[drawing] == _BLOCK].tolist():
+                self._fills[lane](out=self._buf[lane])
+                self._pos[lane] = 0
+            # 1 while a lane that is not drawing is used up: the next draw looks again
+            self._room = max(_BLOCK - int(self._pos.max()), 1)
+        self._room -= 1
+        rows = slice(None) if lanes is None else lanes
+        at = self._start[rows] + self._pos[rows]
+        self._pos[rows] += 1
+        return self._flat[at]
 
 
 class LaneStreams:
@@ -177,20 +141,20 @@ class LaneStreams:
 
     Lane j replays NumpyRng(seeds[j]) exactly: for any per-lane sequence of
     uniform/normal calls it returns the values NumpyRng would, because each
-    lane refills its uniform and normal blocks at the same draws.  Every lane
-    draws, except in uniform(lanes), which draws for the named lanes only.
+    lane refills its uniform and normal blocks at the same draws.  normal()
+    and normals(n) draw for every lane, uniform(lanes) for the named lanes.
     """
 
     __slots__ = ("_uniform", "_normal")
 
     def __init__(self, seeds):
         gens = [np.random.default_rng(s) for s in seeds]
-        self._uniform = _LaneBlocks([g.random for g in gens])
-        self._normal = _LaneBlocks([g.standard_normal for g in gens])
+        self._uniform = _UniformBlocks([g.random for g in gens])
+        self._normal = _NormalBlocks([g.standard_normal for g in gens])
 
     def uniform(self, lanes: np.ndarray | None = None) -> np.ndarray:
-        """One uniform per lane in `lanes`."""
-        return self._uniform.take(1, lanes)[:, 0]
+        """One uniform per lane in `lanes` (all lanes if None)."""
+        return self._uniform.take(lanes)
 
     def normal(self) -> np.ndarray:
         """One standard normal per lane."""

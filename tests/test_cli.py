@@ -84,6 +84,11 @@ def test_bounds_non_positive_c_exits_2_naming_it(tmp_path, capsys, c):
     (["run", "--policy", "egreedy", "--c", "0"], "--c must be > 0 for egreedy"),
     (["trace", "--policy", "egreedy", "--c", "-1", "--draws", "0"], "--c must be > 0 for egreedy"),
     (["bounds", "--T", "1"], "--T must be >= 2"),
+    # derive_seed reads the master seed mod 2^64, so -1 would replay 2^64 - 1
+    (["sweep", "--config", str(REPO / "configs" / "nine_arm_sweep.json"), "--seed", "-1"],
+     "master_seed must be in [0, 2**64)"),
+    (["sweep", "--config", str(REPO / "configs" / "nine_arm_sweep.json"), "--seed", str(2 ** 64)],
+     "master_seed must be in [0, 2**64)"),
 ])
 def test_library_rejections_exit_2_naming_the_flag(tmp_path, capsys, args, message):
     with pytest.raises(SystemExit) as err:
@@ -223,6 +228,21 @@ def test_sweep_rejects_empty_l_values(tmp_path, capsys):
     ({"horizon": 100.7}, "horizon"),
     ({"replications": 2.9}, "replications"),
     ({"trajectory_stride": 2.5}, "trajectory_stride"),
+    ({"drift_kind": "clipped_linear"}, "drift_cap"),
+    ({"drift_cap": 1.0}, "drift_cap"),
+    ({"drift_kind": "clipped_linear", "drift_cap": "2"}, "drift_cap"),
+    ({"drift_kind": "sinusoid"}, "drift_kind"),
+    ({"policies": [{"name": "ucb"}, {"name": "egreedy", "c": 0}]}, "policies[1].c"),
+    ({"policies": [{"name": "ucb"}, {"name": "egreedy", "c": "4"}]}, "policies[1].c"),
+    ({"policies": [{"name": "ucb"}, {"name": "ucbb"}]}, "policies[1].name"),
+    ({"noise": {"kind": "poisson"}}, "noise.kind"),
+    ({"noise": {"kind": "gaussian", "sigma": "1"}}, "noise.sigma"),
+    ({"l_values": [0.0, "1"]}, "l_values[1]"),
+    ({"arm_means": [0.9, "0.6", 0.3]}, "arm_means[1]"),
+    ({"capture_trajectories": "false"}, "capture_trajectories"),
+    ({"capture_trajectories": 2}, "capture_trajectories"),
+    ({"master_seed": -1}, "master_seed"),
+    ({"master_seed": 2 ** 64}, "master_seed"),
 ])
 def test_sweep_rejects_bad_config_naming_the_key(tmp_path, capsys, change, key):
     path = write_config(tmp_path, small_config(**change))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import statistics
 
 import pytest
@@ -129,11 +130,34 @@ def test_config_parses_policy_c():
     ({"trajectory_stride": 2.5}, "trajectory_stride"),
     ({"master_seed": 3.5}, "master_seed"),
     ({"horizon": "100"}, "horizon"),
+    ({"drift_kind": "clipped_linear"}, "drift_cap"),
+    ({"drift_cap": 1.0}, "drift_cap"),
+    ({"drift_kind": "clipped_linear", "drift_cap": "2"}, "drift_cap"),
+    ({"drift_kind": "sinusoid"}, "drift_kind"),
+    ({"policies": [{"name": "ucb"}, {"name": "egreedy", "c": 0}]}, "policies[1].c"),
+    ({"policies": [{"name": "ucb"}, {"name": "egreedy", "c": "4"}]}, "policies[1].c"),
+    ({"policies": [{"name": "ucb"}, {"name": "ucbb"}]}, "policies[1].name"),
+    ({"noise": {"kind": "poisson"}}, "noise.kind"),
+    ({"noise": {"kind": "gaussian", "sigma": "1"}}, "noise.sigma"),
+    ({"noise": {"kind": "gaussian", "sigma": -1.0}}, "noise.sigma"),
+    ({"l_values": [0.0, "1"]}, "l_values[1]"),
+    ({"l_values": [0.0, -1.0]}, "l_values"),
+    ({"arm_means": [0.9, "0.6", 0.3]}, "arm_means[1]"),
+    ({"arm_means": [0.9, 0.9, 0.3]}, "arm_means"),
+    ({"capture_trajectories": "false"}, "capture_trajectories"),
+    ({"capture_trajectories": 1}, "capture_trajectories"),
+    ({"master_seed": -1}, "master_seed"),
+    ({"master_seed": 2 ** 64}, "master_seed"),
 ])
 def test_config_from_dict_rejects_naming_the_key(change, key):
     data = {**ExperimentConfig(**SMALL_CONFIG).to_dict(), **change}
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(ValueError, match=re.escape(key)):
         ExperimentConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_config_accepts_every_64_bit_master_seed(seed):
+    assert ExperimentConfig(**{**SMALL_CONFIG, "master_seed": seed}).master_seed == seed
 
 
 def test_config_from_dict_accepts_whole_floats():

@@ -9,7 +9,7 @@ from statistics import fmean
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftbandit import (
@@ -134,9 +134,15 @@ def test_egreedy_gaussian_lanes_refill_in_different_orders():
 @given(seeds=st.lists(SEED, min_size=1, max_size=4),
        ops=st.lists(st.tuples(st.sampled_from(["u", "n", "normals"]),
                               st.integers(1, 700), st.integers(1, 15)), max_size=40))
+# lane 0 uses up its uniform block while lane 1 draws past its own, then
+# waits out a normal refill; lane 2 draws no uniform until the normals are filled
+@example(seeds=[1, 2, 3], ops=[("u", 700, 0b011), ("normals", 600, 1), ("u", 324, 0b001),
+                               ("u", 500, 0b110), ("normals", 600, 1), ("u", 1, 0b111),
+                               ("u", 600, 0b100), ("n", 1, 1)])
 def test_lane_streams_replay_numpy_rng(seeds, ops):
-    # "u" draws a uniform for the lanes in the bit mask; "n" and "normals"
-    # draw one and n normals for every lane
+    # "u" draws a uniform n times for the lanes in the bit mask, so the lanes
+    # use up their uniform blocks at different draws; "n" and "normals" draw
+    # one and n normals for every lane
     draws = LaneStreams(seeds)
     scalar = [NumpyRng(s) for s in seeds]
     for kind, n, mask in ops:
@@ -148,7 +154,8 @@ def test_lane_streams_replay_numpy_rng(seeds, ops):
         else:
             lanes = [j for j in range(len(seeds)) if mask >> j & 1] or [0]
             pick = None if len(lanes) == len(seeds) else np.array(lanes)
-            assert draws.uniform(pick).tolist() == [scalar[j].uniform() for j in lanes]
+            for _ in range(n):
+                assert draws.uniform(pick).tolist() == [scalar[j].uniform() for j in lanes]
 
 
 def test_run_lanes_warm_start_points_read_the_pulls_so_far():
