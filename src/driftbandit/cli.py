@@ -46,11 +46,12 @@ SWEEP_COLUMNS = ("policy", "l", "regret_mean", "regret_std", "comp_mean",
 CURVE_COLUMNS = ("policy", "l", "t", "cum_regret_mean", "cum_compensation_mean")
 
 
-def _parse_means(text: str) -> tuple[float, ...]:
+def _instance(means: str, noise: NoiseModel) -> BanditInstance:
+    """The instance of a --means list; ValueError naming --means on a bad list."""
     try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise ValueError(f"could not parse means list {text!r}")
+        return BanditInstance(tuple(float(v) for v in means.split(",")), noise)
+    except ValueError as exc:
+        raise ValueError(f"--means {means}: {exc}") from exc
 
 
 def _write_manifest(out_dir: Path, command: str, seed: int, config: dict,
@@ -79,7 +80,7 @@ def _simulation(args, parser, draws: str | None = None):
     and noise, drift, policy, draws, horizon.
     """
     try:
-        instance = BanditInstance(_parse_means(args.means), NoiseModel(args.noise, args.sigma))
+        instance = _instance(args.means, NoiseModel(args.noise, args.sigma))
         if args.drift == "clipped_linear" and (args.cap is None or args.cap < 0):
             parser.error("--drift clipped_linear requires --cap >= 0")
         if args.drift != "clipped_linear" and args.cap is not None:
@@ -192,9 +193,10 @@ def _cmd_bounds(args, parser) -> int:
         parser.error(f"--c must be > 0, got {args.c}")
     if args.T < 2:
         parser.error(f"--T must be >= 2 for the log-based bounds, got {args.T}")
+    if args.delta_lower is not None and args.delta_lower <= 0:
+        parser.error(f"--delta-lower must be > 0, got {args.delta_lower}")
     try:
-        means = _parse_means(args.means)
-        instance = BanditInstance(means, NoiseModel("bernoulli"))
+        instance = _instance(args.means, NoiseModel("bernoulli"))
         inputs = BoundInputs.from_instance(instance, horizon=args.T, lipschitz=args.l,
                                            c=args.c, delta_lower=args.delta_lower)
     except ValueError as exc:
@@ -225,7 +227,7 @@ def _cmd_bounds(args, parser) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "bounds.txt").write_text(text)
-        config = {"means": list(means), "l": args.l, "c": args.c,
+        config = {"means": list(instance.arm_means), "l": args.l, "c": args.c,
                   "delta_lower": inputs.delta_lower, "T": args.T}
         _write_manifest(out_dir, "bounds", 0, config, {"bounds_txt": "bounds.txt"})
     return 0

@@ -141,25 +141,25 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The config of a JSON object in the README schema (to_dict() round-trips).
 
-        Raises ValueError naming the key on an unknown key, a project_feedback
-        entry that is not a policy name with a bool, a capture_trajectories
-        that is not a bool, a number field or entry that is not a number, or a
-        whole-number field that is not a whole number.
+        Raises ValueError naming the key on an unknown key, an arm_means,
+        policies or l_values that is not a JSON array, a noise, project_feedback
+        or policy that is not a JSON object, a project_feedback entry that is
+        not a policy name with a bool, a capture_trajectories that is not a
+        bool, a number field or entry that is not a number, or a whole-number
+        field that is not a whole number.
         """
         _known_keys("config", data, _CONFIG_KEYS)
         noise = data.get("noise", {})
         _known_keys("noise", noise, ("kind", "sigma"))
-        overrides = dict(data.get("project_feedback", {}))
+        overrides = data.get("project_feedback", {})
+        _known_keys("project_feedback", overrides, POLICY_NAMES)
         for name, project in overrides.items():
-            if name not in POLICY_NAMES:
-                raise ValueError(f"project_feedback: unknown policy {name!r}, "
-                                 f"expected one of {POLICY_NAMES}")
             _flag(f"project_feedback[{name!r}]", project)
         cap = data.get("drift_cap")
         return cls(
-            arm_means=tuple(_number(f"arm_means[{i}]", m) for i, m in enumerate(data["arm_means"])),
-            policies=tuple(_policy(f"policies[{i}]", p) for i, p in enumerate(data["policies"])),
-            l_values=tuple(_number(f"l_values[{i}]", l) for i, l in enumerate(data["l_values"])),
+            arm_means=_entries("arm_means", data["arm_means"], _number),
+            policies=_entries("policies", data["policies"], _policy),
+            l_values=_entries("l_values", data["l_values"], _number),
             horizon=_whole("horizon", data["horizon"]),
             replications=_whole("replications", data["replications"]),
             master_seed=_whole("master_seed", data["master_seed"]),
@@ -167,7 +167,7 @@ class ExperimentConfig:
             noise_sigma=float(_number("noise.sigma", noise.get("sigma", 1.0))),
             drift_kind=data.get("drift_kind", "linear"),
             drift_cap=None if cap is None else _number("drift_cap", cap),
-            project_overrides=overrides,
+            project_overrides=dict(overrides),
             capture_trajectories=_flag("capture_trajectories",
                                        data.get("capture_trajectories", False)),
             trajectory_stride=_whole("trajectory_stride", data.get("trajectory_stride", 10)),
@@ -185,6 +185,13 @@ def _known_keys(where: str, data: dict, keys: tuple[str, ...]) -> None:
     unknown = sorted(set(data) - set(keys))
     if unknown:
         raise ValueError(f"unknown {where} key(s) {unknown}, expected some of {list(keys)}")
+
+
+def _entries(key: str, value, parse) -> tuple:
+    """parse(f"{key}[i]", entry) of every entry; ValueError unless `value` is a JSON array."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a JSON array, got {value!r}")
+    return tuple(parse(f"{key}[{i}]", entry) for i, entry in enumerate(value))
 
 
 def _named(key: str, make, *args):

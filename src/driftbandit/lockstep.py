@@ -5,11 +5,13 @@ and seed.  The lanes advance together as (lanes, K) arrays.  Lanes that share
 a policy and resolved options form a group: a contiguous slice of the rows
 with its own LaneStreams, where the policy's lane rule selects and the
 rewards are drawn.  The greedy pick, compensation, drift and credit run once
-over all lanes.  Every lane does the scalar loop's float operations in the
-same order and draws its own NumpyRng stream in the documented per-round
-order, so each lane ends with the ArmStates and curve that mechanism.run
-gives for the same inputs, equal under ==.  mechanism.run stays the
-executable spec; records, scripted streams and debug checks exist only there.
+over all lanes, in one round loop whose first K rounds are the warm start.
+Every lane does the scalar loop's float operations in the same order and
+draws its own NumpyRng stream in the documented per-round order, so each lane
+ends with the ArmStates that mechanism.run gives for the same inputs, and the
+curve that mechanism.curve_of reads from that run, equal under ==.
+mechanism.run stays the executable spec; records, scripted streams and debug
+checks exist only there.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .core import (
     lane_drift,
     lane_rewards,
 )
-from .mechanism import Curve, MechanismOptions, Trajectory, check_run_args
+from .mechanism import Curve, MechanismOptions, Trajectory, check_run_args, curve_rounds
 from .policies import POLICIES, PolicyKind, greedy_choice_lanes
 from .rng import LaneStreams
 
@@ -55,15 +57,18 @@ class _Group(NamedTuple):
 def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
               *, stride: int | None = None) -> list[Trajectory]:
     """mechanism.run(instance, lane.policy, lane.drift, lane.options, horizon,
-    lane.seed, stride=stride, keep_records=False) for every lane, played in lockstep.
+    lane.seed, keep_records=False) for every lane, played in lockstep.
 
     The drift models may differ only in their Lipschitz coefficient.  The
     returned trajectories, in the order of `lanes`, carry no records, and
-    their final states no stream.
+    their final states no stream.  With `stride`, each carries the curve that
+    mechanism.curve_of(run(...), stride) reads from the run's records.
     """
     if not lanes:
         raise ValueError("need at least one lane")
-    check_run_args(instance, horizon, stride)
+    check_run_args(instance, horizon)
+    rounds = curve_rounds(horizon, stride) if stride is not None else []
+    points = set(rounds)
     members: dict[tuple[PolicyKind, MechanismOptions], list[int]] = {}
     for j, lane in enumerate(lanes):
         options = lane.options.resolve(lane.policy)
@@ -89,34 +94,26 @@ def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
     first = np.arange(n) * k  # flat index of each lane's arm 0
     # per-arm views of the live state, so accounting_totals sums every lane at once
     columns = [ArmState(pulls=pulls[:, i], comp_sum=comp_sum[:, i]) for i in range(k)]
-    rounds: list[int] = []
     totals: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def capture(t: int) -> None:
-        if stride is not None and (t % stride == 0 or t == horizon):
-            rounds.append(t)
-            totals.append(accounting_totals(instance.gap_vector, columns))
-
-    r = np.empty(n)
-    for arm in range(k):  # warm start: each arm once, in index order, unpaid
-        for g in groups:
-            r[g.rows] = reward(np.full(g.rows.stop - g.rows.start, arm), g.draws)
-            if g.project:
-                np.clip(r[g.rows], 0.0, 1.0, out=r[g.rows])
-        pulls[:, arm] += 1.0
-        feedback[:, arm] += r
-        capture(arm + 1)
     chosen = np.empty(n, dtype=np.int64)
-    for t in range(k + 1, horizon + 1):
-        posted = feedback / pulls
-        for g in groups:  # each lane draws for its selection, then for its reward
-            rows = g.rows
-            chosen[rows] = g.select(PolicyView(t, posted[rows], pulls[rows]), g.c, g.draws)
-            r[rows] = reward(chosen[rows], g.draws)
-        greedy = greedy_choice_lanes(PolicyView(t, posted, pulls))
+    r = np.empty(n)
+    unpaid = np.zeros(n)
+    for t in range(1, horizon + 1):
+        if t <= k:  # the warm start: arm t-1 in every lane, the player follows, nothing paid
+            chosen.fill(t - 1)
+            greedy, x = chosen, unpaid
+        else:
+            posted = feedback / pulls
+            for g in groups:  # each lane draws for its selection here, then for its reward
+                rows = g.rows
+                chosen[rows] = g.select(PolicyView(t, posted[rows], pulls[rows]), g.c, g.draws)
+            greedy = greedy_choice_lanes(PolicyView(t, posted, pulls))
+            posted_at = posted.reshape(-1)
+            x = posted_at[first + greedy] - posted_at[first + chosen]  # 0.0 where unpaid
+        for g in groups:
+            r[g.rows] = reward(chosen[g.rows], g.draws)
         at = first + chosen
-        posted_at = posted.reshape(-1)
-        x = posted_at[first + greedy] - posted_at[at]  # 0.0 where chosen == greedy
         b = drift(x)
         fb = r + b
         for g in groups:
@@ -127,25 +124,19 @@ def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
         drift_at[at] += b
         comp_count_at[at] += chosen != greedy
         comp_sum_at[at] += x
-        capture(t)
+        if t in points:
+            totals.append(accounting_totals(instance.gap_vector, columns))
 
     curves = [None] * n
     if stride is not None:
         regret = np.array([reg for reg, _ in totals]).T.tolist()
         comp = np.array([c for _, c in totals]).T.tolist()
         curves = [Curve(list(rounds), regret[row], comp[row]) for row in range(n)]
-    fields = zip(*(a.tolist() for a in (pulls, feedback, drift_sum, comp_count, comp_sum)))
+    # cells[j][i]: the five ArmState fields of lane j's arm i, in field order
+    cells = np.stack((pulls, feedback, drift_sum, comp_count, comp_sum), axis=-1).tolist()
     out: list[Trajectory] = [None] * n
-    for j, arms, curve in zip(order, fields, curves):
-        out[j] = Trajectory(records=[], final=_final_state(instance, horizon, *arms), curve=curve)
+    for j, arms, curve in zip(order, cells, curves):
+        final = SimState(round=horizon + 1, gap_vector=instance.gap_vector, rng=None,
+                         arms=[ArmState(int(p), f, d, int(cc), cs) for p, f, d, cc, cs in arms])
+        out[j] = Trajectory(records=[], final=final, curve=curve)
     return out
-
-
-def _final_state(instance: BanditInstance, horizon: int, pulls, feedback, drift_sum,
-                 comp_count, comp_sum) -> SimState:
-    return SimState(
-        round=horizon + 1,
-        arms=[ArmState(pulls=int(p), feedback_sum=f, drift_sum=d, comp_count=int(cc),
-                       comp_sum=cs)
-              for p, f, d, cc, cs in zip(pulls, feedback, drift_sum, comp_count, comp_sum)],
-        gap_vector=instance.gap_vector, rng=None)

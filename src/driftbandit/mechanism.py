@@ -10,7 +10,7 @@ posted means at the start of the round, before the new pull lands.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class MechanismOptions:
 
 
 class Curve(NamedTuple):
-    """Cumulative regret/compensation sampled every `stride` rounds."""
+    """Cumulative regret/compensation at the rounds of curve_rounds(horizon, stride)."""
 
     rounds: list[int]
     regret: list[float]
@@ -75,50 +75,52 @@ class Curve(NamedTuple):
 
 @dataclass
 class Trajectory:
-    """A complete run: per-round records plus the final state."""
+    """A complete run: per-round records plus the final state (and run_lanes' curve)."""
 
     records: list[RoundRecord]
     final: SimState
     curve: Curve | None = None
 
 
-def _credit(arm: ArmState, feedback: float, drift: float, compensation: float,
-            compensated: bool) -> None:
+def _play(state: SimState, instance: BanditInstance, chosen: int, greedy: int, x: float,
+          b: float, project: bool) -> RoundRecord:
+    """The body every round ends in: pull `chosen`, add the drift `b` to its reward,
+    project if `project`, credit the pull (paid `x` if chosen != greedy), advance."""
+    r = sample_reward(instance, chosen, state.rng)
+    fb = r + b
+    if project:
+        fb = min(1.0, max(0.0, fb))
+    compensated = chosen != greedy
+    arm = state.arms[chosen]
     arm.pulls += 1
-    arm.feedback_sum += feedback
-    arm.drift_sum += drift
+    arm.feedback_sum += fb
+    arm.drift_sum += b
     if compensated:
         arm.comp_count += 1
-        arm.comp_sum += compensation
+        arm.comp_sum += x
+    rec = RoundRecord(
+        t=state.round, chosen=chosen, greedy=greedy, compensated=compensated,
+        compensation=x, drift=b, raw_reward=r, feedback=fb,
+        regret_increment=state.gap_vector[chosen])
+    state.round += 1
+    return rec
 
 
-def warm_start(state: SimState, instance: BanditInstance, options: MechanismOptions,
-               after_pull: Callable[[int], None] | None = None) -> list[RoundRecord]:
+def warm_start(state: SimState, instance: BanditInstance,
+               options: MechanismOptions) -> list[RoundRecord]:
     """Pull each arm once, in index order, with no compensation.
 
     Resolves the undefined posted mean at zero pulls for every policy.
-    Rounds 1..K; afterwards the state sits at round K+1.  `options` must be
-    resolved (MechanismOptions.resolve; run() does this).  `after_pull(t)`,
-    if given, is called once the pull of round t is credited.
+    Rounds 1..K, each the round body with the player following the
+    principal and nothing paid; afterwards the state sits at round K+1.
+    `options` must be resolved (MechanismOptions.resolve; run() does this).
     """
     project = options.project_feedback
     if project is None:
         raise ValueError("warm_start needs options.resolve(policy): project_feedback is None")
     if state.round != 1 or any(a.pulls for a in state.arms):
         raise WarmStartError("warm start requires a fresh state")
-    records = []
-    for arm_idx in range(instance.k):
-        r = sample_reward(instance, arm_idx, state.rng)
-        fb = min(1.0, max(0.0, r)) if project else r
-        _credit(state.arms[arm_idx], fb, 0.0, 0.0, False)
-        records.append(RoundRecord(
-            t=state.round, chosen=arm_idx, greedy=arm_idx, compensated=False,
-            compensation=0.0, drift=0.0, raw_reward=r, feedback=fb,
-            regret_increment=state.gap_vector[arm_idx]))
-        if after_pull is not None:
-            after_pull(state.round)
-        state.round += 1
-    return records
+    return [_play(state, instance, arm, arm, 0.0, 0.0, project) for arm in range(instance.k)]
 
 
 def step(state: SimState, policy: PolicyKind, drift: DriftModel,
@@ -130,73 +132,52 @@ def step(state: SimState, policy: PolicyKind, drift: DriftModel,
         raise ValueError("step needs options.resolve(policy): project_feedback is None")
     chosen = select_arm(policy, view, state.rng)
     greedy = greedy_choice(view)
-    compensated = chosen != greedy
-    if compensated:
+    x = b = 0.0
+    if chosen != greedy:
         x = view.posted[greedy] - view.posted[chosen]
         b = drift_apply(drift, x)
-    else:
-        x = 0.0
-        b = 0.0
     if options.debug:
         check = POLICIES[policy.name].debug_check
         if check is not None:
             check(state, view, chosen, x, drift.lipschitz)
-    r = sample_reward(instance, chosen, state.rng)
-    fb = r + b
-    if project:
-        fb = min(1.0, max(0.0, fb))
-    _credit(state.arms[chosen], fb, b, x, compensated)
-    rec = RoundRecord(
-        t=state.round, chosen=chosen, greedy=greedy, compensated=compensated,
-        compensation=x, drift=b, raw_reward=r, feedback=fb,
-        regret_increment=state.gap_vector[chosen])
-    state.round += 1
-    return rec
+    return _play(state, instance, chosen, greedy, x, b, project)
 
 
-def check_run_args(instance: BanditInstance, horizon: int, stride: int | None) -> None:
-    """ValueError unless horizon covers the warm start and stride is None or >= 1."""
+def check_run_args(instance: BanditInstance, horizon: int) -> None:
+    """ValueError unless the horizon covers the warm start."""
     if horizon < instance.k:
         raise ValueError(f"horizon {horizon} shorter than warm start over {instance.k} arms")
-    if stride is not None and stride < 1:
+
+
+def curve_rounds(horizon: int, stride: int) -> list[int]:
+    """The rounds a curve samples: every `stride`-th round, and the final round."""
+    if stride < 1:
         raise ValueError("stride must be >= 1")
+    return [t for t in range(1, horizon + 1) if t % stride == 0 or t == horizon]
 
 
 def run(instance: BanditInstance, policy: PolicyKind, drift: DriftModel,
         options: MechanismOptions, horizon: int, seed: int | RngStream,
-        *, stride: int | None = None, keep_records: bool = True) -> Trajectory:
+        *, keep_records: bool = True) -> Trajectory:
     """Warm-start then step until `horizon` rounds have been played.
 
     `seed` is either an integer (seeding the production stream) or an
     RngStream instance (e.g. ScriptedRng for golden traces).  Deterministic:
-    identical inputs give bit-identical trajectories.  With `stride`, the
-    cumulative regret/compensation are sampled every stride rounds (plus the
-    final round) into Trajectory.curve; the point of round t reads the totals
-    after t pulls, warm-start rounds included.
+    identical inputs give bit-identical trajectories.
     """
-    check_run_args(instance, horizon, stride)
+    check_run_args(instance, horizon)
     rng = seed if not isinstance(seed, int) else NumpyRng(seed)
     state = SimState.fresh(instance, rng)
     options = options.resolve(policy)
 
-    records: list[RoundRecord] = []
-    curve = Curve([], [], []) if stride is not None else None
-
-    def capture(t: int) -> None:
-        if curve is not None and (t % stride == 0 or t == horizon):
-            curve.rounds.append(t)
-            curve.regret.append(state.cum_regret)
-            curve.compensation.append(state.cum_compensation)
-
-    warm = warm_start(state, instance, options, after_pull=capture)
-    if keep_records:
-        records.extend(warm)
+    records = warm_start(state, instance, options)
+    if not keep_records:
+        records.clear()
     while state.round <= horizon:
         rec = step(state, policy, drift, instance, options)
         if keep_records:
             records.append(rec)
-        capture(rec.t)
-    return Trajectory(records=records, final=state, curve=curve)
+    return Trajectory(records=records, final=state)
 
 
 REAL_FORMAT = "%.9g"  # every real in every CSV and printed line: 9 significant digits
@@ -247,6 +228,19 @@ def cumulative_blocks(trajectory: Trajectory):
             regret = regret + g * pulls[1:, i]
             comp = comp + paid[1:, i]
         yield block, regret, comp
+
+
+def curve_of(trajectory: Trajectory, stride: int) -> Curve:
+    """The cumulative regret/compensation of a run with records at curve_rounds(T, stride).
+
+    The point of round t is row t of trajectory.csv: its cum_regret and
+    cum_compensation columns, the totals after t pulls, warm start included.
+    """
+    rounds = curve_rounds(len(trajectory.records), stride)
+    _, regret, comp = zip(*cumulative_blocks(trajectory))
+    rows = np.array(rounds) - 1  # round t is row t of the CSV, index t - 1
+    return Curve(rounds, np.concatenate(regret)[rows].tolist(),
+                 np.concatenate(comp)[rows].tolist())
 
 
 def trajectory_blocks(trajectory: Trajectory):

@@ -89,6 +89,18 @@ def test_bounds_non_positive_c_exits_2_naming_it(tmp_path, capsys, c):
      "master_seed must be in [0, 2**64)"),
     (["sweep", "--config", str(REPO / "configs" / "nine_arm_sweep.json"), "--seed", str(2 ** 64)],
      "master_seed must be in [0, 2**64)"),
+    (["run", "--policy", "ucb", "--means", "0.5,0.5"],
+     "--means 0.5,0.5: maximum mean 0.5 attained by more than one arm"),
+    (["trace", "--policy", "ucb", "--means", "0.5,0.5", "--draws", "0"],
+     "--means 0.5,0.5: maximum mean 0.5 attained by more than one arm"),
+    (["bounds", "--means", "0.5,0.5"],
+     "--means 0.5,0.5: maximum mean 0.5 attained by more than one arm"),
+    (["run", "--policy", "ucb", "--means", "1.5,0.2"],
+     "--means 1.5,0.2: arm means must lie in (0, 1]"),
+    (["bounds", "--means", "0.9"], "--means 0.9: need at least 2 arms"),
+    (["run", "--policy", "ucb", "--means", "0.9,abc"],
+     "--means 0.9,abc: could not convert string to float: 'abc'"),
+    (["bounds", "--delta-lower", "0"], "--delta-lower must be > 0"),
 ])
 def test_library_rejections_exit_2_naming_the_flag(tmp_path, capsys, args, message):
     with pytest.raises(SystemExit) as err:
@@ -243,6 +255,12 @@ def test_sweep_rejects_empty_l_values(tmp_path, capsys):
     ({"capture_trajectories": 2}, "capture_trajectories"),
     ({"master_seed": -1}, "master_seed"),
     ({"master_seed": 2 ** 64}, "master_seed"),
+    # a value of the wrong JSON type, named by its key rather than by an entry
+    ({"l_values": 1.0}, "l_values must be a JSON array"),
+    ({"arm_means": 0.9}, "arm_means must be a JSON array"),
+    ({"policies": {"name": "ucb"}}, "policies must be a JSON array"),
+    ({"policies": "ucb"}, "policies must be a JSON array"),
+    ({"project_feedback": [1]}, "project_feedback must be a JSON object"),
 ])
 def test_sweep_rejects_bad_config_naming_the_key(tmp_path, capsys, change, key):
     path = write_config(tmp_path, small_config(**change))

@@ -148,6 +148,12 @@ def test_config_parses_policy_c():
     ({"capture_trajectories": 1}, "capture_trajectories"),
     ({"master_seed": -1}, "master_seed"),
     ({"master_seed": 2 ** 64}, "master_seed"),
+    # a value of the wrong JSON type, named by its key rather than by an entry
+    ({"l_values": 1.0}, "l_values must be a JSON array"),
+    ({"arm_means": 0.9}, "arm_means must be a JSON array"),
+    ({"policies": {"name": "ucb"}}, "policies must be a JSON array"),
+    ({"policies": "ucb"}, "policies must be a JSON array"),
+    ({"project_feedback": [1]}, "project_feedback must be a JSON object"),
 ])
 def test_config_from_dict_rejects_naming_the_key(change, key):
     data = {**ExperimentConfig(**SMALL_CONFIG).to_dict(), **change}

@@ -26,6 +26,7 @@ from driftbandit import (
     summarize,
 )
 from driftbandit.lockstep import Lane, run_lanes
+from driftbandit.mechanism import curve_of
 from driftbandit.rng import LaneStreams
 
 POLICIES = st.one_of(
@@ -54,10 +55,9 @@ def _assert_lanes_equal_scalar(instance, lanes, horizon, stride):
     played = run_lanes(instance, lanes, horizon, stride=stride)
     assert len(played) == len(lanes)
     for got, lane in zip(played, lanes):
-        scalar = run(instance, lane.policy, lane.drift, lane.options, horizon, lane.seed,
-                     stride=stride, keep_records=False)
+        scalar = run(instance, lane.policy, lane.drift, lane.options, horizon, lane.seed)
         assert summarize(got, instance) == summarize(scalar, instance)
-        assert got.curve == scalar.curve
+        assert got.curve == (None if stride is None else curve_of(scalar, stride))
         assert got.final.arms == scalar.final.arms
 
 
@@ -207,16 +207,19 @@ def test_run_experiment_equals_scalar_items(policies, means, noise, drift, ls, r
     for p_idx, policy in enumerate(config.policies):
         for l_idx, l in enumerate(config.l_values):
             runs = [run(instance, policy, config.drift_model(l), config.options_for(policy),
-                        config.horizon, derive_seed(master, p_idx, l_idx, rep), stride=stride,
-                        keep_records=False) for rep in range(replications)]
+                        config.horizon, derive_seed(master, p_idx, l_idx, rep))
+                    for rep in range(replications)]
             cell = result.cell(policy.name, l)
             assert cell.rep_metrics == tuple(summarize(r, instance) for r in runs)
             if stride is not None:
-                assert cell.curve_rounds == tuple(runs[0].curve.rounds)
+                curves = [curve_of(r, stride) for r in runs]
+                assert cell.curve_rounds == tuple(curves[0].rounds)
                 assert cell.regret_curve_mean == tuple(
-                    fmean(col) for col in zip(*(r.curve.regret for r in runs)))
+                    fmean(col) for col in zip(*(c.regret for c in curves)))
                 assert cell.comp_curve_mean == tuple(
-                    fmean(col) for col in zip(*(r.curve.compensation for r in runs)))
+                    fmean(col) for col in zip(*(c.compensation for c in curves)))
+            else:
+                assert cell.curve_rounds is None
 
 
 def test_run_lanes_rejects_what_run_rejects():

@@ -25,7 +25,13 @@ from driftbandit import (
     write_trajectory_csv,
 )
 from driftbandit.core import accounting_totals
-from driftbandit.mechanism import BLOCK_ROUNDS, REAL_FORMAT, cumulative_blocks, fmt_real
+from driftbandit.mechanism import (
+    BLOCK_ROUNDS,
+    REAL_FORMAT,
+    cumulative_blocks,
+    curve_of,
+    fmt_real,
+)
 
 NINE_ARM_MEANS = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
 NO_DRIFT = DriftModel("zero")
@@ -267,30 +273,34 @@ def test_run_with_decomposition_check():
 
 def test_run_curve_capture():
     inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
-    traj = run(inst, PolicyKind.ucb(), NO_DRIFT, MechanismOptions(), 95, 1,
-               stride=10, keep_records=False)
-    assert traj.records == []
-    assert traj.curve.rounds == [10, 20, 30, 40, 50, 60, 70, 80, 90, 95]
-    assert len(traj.curve.rounds) == math.ceil(95 / 10)
-    assert traj.curve.regret[-1] == traj.final.cum_regret
+    traj = run(inst, PolicyKind.ucb(), NO_DRIFT, MechanismOptions(), 95, 1)
+    curve = curve_of(traj, 10)
+    assert curve.rounds == [10, 20, 30, 40, 50, 60, 70, 80, 90, 95]
+    assert len(curve.rounds) == math.ceil(95 / 10)
+    assert curve.regret[-1] == traj.final.cum_regret
+    assert curve.compensation[-1] == traj.final.cum_compensation
+    # each point is the cumulative columns of trajectory.csv's row t
+    rows = {int(row[0]): row for row in trajectory_rows(traj)}
+    for t, regret, comp in zip(*curve):
+        assert (fmt_real(regret), fmt_real(comp)) == rows[t][-2:]
+    with pytest.raises(ValueError, match="stride"):
+        curve_of(traj, 0)
 
 
 def test_run_curve_warm_start_points_read_the_pulls_so_far():
     # a point at t <= K reads the totals after t warm-start pulls, arms 0..t-1
     # once each: the in-order sum of the first t gaps, and no compensation
     inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
-    traj = run(inst, PolicyKind.ucb(), NO_DRIFT, MechanismOptions(), 20, 1,
-               stride=7, keep_records=False)
-    assert traj.curve.rounds == [7, 14, 20]
+    curve = curve_of(run(inst, PolicyKind.ucb(), NO_DRIFT, MechanismOptions(), 20, 1), 7)
+    assert curve.rounds == [7, 14, 20]
     # 0 + 0.1 + 0.2 + 0.3 + 0.4 + 0.5 + 0.6, not all nine gaps (3.6)
-    assert traj.curve.regret[0] == 2.1
-    assert traj.curve.compensation[0] == 0.0
-    warm = run(inst, PolicyKind.ucb(), NO_DRIFT, MechanismOptions(), 9, 1,
-               stride=1, keep_records=False)
-    assert warm.curve.rounds == list(range(1, 10))
-    assert warm.curve.regret == [0.0, 0.09999999999999998, 0.30000000000000004,
-                                 0.6000000000000001, 1.0, 1.5, 2.1, 2.8, 3.5999999999999996]
-    assert warm.curve.compensation == [0.0] * 9
+    assert curve.regret[0] == 2.1
+    assert curve.compensation[0] == 0.0
+    warm = curve_of(run(inst, PolicyKind.ucb(), NO_DRIFT, MechanismOptions(), 9, 1), 1)
+    assert warm.rounds == list(range(1, 10))
+    assert warm.regret == [0.0, 0.09999999999999998, 0.30000000000000004,
+                           0.6000000000000001, 1.0, 1.5, 2.1, 2.8, 3.5999999999999996]
+    assert warm.compensation == [0.0] * 9
 
 
 # ---------------------------------------------------------------- csv rows
