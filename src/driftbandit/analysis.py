@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BanditInstance, posted_mean
-from .mechanism import Trajectory
+import numpy as np
+
+from .core import BanditInstance, DiagnosticError, posted_mean
+from .mechanism import Trajectory, arm_blocks
 
 
 @dataclass(frozen=True)
@@ -169,6 +171,39 @@ def check_c_condition(c: float, delta: float) -> bool:
     Advisory only: the agent does not know delta, so nothing enforces this at
     selection time."""
     return c >= 36.0 / delta
+
+
+def ucb_drift_slack(trajectory: Trajectory, lipschitz: float) -> tuple[float, float]:
+    """The largest slacks of UCB's drift inequalities in a UCB run with records.
+
+    Each round t > K, with the arm state before its credit (row t-1), has
+    x_t <= sqrt(2 ln t / n_{I_t}) (the UCB1 radius) and B_i <= 2 l sqrt(2 n_i ln t)
+    for every arm.  Raises DiagnosticError at the first bound exceeded by more than
+    1e-9 max(1, bound); else returns (max x_t / radius, max B_i / bound), 0/0 read as 0.
+    """
+    per_round = cumulative = 0.0
+    for block, running in arm_blocks(trajectory):
+        late = np.array([r.t for r in block]) > len(trajectory.final.gap_vector)
+        t, chosen, x = np.array([(r.t, r.chosen, r.compensation) for r in block])[late].T
+        pulls, _, drift = running[:-1][late].transpose(1, 0, 2)  # the state before each credit
+        log_t = np.array([math.log(v) for v in t])
+        radius = np.sqrt(2.0 * log_t / pulls[np.arange(len(t)), chosen.astype(np.int64)])
+        cap = 2.0 * lipschitz * np.sqrt(2.0 * pulls * log_t[:, None])
+        over_x = x > radius + 1e-9 * np.maximum(1.0, radius)
+        over_b = drift > cap + 1e-9 * np.maximum(1.0, cap)
+        bad = over_x | over_b.any(axis=1)
+        if bad.any():
+            j = bad.argmax()
+            if over_x[j]:
+                raise DiagnosticError(f"round {t[j]:.0f}: compensation {x[j]} exceeds "
+                                      f"per-round drift bound {radius[j]}")
+            i = over_b[j].argmax()
+            raise DiagnosticError(f"round {t[j]:.0f}: arm {i} cumulative drift {drift[j, i]} "
+                                  f"exceeds bound {cap[j, i]}")
+        per_round = (x / radius).max(initial=per_round)
+        slack = np.divide(drift, cap, out=np.zeros_like(drift), where=drift > 0)
+        cumulative = slack.max(initial=cumulative)
+    return float(per_round), float(cumulative)
 
 
 @dataclass(frozen=True)

@@ -46,12 +46,12 @@ SWEEP_COLUMNS = ("policy", "l", "regret_mean", "regret_std", "comp_mean",
 CURVE_COLUMNS = ("policy", "l", "t", "cum_regret_mean", "cum_compensation_mean")
 
 
-def _instance(means: str, noise: NoiseModel) -> BanditInstance:
-    """The instance of a --means list; ValueError naming --means on a bad list."""
+def _parsed(flag: str, text: str, make):
+    """make(text), with a ValueError it raises prefixed by `flag` and `text`."""
     try:
-        return BanditInstance(tuple(float(v) for v in means.split(",")), noise)
+        return make(text)
     except ValueError as exc:
-        raise ValueError(f"--means {means}: {exc}") from exc
+        raise ValueError(f"{flag} {text}: {exc}") from exc
 
 
 def _write_manifest(out_dir: Path, command: str, seed: int, config: dict,
@@ -80,7 +80,8 @@ def _simulation(args, parser, draws: str | None = None):
     and noise, drift, policy, draws, horizon.
     """
     try:
-        instance = _instance(args.means, NoiseModel(args.noise, args.sigma))
+        noise = NoiseModel(args.noise, args.sigma)
+        instance = _parsed("--means", args.means, lambda s: BanditInstance(s.split(","), noise))
         if args.drift == "clipped_linear" and (args.cap is None or args.cap < 0):
             parser.error("--drift clipped_linear requires --cap >= 0")
         if args.drift != "clipped_linear" and args.cap is not None:
@@ -90,10 +91,8 @@ def _simulation(args, parser, draws: str | None = None):
         if takes_c and args.c <= 0:
             parser.error(f"--c must be > 0 for {args.policy}, got {args.c}")
         policy = PolicyKind(args.policy, args.c if takes_c else None)
-        if draws is None:
-            stream = args.seed
-        else:
-            stream = ScriptedRng([float(v) for v in draws.split(",")] if draws else [])
+        stream = args.seed if draws is None else _parsed(
+            "--draws", draws, lambda s: ScriptedRng(s.split(",") if s else []))
     except ValueError as exc:
         parser.error(str(exc))
     if args.T < instance.k:
@@ -151,7 +150,7 @@ def _cmd_sweep(args, parser) -> int:
     try:
         with open(args.config) as fh:
             data = json.load(fh)
-        if args.seed is not None:
+        if args.seed is not None and isinstance(data, dict):  # from_dict rejects a non-object
             data["master_seed"] = args.seed
         config = ExperimentConfig.from_dict(data)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -196,7 +195,8 @@ def _cmd_bounds(args, parser) -> int:
     if args.delta_lower is not None and args.delta_lower <= 0:
         parser.error(f"--delta-lower must be > 0, got {args.delta_lower}")
     try:
-        instance = _instance(args.means, NoiseModel("bernoulli"))
+        noise = NoiseModel("bernoulli")
+        instance = _parsed("--means", args.means, lambda s: BanditInstance(s.split(","), noise))
         inputs = BoundInputs.from_instance(instance, horizon=args.T, lipschitz=args.l,
                                            c=args.c, delta_lower=args.delta_lower)
     except ValueError as exc:
@@ -237,12 +237,12 @@ def _cmd_bounds(args, parser) -> int:
 
 def _cmd_trace(args, parser) -> int:
     if args.T > 20:
-        parser.error("trace supports T <= 20 (use run for longer horizons)")
+        parser.error(f"--T {args.T}: trace supports T <= 20 (use run for longer horizons)")
     instance, policy, drift, options, rng = _simulation(args, parser, args.draws)
     try:
         traj = run(instance, policy, drift, options, args.T, rng)
-    except ScriptExhaustedError as exc:
-        parser.error(str(exc))
+    except (ScriptExhaustedError, ValueError) as exc:  # the other flags are checked already
+        parser.error(f"--draws {args.draws}: {exc}")
     print(",".join(TRAJECTORY_COLUMNS))
     for lines in trajectory_blocks(traj):
         print("\n".join(lines))

@@ -33,7 +33,7 @@ class NonUniqueOptimumError(BanditError, ValueError):
 
 
 class DiagnosticError(BanditError):
-    """A debug-mode runtime inequality check failed."""
+    """A run breaks an inequality of the analysis (analysis.ucb_drift_slack)."""
 
 
 def gaps(arm_means: Sequence[float]) -> tuple[tuple[float, ...], float]:

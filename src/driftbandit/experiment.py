@@ -141,12 +141,8 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The config of a JSON object in the README schema (to_dict() round-trips).
 
-        Raises ValueError naming the key on an unknown key, an arm_means,
-        policies or l_values that is not a JSON array, a noise, project_feedback
-        or policy that is not a JSON object, a project_feedback entry that is
-        not a policy name with a bool, a capture_trajectories that is not a
-        bool, a number field or entry that is not a number, or a whole-number
-        field that is not a whole number.
+        Raises ValueError naming the key (with its path, as policies[1].c) on
+        any key, type or value outside that schema.
         """
         _known_keys("config", data, _CONFIG_KEYS)
         noise = data.get("noise", {})
@@ -157,12 +153,12 @@ class ExperimentConfig:
             _flag(f"project_feedback[{name!r}]", project)
         cap = data.get("drift_cap")
         return cls(
-            arm_means=_entries("arm_means", data["arm_means"], _number),
-            policies=_entries("policies", data["policies"], _policy),
-            l_values=_entries("l_values", data["l_values"], _number),
-            horizon=_whole("horizon", data["horizon"]),
-            replications=_whole("replications", data["replications"]),
-            master_seed=_whole("master_seed", data["master_seed"]),
+            arm_means=_entries("arm_means", _required(data, "arm_means"), _number),
+            policies=_entries("policies", _required(data, "policies"), _policy),
+            l_values=_entries("l_values", _required(data, "l_values"), _number),
+            horizon=_whole("horizon", _required(data, "horizon")),
+            replications=_whole("replications", _required(data, "replications")),
+            master_seed=_whole("master_seed", _required(data, "master_seed")),
             noise_kind=noise.get("kind", "gaussian"),
             noise_sigma=float(_number("noise.sigma", noise.get("sigma", 1.0))),
             drift_kind=data.get("drift_kind", "linear"),
@@ -187,6 +183,12 @@ def _known_keys(where: str, data: dict, keys: tuple[str, ...]) -> None:
         raise ValueError(f"unknown {where} key(s) {unknown}, expected some of {list(keys)}")
 
 
+def _required(data: dict, key: str, path: str | None = None):
+    if key not in data:
+        raise ValueError(f"missing config key {path or key}")
+    return data[key]
+
+
 def _entries(key: str, value, parse) -> tuple:
     """parse(f"{key}[i]", entry) of every entry; ValueError unless `value` is a JSON array."""
     if not isinstance(value, (list, tuple)):
@@ -204,7 +206,7 @@ def _named(key: str, make, *args):
 
 def _policy(key: str, entry: dict) -> PolicyKind:
     _known_keys(key, entry, ("name", "c"))
-    name, c = entry["name"], entry.get("c")
+    name, c = _required(entry, "name", f"{key}.name"), entry.get("c")
     c = None if c is None else _number(f"{key}.c", c)
     return _named(f"{key}.name" if name not in POLICY_NAMES else f"{key}.c", PolicyKind, name, c)
 

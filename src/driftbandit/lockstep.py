@@ -10,8 +10,8 @@ Every lane does the scalar loop's float operations in the same order and
 draws its own NumpyRng stream in the documented per-round order, so each lane
 ends with the ArmStates that mechanism.run gives for the same inputs, and the
 curve that mechanism.curve_of reads from that run, equal under ==.
-mechanism.run stays the executable spec; records, scripted streams and debug
-checks exist only there.
+mechanism.run stays the executable spec; records and scripted streams exist
+only there.
 """
 
 from __future__ import annotations
@@ -71,10 +71,7 @@ def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
     points = set(rounds)
     members: dict[tuple[PolicyKind, MechanismOptions], list[int]] = {}
     for j, lane in enumerate(lanes):
-        options = lane.options.resolve(lane.policy)
-        if options.debug:
-            raise ValueError("debug checks run in mechanism.run only")
-        members.setdefault((lane.policy, options), []).append(j)
+        members.setdefault((lane.policy, lane.options.resolve(lane.policy)), []).append(j)
     order = [j for js in members.values() for j in js]  # engine row -> index in `lanes`
     groups = []
     start = 0
@@ -129,8 +126,7 @@ def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
 
     curves = [None] * n
     if stride is not None:
-        regret = np.array([reg for reg, _ in totals]).T.tolist()
-        comp = np.array([c for _, c in totals]).T.tolist()
+        regret, comp = np.array(totals).transpose(1, 2, 0).tolist()  # (2, lanes, points)
         curves = [Curve(list(rounds), regret[row], comp[row]) for row in range(n)]
     # cells[j][i]: the five ArmState fields of lane j's arm i, in field order
     cells = np.stack((pulls, feedback, drift_sum, comp_count, comp_sum), axis=-1).tolist()

@@ -20,6 +20,7 @@ from .core import (
     DriftModel,
     SimState,
     WarmStartError,
+    accounting_totals,
     drift_apply,
     sample_reward,
 )
@@ -49,15 +50,11 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class MechanismOptions:
-    """Knobs for the loop.
-
-    project_feedback=None means "policy default" (POLICIES[name].projects_feedback).
-    resolve() pins it; warm_start() and step() take resolved options only.
-    debug runs the policy's per-round debug check, if it has one.
-    """
+    """The loop's option: project_feedback=None means "policy default"
+    (POLICIES[name].projects_feedback).  resolve() pins it; warm_start() and
+    step() take resolved options only."""
 
     project_feedback: bool | None = None
-    debug: bool = False
 
     def resolve(self, policy: PolicyKind) -> "MechanismOptions":
         if self.project_feedback is not None:
@@ -136,10 +133,6 @@ def step(state: SimState, policy: PolicyKind, drift: DriftModel,
     if chosen != greedy:
         x = view.posted[greedy] - view.posted[chosen]
         b = drift_apply(drift, x)
-    if options.debug:
-        check = POLICIES[policy.name].debug_check
-        if check is not None:
-            check(state, view, chosen, x, drift.lipschitz)
     return _play(state, instance, chosen, greedy, x, b, project)
 
 
@@ -192,42 +185,39 @@ def fmt_real(x: float) -> str:
     return REAL_FORMAT % x
 
 
-def cumulative_blocks(trajectory: Trajectory):
-    """Yield (records, cum_regret, cum_compensation) for each block of BLOCK_ROUNDS rounds.
+def arm_blocks(trajectory: Trajectory):
+    """Yield (records, running) for each block of BLOCK_ROUNDS rounds.
 
-    The totals after each round come from running per-arm pull counts and
-    compensation sums, as SimState derives them: per arm, np.cumsum adds the
-    round's increment (0 or 1 pull, the paid compensation or 0.0) in round
-    order under the previous block's carry row; then the arms are added left
-    to right as accounting_totals does.  So the values are bit-equal to a
-    per-round accounting_totals, since adding +0.0 leaves a non-negative sum
-    unchanged.
+    running[j, :, i] is arm i's (pulls, comp_sum, drift_sum) after the block's
+    first j rounds; row 0 carries the block before.  np.cumsum adds each round's
+    increments in round order, so every value is bit-equal to the ArmState field
+    the run held: adding +0.0 leaves a non-negative sum unchanged.
     """
     records = trajectory.records
     if not records:
         raise ValueError("trajectory carries no records (captured with keep_records=False?)")
-    gaps = trajectory.final.gap_vector
-    pulls_carry = np.zeros(len(gaps), dtype=np.int64)
-    paid_carry = np.zeros(len(gaps))
+    k = len(trajectory.final.gap_vector)
+    carry = np.zeros((3, k))
     for start in range(0, len(records), BLOCK_ROUNDS):
         block = records[start:start + BLOCK_ROUNDS]
-        rows = np.arange(1, len(block) + 1)
-        chosen = [r.chosen for r in block]
-        pulls = np.zeros((len(block) + 1, len(gaps)), dtype=np.int64)
-        paid = np.zeros((len(block) + 1, len(gaps)))
-        pulls[0] = pulls_carry
-        paid[0] = paid_carry
-        pulls[rows, chosen] = 1
-        paid[rows, chosen] = [r.compensation if r.compensated else 0.0 for r in block]
-        pulls = pulls.cumsum(axis=0)
-        paid = paid.cumsum(axis=0)
-        pulls_carry, paid_carry = pulls[-1], paid[-1]
-        regret = 0.0
-        comp = 0.0
-        for i, g in enumerate(gaps):
-            regret = regret + g * pulls[1:, i]
-            comp = comp + paid[1:, i]
-        yield block, regret, comp
+        running = np.zeros((len(block) + 1, 3, k))
+        running[0] = carry
+        # flat index of each round's pulls cell; its comp_sum cell is k on, drift_sum 2k on
+        at = np.arange(3 * k, running.size, 3 * k) + [r.chosen for r in block]
+        running.reshape(-1)[at] = 1.0
+        running.reshape(-1)[at + k] = [r.compensation if r.compensated else 0.0 for r in block]
+        running.reshape(-1)[at + 2 * k] = [r.drift for r in block]
+        carry = running.cumsum(axis=0, out=running)[-1]
+        yield block, running
+
+
+def cumulative_blocks(trajectory: Trajectory):
+    """Yield (records, cum_regret, cum_compensation) for each block of BLOCK_ROUNDS rounds:
+    accounting_totals over the per-arm columns of arm_blocks' rows after each round."""
+    gaps = trajectory.final.gap_vector
+    for block, running in arm_blocks(trajectory):
+        columns = [ArmState(pulls=p, comp_sum=c) for p, c, _ in running[1:].transpose(2, 1, 0)]
+        yield (block, *accounting_totals(gaps, columns))
 
 
 def curve_of(trajectory: Trajectory, stride: int) -> Curve:

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DiagnosticError, PolicyView, SimState
+from .core import PolicyView
 from .rng import LaneStreams, RngStream
 
 
@@ -157,23 +157,6 @@ def greedy_choice_lanes(view: PolicyView) -> np.ndarray:
     return view.posted.argmax(axis=1)
 
 
-def _check_ucb_drift_bounds(state: SimState, view: PolicyView, chosen: int, x: float,
-                            lipschitz: float) -> None:
-    # Selection implies x_t <= sqrt(2 ln t / n_{I_t}); cumulative drift obeys
-    # B_i <= 2 l sqrt(2 n_i ln t).  Checked with a round-off guard only.
-    t = view.t
-    log_t = math.log(t)
-    bonus = math.sqrt(2.0 * log_t / view.pulls[chosen])
-    if x > bonus + 1e-9 * max(1.0, bonus):
-        raise DiagnosticError(
-            f"round {t}: compensation {x} exceeds per-round drift bound {bonus}")
-    for i, arm in enumerate(state.arms):
-        cap = 2.0 * lipschitz * math.sqrt(2.0 * arm.pulls * log_t)
-        if arm.drift_sum > cap + 1e-9 * max(1.0, cap):
-            raise DiagnosticError(
-                f"round {t}: arm {i} cumulative drift {arm.drift_sum} exceeds bound {cap}")
-
-
 @dataclass(frozen=True)
 class PolicyRule:
     """Everything that tells one principal apart from the others."""
@@ -183,14 +166,12 @@ class PolicyRule:
     select_lanes: Callable[[PolicyView, float | None, LaneStreams], np.ndarray]
     takes_c: bool = False  # whether PolicyKind carries an exploration constant c
     projects_feedback: bool = False  # default of MechanismOptions.project_feedback
-    debug_check: Callable[[SimState, PolicyView, int, float, float], None] | None = None
 
 
 POLICIES: dict[str, PolicyRule] = {
     # UCB1 (Auer, Cesa-Bianchi & Fischer 2002)
     "ucb": PolicyRule(lambda view, c, rng: ucb_select(view),
-                      lambda view, c, draws: ucb_select_lanes(view),
-                      debug_check=_check_ucb_drift_bounds),
+                      lambda view, c, draws: ucb_select_lanes(view)),
     # epsilon_t-greedy, eps_t = min(1, cK/t) (Auer, Cesa-Bianchi & Fischer 2002)
     "egreedy": PolicyRule(egreedy_select, egreedy_select_lanes,
                           takes_c=True, projects_feedback=True),

@@ -31,13 +31,6 @@ class RngStream(Protocol):
 class ScriptExhaustedError(Exception):
     """A scripted stream ran out of supplied values."""
 
-    def __init__(self, supplied: int):
-        self.supplied = supplied
-        super().__init__(
-            f"scripted stream exhausted: draw {supplied + 1} requested "
-            f"but only {supplied} values were supplied"
-        )
-
 
 _BLOCK = 1024  # refill size; fixed, part of the seed->stream mapping
 
@@ -168,7 +161,7 @@ class LaneStreams:
 class ScriptedRng:
     """Replays a fixed list of numbers, in call order, regardless of kind.
 
-    uniform() values must lie in [0, 1); normal() values are unrestricted.
+    Every value must be finite, and uniform() values must lie in [0, 1).
     Used for hand-checkable golden traces.
     """
 
@@ -176,6 +169,8 @@ class ScriptedRng:
 
     def __init__(self, values):
         self._values = [float(v) for v in values]
+        if not np.isfinite(self._values).all():
+            raise ValueError("scripted values must be finite")
         self._pos = 0
 
     @property
@@ -184,7 +179,8 @@ class ScriptedRng:
 
     def _next(self) -> float:
         if self._pos >= len(self._values):
-            raise ScriptExhaustedError(len(self._values))
+            raise ScriptExhaustedError(f"scripted stream exhausted: draw {self._pos + 1} "
+                                       f"requested but only {self._pos} values were supplied")
         v = self._values[self._pos]
         self._pos += 1
         return v

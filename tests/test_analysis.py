@@ -4,12 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from driftbandit import (
+    ArmState,
     BanditInstance,
     BoundInputs,
+    DiagnosticError,
     DriftModel,
     MechanismOptions,
     NoiseModel,
     PolicyKind,
+    RoundRecord,
+    SimState,
+    Trajectory,
     check_c_condition,
     comp_frequency_bound,
     egreedy_comp_bound,
@@ -26,6 +31,7 @@ from driftbandit.analysis import (
     egreedy_arm_slope,
     thompson_pull_drift_term,
     thompson_pull_log_term,
+    ucb_drift_slack,
 )
 
 NINE_ARM_MEANS = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
@@ -271,3 +277,88 @@ def test_summarize_regret_identity_from_per_arm():
     for gap, (pulls, _, _) in zip(inst.gap_vector, m.per_arm):
         recomputed += gap * pulls
     assert m.regret == recomputed  # exact
+
+
+# ---------------------------------------------------------------- UCB drift slack
+
+def crafted(rounds, warm_drift=0.0):
+    """A two-arm run: the warm start (arm 0 drifted by `warm_drift`), then round
+    t = 3, 4, ... pulls `chosen` against the player's arm 0, paying x with drift b."""
+    inst = BanditInstance((0.9, 0.8), NoiseModel("gaussian", 0.0))
+    records = [RoundRecord(1, 0, 0, False, 0.0, warm_drift, 0.9, 0.9 + warm_drift, 0.0),
+               RoundRecord(2, 1, 1, False, 0.0, 0.0, 0.8, 0.8, inst.gap_vector[1])]
+    for t, (chosen, x, b) in enumerate(rounds, start=3):
+        records.append(RoundRecord(t, chosen, 0, chosen != 0, x, b, 0.8, 0.8 + b,
+                                   inst.gap_vector[chosen]))
+    return Trajectory(records, SimState.fresh(inst, None))
+
+
+RADIUS_3 = math.sqrt(2.0 * math.log(3))  # round 3, one pull of the chosen arm so far
+
+
+def test_ucb_drift_slack_rejects_a_per_round_violation():
+    with pytest.raises(DiagnosticError,
+                       match=f"round 3: compensation 2.0 exceeds per-round drift bound {RADIUS_3}"):
+        ucb_drift_slack(crafted([(1, 2.0, 0.0)]), 1.0)
+
+
+def test_ucb_drift_slack_rejects_a_cumulative_drift_violation():
+    # arm 0 carries far more drift than B_0 <= 2 l sqrt(2 n_0 ln t) allows
+    with pytest.raises(DiagnosticError, match="round 3: arm 0 cumulative drift 50.0 exceeds bound"):
+        ucb_drift_slack(crafted([(1, 0.0, 0.0)], warm_drift=50.0), 1.0)
+
+
+def test_ucb_drift_slack_reads_the_state_before_the_credit():
+    # x lies between sqrt(2 ln 3 / 2), after round 3's pull, and sqrt(2 ln 3 / 1), before it
+    x = 1.25
+    assert math.sqrt(2.0 * math.log(3) / 2) < x < RADIUS_3
+    per_round, _ = ucb_drift_slack(crafted([(1, x, 0.0)]), 1.0)
+    assert per_round == x / RADIUS_3
+    # the round-off guard 1e-9 max(1, bound) lets a bound's last bits pass
+    per_round, _ = ucb_drift_slack(crafted([(1, RADIUS_3 + 1e-10, 0.0)]), 1.0)
+    assert per_round > 1.0
+
+
+def test_ucb_drift_slack_without_drift_reads_zero():
+    assert ucb_drift_slack(crafted([(1, 1.0, 0.0), (0, 0.0, 0.0)]), 0.0)[1] == 0.0
+    inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
+    traj = run(inst, PolicyKind.ucb(), DriftModel("linear", lipschitz=0.0),
+               MechanismOptions(), 1500, 0)
+    per_round, cumulative = ucb_drift_slack(traj, 0.0)
+    assert cumulative == 0.0 and 0.0 < per_round <= 1.0
+
+
+def _scalar_slack(trajectory, lipschitz):
+    """The inequalities round by round, on ArmStates replayed from the records."""
+    arms = [ArmState() for _ in trajectory.final.arms]
+    per_round = cumulative = 0.0
+    for rec in trajectory.records:
+        if rec.t > len(arms):
+            log_t = math.log(rec.t)
+            per_round = max(per_round,
+                            rec.compensation / math.sqrt(2.0 * log_t / arms[rec.chosen].pulls))
+            for arm in arms:
+                cap = 2.0 * lipschitz * math.sqrt(2.0 * arm.pulls * log_t)
+                if arm.drift_sum > 0:
+                    cumulative = max(cumulative, arm.drift_sum / cap)
+        arms[rec.chosen].pulls += 1
+        arms[rec.chosen].drift_sum += rec.drift
+    return per_round, cumulative
+
+
+def test_run_ucb_drift_slack_clean():
+    inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
+    for seed in range(5):
+        traj = run(inst, PolicyKind.ucb(), DriftModel("linear", lipschitz=1.1),
+                   MechanismOptions(), 1500, seed)
+        slack = ucb_drift_slack(traj, 1.1)  # raises DiagnosticError on a violation
+        assert slack == _scalar_slack(traj, 1.1)
+        assert all(0.0 < s <= 1.0 for s in slack)
+
+
+def test_ucb_drift_slack_requires_records():
+    inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
+    traj = run(inst, PolicyKind.ucb(), DriftModel("linear", lipschitz=1.1),
+               MechanismOptions(), 20, 1, keep_records=False)
+    with pytest.raises(ValueError, match="records"):
+        ucb_drift_slack(traj, 1.1)

@@ -5,8 +5,13 @@ benchmarks/layers.py times each layer by replacing module attributes such as
 around one of them would silently zero its span, so every patched name is
 checked here: a small run and `driftbandit run` must reach it.  A sweep
 must reach the two item names, `experiment.run` and `experiment.summarize`,
-equally often: the benchmark adds their span durations element-wise.
+equally often: the benchmark adds their span durations element-wise.  Every
+name the benchmark imports from the package must still exist.
 """
+
+import ast
+import importlib
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +29,7 @@ from driftbandit import (
 from driftbandit.core import SimState
 
 ROUND_NAMES = ("step", "select_arm", "greedy_choice", "sample_reward")
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def count_calls(monkeypatch, owner, name, counts):
@@ -77,3 +83,26 @@ def test_cli_run_reaches_run_and_summarize(monkeypatch, tmp_path):
         count_calls(monkeypatch, cli, name, counts)
     assert cli.main(["run", "--policy", "ucb", "--T", "20", "--out-dir", str(tmp_path)]) == 0
     assert counts == {"run": 1, "summarize": 1}
+
+
+def _resolves(module: str, name: str) -> bool:
+    """Whether `from module import name` works: an attribute, or else a submodule."""
+    try:
+        owner = importlib.import_module(module)
+        return hasattr(owner, name) or bool(importlib.import_module(f"{module}.{name}"))
+    except ImportError:
+        return False
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark's self-test takes tens of seconds and is not in this suite
+    imports = [(path.name, node.module, alias.name)
+               for path in sorted(BENCHMARKS.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.level == 0
+               and (node.module or "").split(".")[0] == "driftbandit"
+               for alias in node.names]
+    assert {module for _, module, _ in imports} >= {"driftbandit", "driftbandit.mechanism"}
+    missing = [(file, f"{module}.{name}") for file, module, name in imports
+               if not _resolves(module, name)]
+    assert not missing

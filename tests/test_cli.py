@@ -101,6 +101,17 @@ def test_bounds_non_positive_c_exits_2_naming_it(tmp_path, capsys, c):
     (["run", "--policy", "ucb", "--means", "0.9,abc"],
      "--means 0.9,abc: could not convert string to float: 'abc'"),
     (["bounds", "--delta-lower", "0"], "--delta-lower must be > 0"),
+    (["trace", "--policy", "ucb", "--draws", "0,abc"],
+     "--draws 0,abc: could not convert string to float: 'abc'"),
+    (TRACE_ARGS + ["--draws", "0,0,nan,0"], "--draws 0,0,nan,0: scripted values must be finite"),
+    (TRACE_ARGS + ["--draws", "0,0,inf,0"], "--draws 0,0,inf,0: scripted values must be finite"),
+    # the egreedy coin of round 3 reads 1.5, after two Bernoulli warm-start rewards
+    (["trace", "--policy", "egreedy", "--noise", "bernoulli", "--means", "0.6,0.5",
+      "--draws", "0.1,0.1,1.5,0.1,0.1,0.1"],
+     "--draws 0.1,0.1,1.5,0.1,0.1,0.1: scripted uniform draw 1.5 outside [0, 1)"),
+    (TRACE_ARGS + ["--draws", "0,0,0"],
+     "--draws 0,0,0: scripted stream exhausted: draw 4 requested but only 3 values"),
+    (["trace", "--policy", "ucb", "--T", "21", "--draws", "0"], "--T 21: trace supports T <= 20"),
 ])
 def test_library_rejections_exit_2_naming_the_flag(tmp_path, capsys, args, message):
     with pytest.raises(SystemExit) as err:
@@ -175,6 +186,9 @@ def test_run_ucb_with_drift_lands_in_reported_band(tmp_path):
 
 # ---------------------------------------------------------------- sweep
 
+DROP = object()  # a small_config override that leaves the key out
+
+
 def small_config(**overrides):
     data = {
         "arm_means": [0.9, 0.6, 0.3],
@@ -187,7 +201,7 @@ def small_config(**overrides):
         "master_seed": 5,
     }
     data.update(overrides)
-    return data
+    return {key: value for key, value in data.items() if value is not DROP}
 
 
 def write_config(tmp_path, data):
@@ -261,6 +275,14 @@ def test_sweep_rejects_empty_l_values(tmp_path, capsys):
     ({"policies": {"name": "ucb"}}, "policies must be a JSON array"),
     ({"policies": "ucb"}, "policies must be a JSON array"),
     ({"project_feedback": [1]}, "project_feedback must be a JSON object"),
+    # a required key left out, named with its path
+    ({"horizon": DROP}, "missing config key horizon"),
+    ({"arm_means": DROP}, "missing config key arm_means"),
+    ({"policies": DROP}, "missing config key policies"),
+    ({"l_values": DROP}, "missing config key l_values"),
+    ({"replications": DROP}, "missing config key replications"),
+    ({"master_seed": DROP}, "missing config key master_seed"),
+    ({"policies": [{"c": 3}]}, "missing config key policies[0].name"),
 ])
 def test_sweep_rejects_bad_config_naming_the_key(tmp_path, capsys, change, key):
     path = write_config(tmp_path, small_config(**change))
@@ -268,6 +290,15 @@ def test_sweep_rejects_bad_config_naming_the_key(tmp_path, capsys, change, key):
         run_cli(["sweep", "--config", str(path), "--out-dir", str(tmp_path / "o")])
     assert err.value.code == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_seed_on_a_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, [small_config()])
+    with pytest.raises(SystemExit) as err:
+        run_cli(["sweep", "--config", str(path), "--seed", "3", "--out-dir", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -29,6 +29,8 @@ SMALL_CONFIG = dict(
     noise_sigma=0.0,
 )
 
+DROP = object()  # a config change that leaves the key out
+
 
 # ---------------------------------------------------------------- derive_seed
 
@@ -154,11 +156,25 @@ def test_config_parses_policy_c():
     ({"policies": {"name": "ucb"}}, "policies must be a JSON array"),
     ({"policies": "ucb"}, "policies must be a JSON array"),
     ({"project_feedback": [1]}, "project_feedback must be a JSON object"),
+    # a required key left out, named with its path
+    ({"arm_means": DROP}, "missing config key arm_means"),
+    ({"policies": DROP}, "missing config key policies"),
+    ({"l_values": DROP}, "missing config key l_values"),
+    ({"horizon": DROP}, "missing config key horizon"),
+    ({"replications": DROP}, "missing config key replications"),
+    ({"master_seed": DROP}, "missing config key master_seed"),
+    ({"policies": [{"name": "ucb"}, {"c": 3}]}, "missing config key policies[1].name"),
 ])
 def test_config_from_dict_rejects_naming_the_key(change, key):
     data = {**ExperimentConfig(**SMALL_CONFIG).to_dict(), **change}
+    data = {k: v for k, v in data.items() if v is not DROP}
     with pytest.raises(ValueError, match=re.escape(key)):
         ExperimentConfig.from_dict(data)
+
+
+def test_config_from_dict_rejects_a_config_that_is_not_an_object():
+    with pytest.raises(ValueError, match="config must be a JSON object"):
+        ExperimentConfig.from_dict([ExperimentConfig(**SMALL_CONFIG).to_dict()])
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])

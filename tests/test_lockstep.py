@@ -232,8 +232,6 @@ def test_run_lanes_rejects_what_run_rejects():
         run_lanes(instance, [ucb], 2)
     with pytest.raises(ValueError, match="stride"):
         run_lanes(instance, [ucb], 20, stride=0)
-    with pytest.raises(ValueError, match="debug"):
-        run_lanes(instance, [ucb._replace(options=MechanismOptions(debug=True))], 20)
     with pytest.raises(ValueError, match="drift kind"):
         run_lanes(instance, [ucb, Lane(PolicyKind.thompson(), MechanismOptions(),
                                        DriftModel("zero"), 2)], 20)

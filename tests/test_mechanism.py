@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from driftbandit import (
     ArmState,
     BanditInstance,
-    DiagnosticError,
     DriftModel,
     MechanismOptions,
     NoiseModel,
@@ -28,6 +27,7 @@ from driftbandit.core import accounting_totals
 from driftbandit.mechanism import (
     BLOCK_ROUNDS,
     REAL_FORMAT,
+    arm_blocks,
     cumulative_blocks,
     curve_of,
     fmt_real,
@@ -134,23 +134,6 @@ def test_warm_start_and_step_reject_unresolved_options():
         step(state, PolicyKind.ucb(), NO_DRIFT, inst, MechanismOptions())
 
 
-@pytest.mark.parametrize("policy", [
-    PolicyKind.egreedy(1e-9), PolicyKind.thompson(), PolicyKind.greedy(),
-])
-def test_debug_checks_ucb_only(policy):
-    # arm 0 carries far more drift than B_0 <= 2 l sqrt(2 n_0 ln t) allows
-    inst = BanditInstance((0.9, 0.8), NoiseModel("gaussian", 0.0))
-    arms = [ArmState(pulls=1, feedback_sum=0.9, drift_sum=50.0),
-            ArmState(pulls=1, feedback_sum=0.8)]
-    debug = MechanismOptions(project_feedback=False, debug=True)
-    drift = DriftModel("linear", lipschitz=1.0)
-    with pytest.raises(DiagnosticError, match="cumulative drift"):
-        step(make_state(inst, arms), PolicyKind.ucb(), drift, inst, debug)
-    arms = [ArmState(pulls=1, feedback_sum=0.9, drift_sum=50.0),
-            ArmState(pulls=1, feedback_sum=0.8)]
-    step(make_state(inst, arms, ScriptedRng([0.5, 0.0, 0.0])), policy, drift, inst, debug)
-
-
 def test_step_compensation_zero_on_posted_tie():
     # tied posted means: greedy and chosen coincide at index 0
     inst = BanditInstance((0.9, 0.8), NoiseModel("gaussian", 0.0))
@@ -252,13 +235,6 @@ def test_run_projection_defaults_per_policy():
     assert any(r.feedback > 1.0 or r.feedback < 0.0 for r in ucb.records)  # off for ucb
 
 
-def test_run_ucb_debug_diagnostics_clean():
-    inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
-    for seed in range(5):
-        run(inst, PolicyKind.ucb(), DriftModel("linear", lipschitz=1.1),
-            MechanismOptions(debug=True), 1500, seed)  # raises DiagnosticError on violation
-
-
 def test_run_with_decomposition_check():
     inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
     traj = run(inst, PolicyKind.ucb(), DriftModel("linear", lipschitz=0.7),
@@ -337,6 +313,19 @@ def test_trajectory_rows_cumulative_columns():
             rows = list(trajectory_rows(traj))
             assert [(row[8], row[9]) for row in rows] == [
                 (fmt_real(reg), fmt_real(comp)) for reg, comp in expected]
+
+
+def test_arm_blocks_running_state_equals_the_run():
+    # the row after each round is the ArmState the run held; the last is the final state
+    inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
+    for policy in (PolicyKind.ucb(), PolicyKind.egreedy(4.0), PolicyKind.thompson()):
+        traj = run(inst, policy, DriftModel("linear", lipschitz=1.1), MechanismOptions(),
+                   BLOCK_ROUNDS + 40, 21)
+        blocks = list(arm_blocks(traj))
+        assert [len(records) for records, _ in blocks] == [BLOCK_ROUNDS, 40]
+        assert (blocks[1][1][0] == blocks[0][1][-1]).all()  # the carry row
+        final = blocks[-1][1][-1]
+        assert final.T.tolist() == [[a.pulls, a.comp_sum, a.drift_sum] for a in traj.final.arms]
 
 
 def _float_from_bits(bits: int) -> float:
