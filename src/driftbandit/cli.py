@@ -174,8 +174,7 @@ def _cmd_sweep(args, parser) -> int:
             writer = csv.writer(fh)
             writer.writerow(CURVE_COLUMNS)
             for cell in result.cells:
-                for t, reg, comp in zip(cell.curve_rounds, cell.regret_curve_mean,
-                                        cell.comp_curve_mean):
+                for t, reg, comp in zip(*cell.curve):
                     writer.writerow((cell.policy.name, fmt_real(cell.l), str(t),
                                      fmt_real(reg), fmt_real(comp)))
         _gnuplot_script(out_dir / "curves.gp", "curves.csv", 3,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from statistics import fmean, median, stdev
 from typing import Sequence
@@ -25,7 +26,7 @@ from . import analysis
 from .analysis import SummaryMetrics
 from .core import DRIFT_KINDS, NOISE_KINDS, BanditInstance, DriftModel, NoiseModel
 from .lockstep import Lane, run_lanes
-from .mechanism import Curve, MechanismOptions, Trajectory
+from .mechanism import Curve, CurveProbe, MechanismOptions, Trajectory
 from .policies import POLICY_NAMES, PolicyKind
 
 _MASK64 = (1 << 64) - 1
@@ -238,7 +239,8 @@ class CellResult:
     reference value should be compared with; the means are the expectation
     estimates.  `rep_metrics` keeps every replication's summary in
     replication order, so a tail that carries a mean can be traced to its
-    runs.
+    runs.  `curve` is the mean of the replications' curves, point by point
+    (None unless the config captures trajectories).
     """
 
     policy: PolicyKind
@@ -257,9 +259,7 @@ class CellResult:
     arm1_err_median: float
     rep_metrics: tuple[SummaryMetrics, ...]
     comp_count_per_arm_mean: tuple[float, ...] = ()
-    curve_rounds: tuple[int, ...] | None = None
-    regret_curve_mean: tuple[float, ...] | None = None
-    comp_curve_mean: tuple[float, ...] | None = None
+    curve: Curve | None = None
 
 
 @dataclass(frozen=True)
@@ -280,21 +280,26 @@ Chunk = tuple[tuple[int, int, int], ...]  # the (policy index, l index, rep) lan
 # globals once per chunk each; the per-layer benchmark wraps them to time chunks.
 
 
-def run(config: ExperimentConfig, chunk: Chunk) -> list[Trajectory]:
-    """Play every lane of `chunk` in one lockstep; one trajectory per lane."""
-    stride = config.trajectory_stride if config.capture_trajectories else None
+def run(config: ExperimentConfig,
+        chunk: Chunk) -> tuple[list[Trajectory], list[Curve] | list[None]]:
+    """Play every lane of `chunk` in one lockstep: each lane's trajectory, and its
+    curve when the config captures trajectories."""
+    instance = config.instance()
     lanes = [Lane(config.policies[p_idx], config.options_for(config.policies[p_idx]),
                   config.drift_model(config.l_values[l_idx]),
                   derive_seed(config.master_seed, p_idx, l_idx, rep))
              for p_idx, l_idx, rep in chunk]
-    return run_lanes(config.instance(), lanes, config.horizon, stride=stride)
+    if not config.capture_trajectories:
+        return run_lanes(instance, lanes, config.horizon), [None] * len(lanes)
+    probe = CurveProbe(instance.gap_vector, config.horizon, config.trajectory_stride)
+    return run_lanes(instance, lanes, config.horizon, probe=probe), probe.curves()
 
 
-def summarize(config: ExperimentConfig,
-              trajectories: list[Trajectory]) -> list[tuple[SummaryMetrics, Curve | None]]:
-    """analysis.summarize and the curve of every lane of a chunk."""
+def summarize(config: ExperimentConfig, played: tuple[list[Trajectory], list]
+              ) -> list[tuple[SummaryMetrics, Curve | None]]:
+    """analysis.summarize of every lane of a chunk, beside its curve."""
     instance = config.instance()
-    return [(analysis.summarize(traj, instance), traj.curve) for traj in trajectories]
+    return [(analysis.summarize(traj, instance), curve) for traj, curve in zip(*played)]
 
 
 def _run_chunk(config: ExperimentConfig,
@@ -329,12 +334,11 @@ def _aggregate_cell(policy: PolicyKind, l: float,
                                  (regret_xs, comp_xs, rounds_xs, err_xs))
     k = len(metrics[0].per_arm)
     per_arm_comp = tuple(fmean(m.per_arm[i][1] for m in metrics) for i in range(k))
-    curve_rounds = regret_curve = comp_curve = None
     curves = [c for _, c in outcomes if c is not None]
+    curve = None
     if curves:
-        curve_rounds = tuple(curves[0].rounds)
-        regret_curve = tuple(fmean(col) for col in zip(*(c.regret for c in curves)))
-        comp_curve = tuple(fmean(col) for col in zip(*(c.compensation for c in curves)))
+        curve = Curve(curves[0].rounds, [fmean(col) for col in zip(*(c.regret for c in curves))],
+                      [fmean(col) for col in zip(*(c.compensation for c in curves))])
     return CellResult(
         policy=policy, l=l,
         regret_mean=regret[0], regret_std=regret[1],
@@ -344,9 +348,7 @@ def _aggregate_cell(policy: PolicyKind, l: float,
         regret_median=median(regret_xs), comp_median=median(comp_xs),
         comp_rounds_median=median(rounds_xs), arm1_err_median=median(err_xs),
         rep_metrics=tuple(metrics),
-        comp_count_per_arm_mean=per_arm_comp,
-        curve_rounds=curve_rounds, regret_curve_mean=regret_curve,
-        comp_curve_mean=comp_curve,
+        comp_count_per_arm_mean=per_arm_comp, curve=curve,
     )
 
 
@@ -358,26 +360,14 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> AggregateResult:
     """
     chunks = _chunks(config, max(jobs, 1))
     outcomes: dict[tuple[int, int, int], tuple[SummaryMetrics, Curve | None]] = {}
-
-    def collect(chunk: Chunk, results) -> None:
-        outcomes.update(zip(chunk, results))
-
-    if jobs <= 1:
+    # jobs <= 1 plays in this process, where patches of run and summarize apply
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        played = (map if pool is None else pool.map)(_run_chunk, [config] * len(chunks), chunks)
         for chunk in chunks:
             try:
-                collect(chunk, _run_chunk(config, chunk))
+                outcomes.update(zip(chunk, next(played)))
             except Exception as exc:
                 raise ExperimentError(_describe_failure(config, chunk, exc)) from exc
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_run_chunk, config, chunk): chunk for chunk in chunks}
-            for future, chunk in futures.items():
-                try:
-                    collect(chunk, future.result())
-                except Exception as exc:
-                    # leave the pool without waiting for the rest of the grid
-                    pool.shutdown(cancel_futures=True)
-                    raise ExperimentError(_describe_failure(config, chunk, exc)) from exc
 
     cells = []
     for p_idx, policy in enumerate(config.policies):

@@ -1,21 +1,24 @@
 """The lockstep engine: many runs, of one or several policies, played together round by round.
 
 Each lane is one mechanism.run with its own policy, options, drift coefficient
-and seed.  The lanes advance together as (lanes, K) arrays.  Lanes that share
-a policy and resolved options form a group: a contiguous slice of the rows
-with its own LaneStreams, where the policy's lane rule selects and the
-rewards are drawn.  The greedy pick, compensation, drift and credit run once
-over all lanes, in one round loop whose first K rounds are the warm start.
-Every lane does the scalar loop's float operations in the same order and
-draws its own NumpyRng stream in the documented per-round order, so each lane
-ends with the ArmStates that mechanism.run gives for the same inputs, and the
-curve that mechanism.curve_of reads from that run, equal under ==.
+and seed.  The lanes advance together as (lanes, K) arrays whose row j is
+lanes[j].  Each consecutive run of lanes with the same policy and resolved
+options forms a group: a slice of the rows with its own LaneStreams, where
+the policy's lane rule selects and the rewards are drawn.  The greedy pick,
+compensation, drift and credit run once over all lanes, in one round loop
+whose first K rounds are the warm start.  Every lane does the scalar loop's
+float operations in the same order and draws its own NumpyRng stream in the
+documented per-round order, so each lane ends with the ArmStates that
+mechanism.run gives for the same inputs, equal under ==.  An optional probe
+reads the live state after each round's credit; mechanism.CurveProbe reads
+the curves that mechanism.curve_of reads from the scalar runs.
 mechanism.run stays the executable spec; records and scripted streams exist
 only there.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -26,11 +29,10 @@ from .core import (
     DriftModel,
     PolicyView,
     SimState,
-    accounting_totals,
     lane_drift,
     lane_rewards,
 )
-from .mechanism import Curve, MechanismOptions, Trajectory, check_run_args, curve_rounds
+from .mechanism import MechanismOptions, Trajectory, check_run_args
 from .policies import POLICIES, PolicyKind, greedy_choice_lanes
 from .rng import LaneStreams
 
@@ -45,7 +47,7 @@ class Lane(NamedTuple):
 
 
 class _Group(NamedTuple):
-    """The lanes of one policy and resolved options: rows of the engine's arrays."""
+    """A consecutive run of lanes with one policy and resolved options: rows of the arrays."""
 
     rows: slice
     select: Callable[[PolicyView, float | None, LaneStreams], np.ndarray]  # select_lanes
@@ -55,43 +57,39 @@ class _Group(NamedTuple):
 
 
 def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
-              *, stride: int | None = None) -> list[Trajectory]:
+              *, probe: Callable[[int, list[ArmState]], None] | None = None
+              ) -> list[Trajectory]:
     """mechanism.run(instance, lane.policy, lane.drift, lane.options, horizon,
     lane.seed, keep_records=False) for every lane, played in lockstep.
 
     The drift models may differ only in their Lipschitz coefficient.  The
     returned trajectories, in the order of `lanes`, carry no records, and
-    their final states no stream.  With `stride`, each carries the curve that
-    mechanism.curve_of(run(...), stride) reads from the run's records.
+    their final states no stream.  `probe(t, arms)` is called after round
+    t's credit, for t = 1..horizon: arms[i] is an ArmState whose five fields
+    are live (lanes,) views of arm i in every lane, row j being lanes[j].
+    The views change as the lanes play on, so a probe copies what it keeps.
     """
     if not lanes:
         raise ValueError("need at least one lane")
     check_run_args(instance, horizon)
-    rounds = curve_rounds(horizon, stride) if stride is not None else []
-    points = set(rounds)
-    members: dict[tuple[PolicyKind, MechanismOptions], list[int]] = {}
-    for j, lane in enumerate(lanes):
-        members.setdefault((lane.policy, lane.options.resolve(lane.policy)), []).append(j)
-    order = [j for js in members.values() for j in js]  # engine row -> index in `lanes`
     groups = []
     start = 0
-    for (policy, options), js in members.items():
-        groups.append(_Group(slice(start, start + len(js)), POLICIES[policy.name].select_lanes,
-                             policy.c, LaneStreams([lanes[j].seed for j in js]),
-                             options.project_feedback))
-        start += len(js)
-    n, k = len(order), instance.k
-    drift = lane_drift([lanes[j].drift for j in order])
+    for (policy, options), same in groupby(
+            lanes, lambda lane: (lane.policy, lane.options.resolve(lane.policy))):
+        seeds = [lane.seed for lane in same]
+        groups.append(_Group(slice(start, start + len(seeds)), POLICIES[policy.name].select_lanes,
+                             policy.c, LaneStreams(seeds), options.project_feedback))
+        start += len(seeds)
+    n, k = len(lanes), instance.k
+    drift = lane_drift([lane.drift for lane in lanes])
     reward = lane_rewards(instance)
 
-    # field[j, i]: that ArmState field of lane j's arm i; the flat views index (lane, arm) cells
-    pulls, feedback, drift_sum, comp_count, comp_sum = (np.zeros((n, k)) for _ in range(5))
-    pulls_at, feedback_at, drift_at, comp_count_at, comp_sum_at = (
-        a.reshape(-1) for a in (pulls, feedback, drift_sum, comp_count, comp_sum))
+    # fields[f][j, i]: ArmState field f of lane j's arm i; the flat views index (lane, arm) cells
+    fields = [np.zeros((n, k)) for _ in range(5)]
+    pulls, feedback = fields[:2]
+    pulls_at, feedback_at, drift_at, comp_count_at, comp_sum_at = (a.reshape(-1) for a in fields)
     first = np.arange(n) * k  # flat index of each lane's arm 0
-    # per-arm views of the live state, so accounting_totals sums every lane at once
-    columns = [ArmState(pulls=pulls[:, i], comp_sum=comp_sum[:, i]) for i in range(k)]
-    totals: list[tuple[np.ndarray, np.ndarray]] = []
+    arms = [ArmState(*(a[:, i] for a in fields)) for i in range(k)]  # what the probe reads
 
     chosen = np.empty(n, dtype=np.int64)
     r = np.empty(n)
@@ -121,18 +119,12 @@ def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
         drift_at[at] += b
         comp_count_at[at] += chosen != greedy
         comp_sum_at[at] += x
-        if t in points:
-            totals.append(accounting_totals(instance.gap_vector, columns))
+        if probe is not None:
+            probe(t, arms)
 
-    curves = [None] * n
-    if stride is not None:
-        regret, comp = np.array(totals).transpose(1, 2, 0).tolist()  # (2, lanes, points)
-        curves = [Curve(list(rounds), regret[row], comp[row]) for row in range(n)]
     # cells[j][i]: the five ArmState fields of lane j's arm i, in field order
-    cells = np.stack((pulls, feedback, drift_sum, comp_count, comp_sum), axis=-1).tolist()
-    out: list[Trajectory] = [None] * n
-    for j, arms, curve in zip(order, cells, curves):
-        final = SimState(round=horizon + 1, gap_vector=instance.gap_vector, rng=None,
-                         arms=[ArmState(int(p), f, d, int(cc), cs) for p, f, d, cc, cs in arms])
-        out[j] = Trajectory(records=[], final=final, curve=curve)
-    return out
+    cells = np.stack(fields, axis=-1).tolist()
+    finals = [SimState(round=horizon + 1, gap_vector=instance.gap_vector, rng=None,
+                       arms=[ArmState(int(p), f, d, int(cc), cs) for p, f, d, cc, cs in lane])
+              for lane in cells]
+    return [Trajectory(records=[], final=final) for final in finals]

@@ -10,7 +10,7 @@ posted means at the start of the round, before the new pull lands.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,11 +72,10 @@ class Curve(NamedTuple):
 
 @dataclass
 class Trajectory:
-    """A complete run: per-round records plus the final state (and run_lanes' curve)."""
+    """A complete run: per-round records plus the final state."""
 
     records: list[RoundRecord]
     final: SimState
-    curve: Curve | None = None
 
 
 def _play(state: SimState, instance: BanditInstance, chosen: int, greedy: int, x: float,
@@ -231,6 +230,24 @@ def curve_of(trajectory: Trajectory, stride: int) -> Curve:
     rows = np.array(rounds) - 1  # round t is row t of the CSV, index t - 1
     return Curve(rounds, np.concatenate(regret)[rows].tolist(),
                  np.concatenate(comp)[rows].tolist())
+
+
+class CurveProbe:
+    """A lockstep.run_lanes probe that reads every lane's curve at curve_rounds(horizon, stride):
+    accounting_totals over the live per-arm views after the credit, as curve_of reads row t."""
+
+    def __init__(self, gap_vector: Sequence[float], horizon: int, stride: int) -> None:
+        self.rounds = curve_rounds(horizon, stride)
+        self._gaps, self._points, self._totals = gap_vector, set(self.rounds), []
+
+    def __call__(self, t: int, arms: Sequence[ArmState]) -> None:
+        if t in self._points:
+            self._totals.append(accounting_totals(self._gaps, arms))
+
+    def curves(self) -> list[Curve]:
+        """One Curve per lane, in the order of run_lanes' lanes."""
+        regret, comp = np.array(self._totals).transpose(1, 2, 0).tolist()  # (2, lanes, points)
+        return [Curve(list(self.rounds), r, c) for r, c in zip(regret, comp)]
 
 
 def trajectory_blocks(trajectory: Trajectory):

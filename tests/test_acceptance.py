@@ -308,7 +308,7 @@ def test_criterion_10_sublinearity(gauss_sweep):
     checks = []
     for policy in ("ucb", "egreedy", "thompson"):
         cell = result.cell(policy, 1.1)
-        at = dict(zip(cell.curve_rounds, cell.regret_curve_mean))
+        at = dict(zip(cell.curve.rounds, cell.curve.regret))
         first, second = at[5000], at[10000] - at[5000]
         checks.append((
             f"{policy} growth {second:.1f} < first-half {first:.1f}",

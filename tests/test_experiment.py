@@ -249,10 +249,10 @@ def test_run_experiment_curves():
                                  "trajectory_stride": 25})
     result = run_experiment(config)
     for cell in result.cells:
-        assert cell.curve_rounds == (25, 50, 75, 100, 120)
-        assert len(cell.regret_curve_mean) == math.ceil(config.horizon / 25)
+        assert cell.curve.rounds == [25, 50, 75, 100, 120]
+        assert len(cell.curve.regret) == math.ceil(config.horizon / 25)
         # cumulative means are non-decreasing
-        assert list(cell.regret_curve_mean) == sorted(cell.regret_curve_mean)
+        assert cell.curve.regret == sorted(cell.curve.regret)
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3, 4])
@@ -325,8 +325,8 @@ def test_sublinear_growth_bernoulli_drift():
     )
     result = run_experiment(config, jobs=2)
     for cell in result.cells:
-        halfway = cell.regret_curve_mean[cell.curve_rounds.index(5000)]
-        full = cell.regret_curve_mean[cell.curve_rounds.index(10000)]
+        halfway = cell.curve.regret[cell.curve.rounds.index(5000)]
+        full = cell.curve.regret[cell.curve.rounds.index(10000)]
         assert full - halfway < halfway, cell.policy.name
 
 

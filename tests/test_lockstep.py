@@ -5,6 +5,7 @@ every work item of run_experiment, must give the SummaryMetrics and the curve
 that derive_seed -> run -> summarize gives for the same inputs.
 """
 
+from dataclasses import astuple
 from statistics import fmean
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftbandit import (
+    ArmState,
     BanditInstance,
     DriftModel,
     ExperimentConfig,
@@ -26,7 +28,7 @@ from driftbandit import (
     summarize,
 )
 from driftbandit.lockstep import Lane, run_lanes
-from driftbandit.mechanism import curve_of
+from driftbandit.mechanism import CurveProbe, curve_of
 from driftbandit.rng import LaneStreams
 
 POLICIES = st.one_of(
@@ -52,12 +54,14 @@ def _one_policy(policy, drifts, options, seeds):
 
 
 def _assert_lanes_equal_scalar(instance, lanes, horizon, stride):
-    played = run_lanes(instance, lanes, horizon, stride=stride)
+    probe = None if stride is None else CurveProbe(instance.gap_vector, horizon, stride)
+    played = run_lanes(instance, lanes, horizon, probe=probe)
     assert len(played) == len(lanes)
-    for got, lane in zip(played, lanes):
+    curves = [None] * len(lanes) if probe is None else probe.curves()
+    for got, curve, lane in zip(played, curves, lanes):
         scalar = run(instance, lane.policy, lane.drift, lane.options, horizon, lane.seed)
         assert summarize(got, instance) == summarize(scalar, instance)
-        assert got.curve == (None if stride is None else curve_of(scalar, stride))
+        assert curve == (None if stride is None else curve_of(scalar, stride))
         assert got.final.arms == scalar.final.arms
 
 
@@ -165,10 +169,40 @@ def test_run_lanes_warm_start_points_read_the_pulls_so_far():
     lanes = [Lane(policy, MechanismOptions(), DriftModel("linear", lipschitz=1.1), seed)
              for seed, policy in enumerate([PolicyKind.ucb(), PolicyKind.thompson(),
                                             PolicyKind.egreedy(4.0), PolicyKind.ucb()])]
-    for got in run_lanes(instance, lanes, 20, stride=7):
-        assert got.curve.rounds == [7, 14, 20]
-        assert got.curve.regret[0] == 2.1
-        assert got.curve.compensation[0] == 0.0
+    probe = CurveProbe(instance.gap_vector, 20, 7)
+    run_lanes(instance, lanes, 20, probe=probe)
+    for curve in probe.curves():
+        assert curve.rounds == [7, 14, 20]
+        assert curve.regret[0] == 2.1
+        assert curve.compensation[0] == 0.0
+
+
+def test_run_lanes_keeps_lane_order_and_probes_after_the_credit():
+    # the two ucb lanes are not consecutive, so they play in separate groups;
+    # engine row j is still lanes[j], for the probe as for the trajectories
+    instance = BanditInstance((0.9, 0.8, 0.6, 0.3), NoiseModel("gaussian", 1.0))
+    policies = [PolicyKind.ucb(), PolicyKind.thompson(), PolicyKind.ucb(),
+                PolicyKind.egreedy(4.0), PolicyKind.thompson()]
+    lanes = [Lane(policy, MechanismOptions(), DriftModel("linear", lipschitz=l),
+                  derive_seed(11, 0, j, 0))
+             for j, (policy, l) in enumerate(zip(policies, (0.0, 1.1, 0.4, 1.1, 0.7)))]
+    horizon, stride = 1500, 40
+    curves = CurveProbe(instance.gap_vector, horizon, stride)
+    rounds, last = [], []
+
+    def probe(t, arms):
+        rounds.append(t)
+        curves(t, arms)
+        if t == horizon:
+            last.append(np.array([astuple(arm) for arm in arms]))  # (K, 5, lanes) copies
+
+    played = run_lanes(instance, lanes, horizon, probe=probe)
+    assert rounds == list(range(1, horizon + 1))
+    for j, (lane, got, curve) in enumerate(zip(lanes, played, curves.curves())):
+        scalar = run(instance, lane.policy, lane.drift, lane.options, horizon, lane.seed)
+        assert [ArmState(*fields) for fields in last[0][:, :, j].tolist()] == scalar.final.arms
+        assert got.final.arms == scalar.final.arms
+        assert curve == curve_of(scalar, stride)
 
 
 def test_lane_streams_thompson_draws_past_shared_refills():
@@ -213,13 +247,13 @@ def test_run_experiment_equals_scalar_items(policies, means, noise, drift, ls, r
             assert cell.rep_metrics == tuple(summarize(r, instance) for r in runs)
             if stride is not None:
                 curves = [curve_of(r, stride) for r in runs]
-                assert cell.curve_rounds == tuple(curves[0].rounds)
-                assert cell.regret_curve_mean == tuple(
-                    fmean(col) for col in zip(*(c.regret for c in curves)))
-                assert cell.comp_curve_mean == tuple(
-                    fmean(col) for col in zip(*(c.compensation for c in curves)))
+                assert cell.curve.rounds == curves[0].rounds
+                assert cell.curve.regret == [
+                    fmean(col) for col in zip(*(c.regret for c in curves))]
+                assert cell.curve.compensation == [
+                    fmean(col) for col in zip(*(c.compensation for c in curves))]
             else:
-                assert cell.curve_rounds is None
+                assert cell.curve is None
 
 
 def test_run_lanes_rejects_what_run_rejects():
@@ -230,8 +264,6 @@ def test_run_lanes_rejects_what_run_rejects():
         run_lanes(instance, [], 20)
     with pytest.raises(ValueError, match="warm start"):
         run_lanes(instance, [ucb], 2)
-    with pytest.raises(ValueError, match="stride"):
-        run_lanes(instance, [ucb], 20, stride=0)
     with pytest.raises(ValueError, match="drift kind"):
         run_lanes(instance, [ucb, Lane(PolicyKind.thompson(), MechanismOptions(),
                                        DriftModel("zero"), 2)], 20)
