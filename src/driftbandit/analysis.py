@@ -20,16 +20,15 @@ from .mechanism import Trajectory, arm_blocks
 class BoundInputs:
     """Everything the closed-form bounds need.
 
-    delta_lower is the posted-mean separation parameter of the Thompson
-    bounds; it is not computable a priori, so by convention it defaults to
-    the minimum pairwise gap of the true means (a proxy, overridable).
+    K and delta_min are read from the gaps.  delta_lower is the posted-mean
+    separation parameter of the Thompson bounds; it is not computable a priori,
+    so by convention it defaults to the minimum pairwise gap of the true means
+    (a proxy, overridable).
     """
 
-    k: int
     horizon: int
     lipschitz: float
     gaps: tuple[float, ...]
-    delta_min: float
     delta_lower: float
     c: float
 
@@ -45,11 +44,16 @@ class BoundInputs:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.c <= 0:
             raise ValueError(f"c must be > 0, got {self.c}")
-        positive = [g for g in self.gaps if g > 0]
-        if not positive:
+        if not any(g > 0 for g in self.gaps):
             raise ValueError("need at least one suboptimal arm")
-        if self.delta_min != min(positive):
-            raise ValueError("delta_min must equal the smallest positive gap")
+
+    @property
+    def k(self) -> int:
+        return len(self.gaps)
+
+    @property
+    def delta_min(self) -> float:
+        return min(g for g in self.gaps if g > 0)
 
     @classmethod
     def from_instance(cls, instance: BanditInstance, *, horizon: int,
@@ -57,8 +61,7 @@ class BoundInputs:
                       delta_lower: float | None = None) -> "BoundInputs":
         if delta_lower is None:
             delta_lower = min_pairwise_gap(instance.arm_means)
-        return cls(k=instance.k, horizon=horizon, lipschitz=lipschitz,
-                   gaps=instance.gap_vector, delta_min=instance.delta_min,
+        return cls(horizon=horizon, lipschitz=lipschitz, gaps=instance.gap_vector,
                    delta_lower=delta_lower, c=c)
 
 

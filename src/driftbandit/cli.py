@@ -1,14 +1,15 @@
 """Command-line front end: single runs, sweeps, bound tables, scripted traces.
 
-Subcommands: run | sweep | bounds | trace.  All outputs are plain CSV/JSON
-(plus an optional gnuplot script next to curve data); reals are serialized
-with 9 significant digits so determinism checks are meaningful.
+Subcommands: run | sweep | bounds | trace.  All outputs are plain CSV/JSON,
+plus a gnuplot script beside each file of curve data: `run` always writes
+trajectory.gp, and `sweep` writes curves.gp whenever it writes curves.csv.
+Every CSV goes through mechanism.write_csv, one row template per file; reals
+are serialized with 9 significant digits so determinism checks are meaningful.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import platform
@@ -32,18 +33,13 @@ from .analysis import (
 )
 from .core import DRIFT_KINDS, NOISE_KINDS, BanditError, BanditInstance, DriftModel, NoiseModel
 from .experiment import ExperimentConfig, ExperimentError, run_experiment
-from .mechanism import (TRAJECTORY_COLUMNS, MechanismOptions, fmt_real, run,
-                        trajectory_blocks, write_trajectory_csv)
+from .mechanism import (CURVE_COLUMNS, CURVE_ROW, SUMMARY_COLUMNS, SUMMARY_ROW, SWEEP_COLUMNS,
+                        SWEEP_ROW, TRAJECTORY_COLUMNS, MechanismOptions, fmt_real, run,
+                        trajectory_blocks, write_csv, write_trajectory_csv)
 from .policies import POLICIES, POLICY_NAMES, PolicyKind
 from .rng import ScriptedRng, ScriptExhaustedError
 
 DEFAULT_MEANS = "0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2,0.1"
-
-SUMMARY_COLUMNS = ("policy", "l", "T", "seed", "regret", "compensation",
-                   "comp_rounds", "arm1_rel_error")
-SWEEP_COLUMNS = ("policy", "l", "regret_mean", "regret_std", "comp_mean",
-                 "comp_std", "comp_rounds_mean", "arm1_err_mean")
-CURVE_COLUMNS = ("policy", "l", "t", "cum_regret_mean", "cum_compensation_mean")
 
 
 def _parsed(flag: str, text: str, make):
@@ -122,12 +118,9 @@ def _cmd_run(args, parser) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, out_dir / "trajectory.csv")
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        writer.writerow((policy.name, fmt_real(args.l), str(args.T), str(args.seed),
-                         fmt_real(metrics.regret), fmt_real(metrics.compensation),
-                         str(metrics.comp_rounds), fmt_real(metrics.arm1_rel_error)))
+    summary = SUMMARY_ROW % (policy.name, args.l, args.T, args.seed, metrics.regret,
+                             metrics.compensation, metrics.comp_rounds, metrics.arm1_rel_error)
+    write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, [[summary]])
     _gnuplot_script(out_dir / "trajectory.gp", "trajectory.csv", 1,
                     {"cum_regret": 9, "cum_compensation": 10})
     config = {
@@ -138,9 +131,7 @@ def _cmd_run(args, parser) -> int:
     }
     _write_manifest(out_dir, "run", args.seed, config,
                     {"summary_csv": "summary.csv", "trajectory_csv": "trajectory.csv"})
-    print(f"policy={policy.name} l={fmt_real(args.l)} T={args.T} seed={args.seed} "
-          f"regret={fmt_real(metrics.regret)} compensation={fmt_real(metrics.compensation)} "
-          f"comp_rounds={metrics.comp_rounds} arm1_rel_error={fmt_real(metrics.arm1_rel_error)}")
+    print(" ".join(f"{c}={v}" for c, v in zip(SUMMARY_COLUMNS, summary.split(","))))
     return 0
 
 
@@ -160,23 +151,14 @@ def _cmd_sweep(args, parser) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {"summary_csv": "sweep.csv"}
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for cell in result.cells:
-            writer.writerow((cell.policy.name, fmt_real(cell.l), fmt_real(cell.regret_mean),
-                             fmt_real(cell.regret_std), fmt_real(cell.comp_mean),
-                             fmt_real(cell.comp_std), fmt_real(cell.comp_rounds_mean),
-                             fmt_real(cell.arm1_err_mean)))
+    write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, [[SWEEP_ROW % (
+        c.policy.name, c.l, c.regret_mean, c.regret_std, c.comp_mean, c.comp_std,
+        c.comp_rounds_mean, c.arm1_err_mean) for c in result.cells]])
     if config.capture_trajectories:
         outputs["curves_csv"] = "curves.csv"
-        with open(out_dir / "curves.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CURVE_COLUMNS)
-            for cell in result.cells:
-                for t, reg, comp in zip(*cell.curve):
-                    writer.writerow((cell.policy.name, fmt_real(cell.l), str(t),
-                                     fmt_real(reg), fmt_real(comp)))
+        write_csv(out_dir / "curves.csv", CURVE_COLUMNS, (
+            [CURVE_ROW % (c.policy.name, c.l, *point) for point in zip(*c.curve)]
+            for c in result.cells))
         _gnuplot_script(out_dir / "curves.gp", "curves.csv", 3,
                         {"cum_regret_mean": 4, "cum_compensation_mean": 5})
     _write_manifest(out_dir, "sweep", config.master_seed, config.to_dict(), outputs)

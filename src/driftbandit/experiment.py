@@ -10,7 +10,8 @@ the lanes of several policies together.  A lockstep round costs about the
 same for few lanes as for many, so the grid is played in as few chunks as
 there are workers: the work units (the lanes of one policy, or a part of
 them when there are fewer policies than workers) are dealt round-robin to
-min(jobs, units) chunks, and each chunk is one lockstep.
+min(jobs, units) chunks, and each chunk is one lockstep, in a worker process of
+its own when there are several.
 """
 
 from __future__ import annotations
@@ -360,8 +361,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> AggregateResult:
     """
     chunks = _chunks(config, max(jobs, 1))
     outcomes: dict[tuple[int, int, int], tuple[SummaryMetrics, Curve | None]] = {}
-    # jobs <= 1 plays in this process, where patches of run and summarize apply
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    # one worker per chunk; a single chunk (always at jobs <= 1) plays in this
+    # process, where patches of run and summarize apply
+    with ProcessPoolExecutor(max_workers=len(chunks)) if len(chunks) > 1 else nullcontext() as pool:
         played = (map if pool is None else pool.map)(_run_chunk, [config] * len(chunks), chunks)
         for chunk in chunks:
             try:

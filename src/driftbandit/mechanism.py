@@ -27,12 +27,6 @@ from .core import (
 from .policies import POLICIES, PolicyKind, greedy_choice, select_arm
 from .rng import NumpyRng, RngStream
 
-TRAJECTORY_COLUMNS = (
-    "t", "chosen", "greedy", "compensated", "compensation",
-    "drift", "raw_reward", "feedback", "cum_regret", "cum_compensation",
-)
-
-
 @dataclass(slots=True)
 class RoundRecord:
     """Audit log for one round."""
@@ -175,8 +169,18 @@ def run(instance: BanditInstance, policy: PolicyKind, drift: DriftModel,
 REAL_FORMAT = "%.9g"  # every real in every CSV and printed line: 9 significant digits
 BLOCK_ROUNDS = 1024  # trajectory rounds formatted and written together
 
-_INT_COLUMNS = frozenset(("t", "chosen", "greedy", "compensated"))
-_ROW_TEMPLATE = ",".join("%d" if c in _INT_COLUMNS else REAL_FORMAT for c in TRAJECTORY_COLUMNS)
+# Each CSV file's columns, and the row template whose `%` over a row's values is its line.
+TRAJECTORY_COLUMNS = ("t", "chosen", "greedy", "compensated", "compensation",
+                      "drift", "raw_reward", "feedback", "cum_regret", "cum_compensation")
+TRAJECTORY_ROW = ",".join(["%d"] * 4 + [REAL_FORMAT] * 6)
+SUMMARY_COLUMNS = ("policy", "l", "T", "seed", "regret", "compensation",
+                   "comp_rounds", "arm1_rel_error")
+SUMMARY_ROW = ",".join(["%s", REAL_FORMAT, "%d", "%d", REAL_FORMAT, REAL_FORMAT, "%d", REAL_FORMAT])
+SWEEP_COLUMNS = ("policy", "l", "regret_mean", "regret_std", "comp_mean",
+                 "comp_std", "comp_rounds_mean", "arm1_err_mean")
+SWEEP_ROW = ",".join(["%s"] + [REAL_FORMAT] * 7)
+CURVE_COLUMNS = ("policy", "l", "t", "cum_regret_mean", "cum_compensation_mean")
+CURVE_ROW = ",".join(["%s", REAL_FORMAT, "%d", REAL_FORMAT, REAL_FORMAT])
 
 
 def fmt_real(x: float) -> str:
@@ -257,8 +261,8 @@ def trajectory_blocks(trajectory: Trajectory):
     trajectory_rows) reads these lines, so the format lives here only.
     """
     for block, regret, comp in cumulative_blocks(trajectory):
-        yield [_ROW_TEMPLATE % (r.t, r.chosen, r.greedy, r.compensated, r.compensation,
-                                r.drift, r.raw_reward, r.feedback, cum_regret, cum_comp)
+        yield [TRAJECTORY_ROW % (r.t, r.chosen, r.greedy, r.compensated, r.compensation,
+                                 r.drift, r.raw_reward, r.feedback, cum_regret, cum_comp)
                for r, cum_regret, cum_comp in zip(block, regret.tolist(), comp.tolist())]
 
 
@@ -269,9 +273,14 @@ def trajectory_rows(trajectory: Trajectory):
             yield tuple(line.split(","))
 
 
-def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    """The header and every row, one block at a time, with csv.writer's CRLF terminator."""
+def write_csv(path, columns: Sequence[str], blocks) -> None:
+    """The writer of every CSV file: the header, then each block of row-template lines at
+    once, each line ended with CRLF as the csv module ends it (no field ever needs quoting)."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
-        for lines in trajectory_blocks(trajectory):
-            fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(",".join(columns) + "\r\n")
+        for lines in blocks:
+            fh.write("\r\n".join([*lines, ""]))  # each line ended, an empty block writes nothing
+
+
+def write_trajectory_csv(trajectory: Trajectory, path) -> None:
+    write_csv(path, TRAJECTORY_COLUMNS, trajectory_blocks(trajectory))

@@ -38,7 +38,7 @@ class PolicyKind:
     c: float | None = None
 
     def __post_init__(self) -> None:
-        rule = POLICIES.get(self.name)
+        rule = POLICIES.get(self.name) if isinstance(self.name, str) else None
         if rule is None:
             raise ValueError(f"unknown policy {self.name!r}, expected one of {POLICY_NAMES}")
         if rule.takes_c:

@@ -44,10 +44,9 @@ T_E = math.e  # ln T = 1
 T_E3 = math.e ** 3  # ln T = 3
 
 
-def inputs(k=2, horizon=3, lipschitz=0.0, gaps=(0.0, 0.5), delta_lower=0.5, c=72.0):
-    positive = [g for g in gaps if g > 0]
-    return BoundInputs(k=k, horizon=horizon, lipschitz=lipschitz, gaps=tuple(gaps),
-                       delta_min=min(positive), delta_lower=delta_lower, c=c)
+def inputs(horizon=3, lipschitz=0.0, gaps=(0.0, 0.5), delta_lower=0.5, c=72.0):
+    return BoundInputs(horizon=horizon, lipschitz=lipschitz, gaps=tuple(gaps),
+                       delta_lower=delta_lower, c=c)
 
 
 # ---------------------------------------------------------------- ucb bounds
@@ -97,8 +96,7 @@ def test_egreedy_arm_slope_monotone_in_l(l1, dl):
 
 def test_egreedy_comp_bound_oracle():
     # max(l,1)(c + sqrt(3c)) K (ln T + 1); frozen from an independent calculator
-    b = BoundInputs(k=9, horizon=20000, lipschitz=1.1,
-                    gaps=tuple(0.1 * i for i in range(9)), delta_min=0.1,
+    b = BoundInputs(horizon=20000, lipschitz=1.1, gaps=tuple(0.1 * i for i in range(9)),
                     delta_lower=0.1, c=4.0)
     assert egreedy_comp_bound(b) == pytest.approx(805.7089166100412, abs=0.5)
 
@@ -143,8 +141,7 @@ def test_thompson_regret_bound_combines_terms():
 
 
 def test_thompson_comp_bound_oracle():
-    b = BoundInputs(k=9, horizon=20000, lipschitz=0.0,
-                    gaps=tuple(0.1 * i for i in range(9)), delta_min=0.1,
+    b = BoundInputs(horizon=20000, lipschitz=0.0, gaps=tuple(0.1 * i for i in range(9)),
                     delta_lower=0.1, c=4.0)
     assert thompson_comp_bound(b) == pytest.approx(17826.27759456503, abs=1.0)
 
@@ -190,8 +187,7 @@ def bound_inputs(draw):
     lipschitz = draw(st.floats(min_value=0, max_value=5))
     delta_lower = draw(st.floats(min_value=0.01, max_value=1.0))
     c = draw(st.floats(min_value=0.5, max_value=500))
-    return BoundInputs(k=k, horizon=horizon, lipschitz=lipschitz, gaps=gaps,
-                       delta_min=min(g for g in gaps if g > 0),
+    return BoundInputs(horizon=horizon, lipschitz=lipschitz, gaps=gaps,
                        delta_lower=delta_lower, c=c)
 
 
@@ -219,11 +215,8 @@ def test_bound_inputs_validation():
     with pytest.raises(ValueError):
         inputs(delta_lower=0.0)
     with pytest.raises(ValueError):
-        BoundInputs(k=2, horizon=10, lipschitz=0.0, gaps=(0.0, 0.5),
-                    delta_min=0.4, delta_lower=0.1, c=4.0)  # wrong delta_min
-    with pytest.raises(ValueError):
-        BoundInputs(k=2, horizon=10, lipschitz=0.0, gaps=(0.0, 0.0),
-                    delta_min=0.0, delta_lower=0.1, c=4.0)  # no suboptimal arm
+        BoundInputs(horizon=10, lipschitz=0.0, gaps=(0.0, 0.0),
+                    delta_lower=0.1, c=4.0)  # no suboptimal arm
     for field in ("lipschitz", "delta_lower", "c"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=field):
@@ -231,6 +224,13 @@ def test_bound_inputs_validation():
     for bad_c in (0.0, -1.0):
         with pytest.raises(ValueError, match="c must be > 0"):
             inputs(c=bad_c)
+
+
+def test_bound_inputs_read_k_and_delta_min_from_the_gaps():
+    b = inputs(gaps=(0.0, 0.5, 0.3, 0.0))
+    assert (b.k, b.delta_min) == (4, 0.3)
+    with pytest.raises(TypeError):
+        BoundInputs(horizon=10, lipschitz=0.0, gaps=(0.0, 0.5), delta_lower=0.1, c=4.0, k=5)
 
 
 def test_bound_inputs_from_instance_defaults_delta_lower():

@@ -283,6 +283,9 @@ def test_sweep_rejects_empty_l_values(tmp_path, capsys):
     ({"replications": DROP}, "missing config key replications"),
     ({"master_seed": DROP}, "missing config key master_seed"),
     ({"policies": [{"c": 3}]}, "missing config key policies[0].name"),
+    # a policy name that is not a string
+    ({"policies": [{"name": ["ucb"]}]}, "policies[0].name"),
+    ({"policies": [{"name": {"kind": "ucb"}}]}, "policies[0].name"),
 ])
 def test_sweep_rejects_bad_config_naming_the_key(tmp_path, capsys, change, key):
     path = write_config(tmp_path, small_config(**change))

@@ -16,6 +16,7 @@ from driftbandit import (
     run_experiment,
     summarize,
 )
+from driftbandit import experiment
 from driftbandit.experiment import _chunks
 
 SMALL_CONFIG = dict(
@@ -164,6 +165,9 @@ def test_config_parses_policy_c():
     ({"replications": DROP}, "missing config key replications"),
     ({"master_seed": DROP}, "missing config key master_seed"),
     ({"policies": [{"name": "ucb"}, {"c": 3}]}, "missing config key policies[1].name"),
+    # a policy name that is not a string
+    ({"policies": [{"name": ["ucb"]}]}, "policies[0].name"),
+    ({"policies": [{"name": {"kind": "ucb"}}]}, "policies[0].name"),
 ])
 def test_config_from_dict_rejects_naming_the_key(change, key):
     data = {**ExperimentConfig(**SMALL_CONFIG).to_dict(), **change}
@@ -270,6 +274,30 @@ def test_chunks_deal_every_triple_once(n_policies, jobs):
     assert len(chunks) == min(jobs, units)
     if jobs == 1:
         assert len(chunks) == 1
+
+
+@pytest.mark.parametrize("l_values,pools", [((0.0,), []), ((0.0, 1.0), [2])])
+def test_run_experiment_opens_one_worker_per_chunk(monkeypatch, l_values, pools):
+    # one policy and one replication: a lane per l, so one chunk or two at jobs=8
+    sizes = []
+
+    class InProcessPool:  # records its size and maps in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+    config = ExperimentConfig(**{**SMALL_CONFIG, "policies": (PolicyKind.ucb(),),
+                                 "l_values": l_values, "replications": 1})
+    assert run_experiment(config, jobs=8) == run_experiment(config, jobs=1)
+    assert sizes == pools
 
 
 def test_run_experiment_rejects_short_horizon():

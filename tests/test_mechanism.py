@@ -1,9 +1,13 @@
+import csv
+import io
 import math
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftbandit import (
@@ -26,12 +30,22 @@ from driftbandit import (
 from driftbandit.core import accounting_totals
 from driftbandit.mechanism import (
     BLOCK_ROUNDS,
+    CURVE_COLUMNS,
+    CURVE_ROW,
     REAL_FORMAT,
+    SUMMARY_COLUMNS,
+    SUMMARY_ROW,
+    SWEEP_COLUMNS,
+    SWEEP_ROW,
+    TRAJECTORY_COLUMNS,
+    TRAJECTORY_ROW,
     arm_blocks,
     cumulative_blocks,
     curve_of,
     fmt_real,
+    write_csv,
 )
+from driftbandit.policies import POLICY_NAMES
 
 NINE_ARM_MEANS = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
 NO_DRIFT = DriftModel("zero")
@@ -342,6 +356,38 @@ def _float_from_bits(bits: int) -> float:
 @example(-2.2250738585072009e-308)
 def test_real_format_formats_like_format_9g(x):
     assert REAL_FORMAT % x == format(x, ".9g") == fmt_real(x)
+
+
+REALS = (st.floats() | st.integers(0, 2**64 - 1).map(_float_from_bits)
+         | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324, 1e+22]))
+# each template field's values, and the field string csv.writer is given for a value
+FIELDS = {"%s": (st.sampled_from(POLICY_NAMES), str),
+          "%d": (st.integers(-2**70, 2**70), str),
+          REAL_FORMAT: (REALS, lambda x: format(x, ".9g"))}
+
+
+@pytest.mark.parametrize("columns,template", [
+    (TRAJECTORY_COLUMNS, TRAJECTORY_ROW), (SUMMARY_COLUMNS, SUMMARY_ROW),
+    (SWEEP_COLUMNS, SWEEP_ROW), (CURVE_COLUMNS, CURVE_ROW)],
+    ids=["trajectory", "summary", "sweep", "curves"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_write_csv_writes_the_bytes_of_csv_writer(columns, template, data):
+    # no field of a template ever needs quoting, so csv.writer would write the same bytes
+    kinds = template.split(",")
+    assert len(kinds) == len(columns)
+    row = st.tuples(*(FIELDS[kind][0] for kind in kinds))
+    blocks = data.draw(st.lists(st.lists(row, max_size=4), max_size=3))
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(columns)
+    for block in blocks:
+        writer.writerows([FIELDS[kind][1](v) for kind, v in zip(kinds, values)]
+                         for values in block)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_csv(Path(tmp) / "rows.csv", columns,
+                  ([template % values for values in block] for block in blocks))
+        assert (Path(tmp) / "rows.csv").read_bytes() == expected.getvalue().encode()
 
 
 def test_write_trajectory_csv_peak_memory_is_bounded(tmp_path):

@@ -1,8 +1,9 @@
-"""`driftbandit run` writes the same bytes as the per-row CSV writer did.
+"""`driftbandit run` writes and prints the same bytes as the per-row CSV writer did.
 
 tests/data/run_digests.json holds the sha256 of each case's trajectory.csv
 and summary.csv as written by the per-row writer (one `accounting_totals`
-and one csv.writer row per round) that `run` used before the blocked writer.
+and one csv.writer row per round) that `run` used before the blocked writer,
+and of its stdout as printed when summary.csv was still written by csv.writer.
 The cases cover every policy, both noise models, linear and clipped drift,
 projection on and off, and horizons on each side of the writer's block edges:
 T = K, 1023, 1024, 1025 and 2 * 1024 + 3.
@@ -50,7 +51,7 @@ def test_every_case_has_pinned_digests():
 def test_run_outputs_match_pinned_digests(tmp_path, capsys, name):
     out = tmp_path / "out"
     assert main(["run", *CASES[name], "--out-dir", str(out)]) == 0
-    capsys.readouterr()
     written = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
                for f in ("trajectory.csv", "summary.csv")}
+    written["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert written == DIGESTS[name]
