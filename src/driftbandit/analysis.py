@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BanditInstance, DiagnosticError, posted_mean
+from .core import BanditInstance, DiagnosticError, at_least, posted_mean
 from .mechanism import Trajectory, arm_blocks
 
 
@@ -33,17 +33,10 @@ class BoundInputs:
     c: float
 
     def __post_init__(self) -> None:
-        if self.horizon < 2:
-            raise ValueError("log-based bounds need horizon >= 2")
-        if self.lipschitz < 0:
-            raise ValueError("lipschitz must be >= 0")
-        if self.delta_lower <= 0:
-            raise ValueError("delta_lower must be > 0")
-        for name in ("lipschitz", "delta_lower", "c"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.c <= 0:
-            raise ValueError(f"c must be > 0, got {self.c}")
+        at_least("horizon", self.horizon, 2)  # the bounds take ln T
+        at_least("lipschitz", self.lipschitz, 0)
+        at_least("delta_lower", self.delta_lower, 0, strict=True)
+        at_least("c", self.c, 0, strict=True)
         if not any(g > 0 for g in self.gaps):
             raise ValueError("need at least one suboptimal arm")
 
@@ -162,9 +155,7 @@ def thompson_comp_bound(inputs: BoundInputs) -> float:
 
 def comp_frequency_bound(delta_lower: float, horizon: int) -> float:
     """Per-arm bound 2 ln T / delta_lower^2 on compensated pulls under
-    Thompson sampling."""
-    if delta_lower <= 0:
-        raise ValueError("delta_lower must be > 0")
+    Thompson sampling (BoundInputs holds delta_lower > 0)."""
     return 2.0 * math.log(horizon) / (delta_lower * delta_lower)
 
 

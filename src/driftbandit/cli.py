@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import platform
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -31,15 +31,26 @@ from .analysis import (
     ucb_comp_bound,
     ucb_regret_bound,
 )
-from .core import DRIFT_KINDS, NOISE_KINDS, BanditError, BanditInstance, DriftModel, NoiseModel
+from .core import (DRIFT_KINDS, NOISE_KINDS, BanditError, BanditInstance, DriftModel, InputError,
+                   NoiseModel)
 from .experiment import ExperimentConfig, ExperimentError, run_experiment
 from .mechanism import (CURVE_COLUMNS, CURVE_ROW, SUMMARY_COLUMNS, SUMMARY_ROW, SWEEP_COLUMNS,
-                        SWEEP_ROW, TRAJECTORY_COLUMNS, MechanismOptions, fmt_real, run,
-                        trajectory_blocks, write_csv, write_trajectory_csv)
+                        SWEEP_ROW, TRAJECTORY_COLUMNS, MechanismOptions, check_run_args, fmt_real,
+                        run, trajectory_blocks, write_csv, write_trajectory_csv)
 from .policies import POLICIES, POLICY_NAMES, PolicyKind
 from .rng import ScriptedRng, ScriptExhaustedError
 
 DEFAULT_MEANS = "0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2,0.1"
+
+
+# the flag of each field that a domain type names in an InputError
+FLAGS = {"sigma": "--sigma", "lipschitz": "--l", "cap": "--cap", "c": "--c",
+         "delta_lower": "--delta-lower", "horizon": "--T"}
+
+
+def _reject(parser: argparse.ArgumentParser, exc: ValueError) -> NoReturn:
+    """Exit 2 with the message of `exc`, an InputError's field read as its flag."""
+    parser.error(f"{FLAGS[exc.field]} {exc.problem}" if isinstance(exc, InputError) else str(exc))
 
 
 def _parsed(flag: str, text: str, make):
@@ -72,27 +83,19 @@ def _simulation(args, parser, draws: str | None = None):
     """(instance, policy, drift, options, stream) from the flags run and trace share.
 
     The stream is run()'s seed argument: --seed, or a ScriptedRng over the
-    comma-separated `draws`.  A bad flag exits 2, checked in the order means
-    and noise, drift, policy, draws, horizon.
+    comma-separated `draws`.  A bad flag exits 2, checked in the order noise,
+    means, drift, policy, draws, horizon.
     """
     try:
         noise = NoiseModel(args.noise, args.sigma)
         instance = _parsed("--means", args.means, lambda s: BanditInstance(s.split(","), noise))
-        if args.drift == "clipped_linear" and (args.cap is None or args.cap < 0):
-            parser.error("--drift clipped_linear requires --cap >= 0")
-        if args.drift != "clipped_linear" and args.cap is not None:
-            parser.error(f"--cap applies to --drift clipped_linear only, not {args.drift}")
         drift = DriftModel(args.drift, lipschitz=args.l, cap=args.cap)
-        takes_c = POLICIES[args.policy].takes_c
-        if takes_c and args.c <= 0:
-            parser.error(f"--c must be > 0 for {args.policy}, got {args.c}")
-        policy = PolicyKind(args.policy, args.c if takes_c else None)
+        policy = PolicyKind(args.policy, args.c if POLICIES[args.policy].takes_c else None)
         stream = args.seed if draws is None else _parsed(
             "--draws", draws, lambda s: ScriptedRng(s.split(",") if s else []))
+        check_run_args(instance, args.T)
     except ValueError as exc:
-        parser.error(str(exc))
-    if args.T < instance.k:
-        parser.error(f"--T {args.T} is shorter than the warm start over {instance.k} arms")
+        _reject(parser, exc)
     options = MechanismOptions(
         project_feedback={"auto": None, "on": True, "off": False}[args.project])
     return instance, policy, drift, options, stream
@@ -138,6 +141,8 @@ def _cmd_run(args, parser) -> int:
 # ---------------------------------------------------------------- sweep
 
 def _cmd_sweep(args, parser) -> int:
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
     try:
         with open(args.config) as fh:
             data = json.load(fh)
@@ -169,19 +174,13 @@ def _cmd_sweep(args, parser) -> int:
 # ---------------------------------------------------------------- bounds
 
 def _cmd_bounds(args, parser) -> int:
-    if args.c <= 0:
-        parser.error(f"--c must be > 0, got {args.c}")
-    if args.T < 2:
-        parser.error(f"--T must be >= 2 for the log-based bounds, got {args.T}")
-    if args.delta_lower is not None and args.delta_lower <= 0:
-        parser.error(f"--delta-lower must be > 0, got {args.delta_lower}")
     try:
         noise = NoiseModel("bernoulli")
         instance = _parsed("--means", args.means, lambda s: BanditInstance(s.split(","), noise))
         inputs = BoundInputs.from_instance(instance, horizon=args.T, lipschitz=args.l,
                                            c=args.c, delta_lower=args.delta_lower)
     except ValueError as exc:
-        parser.error(str(exc))
+        _reject(parser, exc)
     lines = [
         f"inputs: K={inputs.k} T={inputs.horizon} l={fmt_real(inputs.lipschitz)} "
         f"c={fmt_real(inputs.c)} delta={fmt_real(inputs.delta_min)} "
@@ -288,24 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_common(args, parser) -> None:
-    if getattr(args, "l", 0.0) < 0:
-        parser.error("drift coefficient --l must be >= 0 "
-                     "(drift is non-decreasing in compensation and vanishes at zero)")
-    if getattr(args, "sigma", 0.0) < 0:
-        parser.error("--sigma must be >= 0")
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be >= 1")
-    for dest in ("l", "sigma", "cap", "c", "delta_lower"):
-        value = getattr(args, dest, None)
-        if value is not None and not math.isfinite(value):
-            parser.error(f"--{dest.replace('_', '-')} must be finite, got {value}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate_common(args, parser)
     try:
         return args.func(args, parser)
     except (BanditError, ExperimentError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -7,7 +7,7 @@ only statistic visible to the principal and the players.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -34,6 +34,27 @@ class NonUniqueOptimumError(BanditError, ValueError):
 
 class DiagnosticError(BanditError):
     """A run breaks an inequality of the analysis (analysis.ucb_drift_slack)."""
+
+
+class InputError(ValueError):
+    """An input breaks a rule of the type that owns it: str() is "<field> <problem>",
+    and a front end names the field by its own flag or key."""
+
+    def __init__(self, field: str, problem: str) -> None:
+        super().__init__(field, problem)  # both in args, so the error pickles
+        self.field = field
+        self.problem = problem
+
+    def __str__(self) -> str:
+        return f"{self.field} {self.problem}"
+
+
+def at_least(field: str, value: float, low: float, strict: bool = False) -> None:
+    """InputError naming `field` unless `value` is finite and >= low (> low if strict)."""
+    if not abs(value) <= sys.float_info.max:  # nan, infinities and ints beyond float range
+        raise InputError(field, f"must be finite, got {value}")
+    if value < low or (strict and value == low):
+        raise InputError(field, f"must be {'>' if strict else '>='} {low}, got {value}")
 
 
 def gaps(arm_means: Sequence[float]) -> tuple[tuple[float, ...], float]:
@@ -64,11 +85,8 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be finite, got {self.sigma}")
+            raise InputError("kind", f"must be one of {NOISE_KINDS}, got {self.kind!r}")
+        at_least("sigma", self.sigma, 0)
 
 
 @dataclass(frozen=True)
@@ -117,18 +135,14 @@ class DriftModel:
 
     def __post_init__(self) -> None:
         if self.kind not in DRIFT_KINDS:
-            raise ValueError(f"unknown drift kind {self.kind!r}")
-        if self.lipschitz < 0:
-            raise ValueError("lipschitz coefficient must be >= 0")
-        if not math.isfinite(self.lipschitz):
-            raise ValueError(f"lipschitz coefficient must be finite, got {self.lipschitz}")
+            raise InputError("kind", f"must be one of {DRIFT_KINDS}, got {self.kind!r}")
+        at_least("lipschitz", self.lipschitz, 0)
         if self.kind == "clipped_linear":
-            if self.cap is None or self.cap < 0:
-                raise ValueError("clipped_linear requires cap >= 0")
-            if not math.isfinite(self.cap):
-                raise ValueError(f"clipped_linear requires a finite cap, got {self.cap}")
+            if self.cap is None:
+                raise InputError("cap", "is required by clipped_linear")
+            at_least("cap", self.cap, 0)
         elif self.cap is not None:
-            raise ValueError(f"cap is only meaningful for clipped_linear, not {self.kind!r}")
+            raise InputError("cap", f"applies to clipped_linear only, not {self.kind}")
 
 
 def drift_apply(model: DriftModel, x: float) -> float:

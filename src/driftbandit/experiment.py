@@ -16,7 +16,6 @@ its own when there are several.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -25,9 +24,9 @@ from typing import Sequence
 
 from . import analysis
 from .analysis import SummaryMetrics
-from .core import DRIFT_KINDS, NOISE_KINDS, BanditInstance, DriftModel, NoiseModel
+from .core import BanditInstance, DriftModel, InputError, NoiseModel
 from .lockstep import Lane, run_lanes
-from .mechanism import Curve, CurveProbe, MechanismOptions, Trajectory
+from .mechanism import Curve, CurveProbe, MechanismOptions, Trajectory, check_run_args
 from .policies import POLICY_NAMES, PolicyKind
 
 _MASK64 = (1 << 64) - 1
@@ -92,24 +91,21 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.l_values:
             raise ValueError("l_values must be non-empty")
-        if not all(0 <= l < math.inf for l in self.l_values):
-            raise ValueError(f"l_values must be finite and >= 0, got {list(self.l_values)}")
         if not self.policies:
             raise ValueError("policies must be non-empty")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.trajectory_stride < 1:
             raise ValueError("trajectory_stride must be >= 1")
-        if self.horizon < len(self.arm_means):
-            raise ValueError("horizon is shorter than the warm start over all arms")
         if not 0 <= self.master_seed <= _MASK64:
             raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
-        # fail early on bad environment / drift parameters, naming the key
-        noise = _named("noise.kind" if self.noise_kind not in NOISE_KINDS else "noise.sigma",
-                       NoiseModel, self.noise_kind, self.noise_sigma)
-        _named("arm_means", BanditInstance, tuple(self.arm_means), noise)
-        _named("drift_kind" if self.drift_kind not in DRIFT_KINDS else "drift_cap",
-               self.drift_model, self.l_values[0])
+        # fail early on the rules of the domain types, naming the key
+        instance = _named({"kind": "noise.kind", "sigma": "noise.sigma", None: "arm_means"},
+                          self.instance)
+        _named({"horizon": "horizon"}, check_run_args, instance, self.horizon)
+        for i, l in enumerate(self.l_values):
+            _named({"kind": "drift_kind", "cap": "drift_cap", "lipschitz": f"l_values[{i}]"},
+                   self.drift_model, l)
 
     def instance(self) -> BanditInstance:
         return BanditInstance(tuple(self.arm_means), NoiseModel(self.noise_kind, self.noise_sigma))
@@ -198,19 +194,22 @@ def _entries(key: str, value, parse) -> tuple:
     return tuple(parse(f"{key}[{i}]", entry) for i, entry in enumerate(value))
 
 
-def _named(key: str, make, *args):
-    """make(*args), with `key` prefixed to the message of a ValueError it raises."""
+def _named(keys: dict, make, *args):
+    """make(*args), with a ValueError it raises named by its config key: keys[field]
+    in place of an InputError's field, keys[None] before any other message."""
     try:
         return make(*args)
+    except InputError as exc:
+        raise ValueError(f"{keys[exc.field]} {exc.problem}") from exc
     except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from exc
+        raise ValueError(f"{keys[None]}: {exc}") from exc
 
 
 def _policy(key: str, entry: dict) -> PolicyKind:
     _known_keys(key, entry, ("name", "c"))
     name, c = _required(entry, "name", f"{key}.name"), entry.get("c")
     c = None if c is None else _number(f"{key}.c", c)
-    return _named(f"{key}.name" if name not in POLICY_NAMES else f"{key}.c", PolicyKind, name, c)
+    return _named({"name": f"{key}.name", "c": f"{key}.c"}, PolicyKind, name, c)
 
 
 def _flag(key: str, value) -> bool:

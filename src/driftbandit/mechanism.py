@@ -18,6 +18,7 @@ from .core import (
     ArmState,
     BanditInstance,
     DriftModel,
+    InputError,
     SimState,
     WarmStartError,
     accounting_totals,
@@ -130,9 +131,10 @@ def step(state: SimState, policy: PolicyKind, drift: DriftModel,
 
 
 def check_run_args(instance: BanditInstance, horizon: int) -> None:
-    """ValueError unless the horizon covers the warm start."""
+    """InputError naming the horizon unless it covers the warm start."""
     if horizon < instance.k:
-        raise ValueError(f"horizon {horizon} shorter than warm start over {instance.k} arms")
+        raise InputError("horizon", f"{horizon} is shorter than the warm start over "
+                                    f"{instance.k} arms")
 
 
 def curve_rounds(horizon: int, stride: int) -> list[int]:

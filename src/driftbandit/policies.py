@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PolicyView
+from .core import InputError, PolicyView, at_least
 from .rng import LaneStreams, RngStream
 
 
@@ -38,16 +38,14 @@ class PolicyKind:
     c: float | None = None
 
     def __post_init__(self) -> None:
-        rule = POLICIES.get(self.name) if isinstance(self.name, str) else None
-        if rule is None:
-            raise ValueError(f"unknown policy {self.name!r}, expected one of {POLICY_NAMES}")
-        if rule.takes_c:
-            if self.c is None or self.c <= 0:
-                raise ValueError(f"{self.name} requires c > 0")
-            if not math.isfinite(self.c):
-                raise ValueError(f"{self.name} requires a finite c")
+        if self.name not in POLICY_NAMES:
+            raise InputError("name", f"must be one of {POLICY_NAMES}, got {self.name!r}")
+        if POLICIES[self.name].takes_c:
+            if self.c is None:
+                raise InputError("c", f"is required by {self.name}")
+            at_least("c", self.c, 0, strict=True)
         elif self.c is not None:
-            raise ValueError(f"policy {self.name!r} takes no c parameter")
+            raise InputError("c", f"is not taken by {self.name}")
 
     @classmethod
     def ucb(cls) -> "PolicyKind":
@@ -98,13 +96,8 @@ def ucb_select_lanes(view: PolicyView) -> np.ndarray:
 
 
 def epsilon_schedule(c: float, k: int, t: int) -> float:
-    """Exploration probability min(1, cK/t)."""
-    if c <= 0:
-        raise ValueError("c must be > 0")
-    if k < 2:
-        raise ValueError("need at least 2 arms")
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    """Exploration probability min(1, cK/t), unchecked: PolicyKind holds c > 0,
+    BanditInstance K >= 2, and the engines select only at rounds t > K."""
     eps = c * k / t
     return 1.0 if eps > 1.0 else eps
 

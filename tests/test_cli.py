@@ -52,6 +52,7 @@ def test_run_rejects_negative_drift_coefficient(tmp_path, capsys):
     (["trace", "--policy", "ucb", "--l", "nan", "--draws", "0"], "--l"),
     (["bounds", "--delta-lower", "nan"], "--delta-lower"),
     (["bounds", "--c", "inf"], "--c"),
+    (["bounds", "--l", "inf"], "--l"),
 ])
 def test_non_finite_flag_exits_2_naming_it(tmp_path, capsys, args, flag):
     with pytest.raises(SystemExit) as err:
@@ -72,17 +73,17 @@ def test_bounds_non_positive_c_exits_2_naming_it(tmp_path, capsys, c):
 
 @pytest.mark.parametrize("args,message", [
     (["run", "--policy", "ucb", "--drift", "clipped_linear"],
-     "--drift clipped_linear requires --cap >= 0"),
+     "--cap is required by clipped_linear"),
     (["run", "--policy", "ucb", "--drift", "clipped_linear", "--cap", "-0.5"],
-     "--drift clipped_linear requires --cap >= 0"),
+     "--cap must be >= 0, got -0.5"),
     (["trace", "--policy", "ucb", "--drift", "clipped_linear", "--draws", "0"],
-     "--drift clipped_linear requires --cap >= 0"),
+     "--cap is required by clipped_linear"),
     (["run", "--policy", "ucb", "--drift", "linear", "--cap", "0.1"],
-     "--cap applies to --drift clipped_linear only, not linear"),
+     "--cap applies to clipped_linear only, not linear"),
     (["trace", "--policy", "ucb", "--drift", "zero", "--cap", "0.1", "--draws", "0"],
-     "--cap applies to --drift clipped_linear only, not zero"),
-    (["run", "--policy", "egreedy", "--c", "0"], "--c must be > 0 for egreedy"),
-    (["trace", "--policy", "egreedy", "--c", "-1", "--draws", "0"], "--c must be > 0 for egreedy"),
+     "--cap applies to clipped_linear only, not zero"),
+    (["run", "--policy", "egreedy", "--c", "0"], "--c must be > 0, got 0.0"),
+    (["trace", "--policy", "egreedy", "--c", "-1", "--draws", "0"], "--c must be > 0, got -1.0"),
     (["bounds", "--T", "1"], "--T must be >= 2"),
     # derive_seed reads the master seed mod 2^64, so -1 would replay 2^64 - 1
     (["sweep", "--config", str(REPO / "configs" / "nine_arm_sweep.json"), "--seed", "-1"],
@@ -112,6 +113,10 @@ def test_bounds_non_positive_c_exits_2_naming_it(tmp_path, capsys, c):
     (TRACE_ARGS + ["--draws", "0,0,0"],
      "--draws 0,0,0: scripted stream exhausted: draw 4 requested but only 3 values"),
     (["trace", "--policy", "ucb", "--T", "21", "--draws", "0"], "--T 21: trace supports T <= 20"),
+    (["bounds", "--l", "-1"], "--l must be >= 0, got -1.0"),
+    (["trace", "--policy", "ucb", "--sigma", "-1", "--draws", "0"], "--sigma must be >= 0, got -1.0"),
+    # beyond float range, so ln T would overflow; never a run or trace, which would not end
+    (["bounds", "--T", "1" + "0" * 400], "--T must be finite"),
 ])
 def test_library_rejections_exit_2_naming_the_flag(tmp_path, capsys, args, message):
     with pytest.raises(SystemExit) as err:
@@ -286,6 +291,8 @@ def test_sweep_rejects_empty_l_values(tmp_path, capsys):
     # a policy name that is not a string
     ({"policies": [{"name": ["ucb"]}]}, "policies[0].name"),
     ({"policies": [{"name": {"kind": "ucb"}}]}, "policies[0].name"),
+    # json.dumps writes Infinity, which json.load reads back
+    ({"l_values": [0.0, float("inf")]}, "l_values[1]"),
 ])
 def test_sweep_rejects_bad_config_naming_the_key(tmp_path, capsys, change, key):
     path = write_config(tmp_path, small_config(**change))

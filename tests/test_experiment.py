@@ -168,6 +168,7 @@ def test_config_parses_policy_c():
     # a policy name that is not a string
     ({"policies": [{"name": ["ucb"]}]}, "policies[0].name"),
     ({"policies": [{"name": {"kind": "ucb"}}]}, "policies[0].name"),
+    ({"l_values": [0.0, math.inf]}, "l_values[1]"),
 ])
 def test_config_from_dict_rejects_naming_the_key(change, key):
     data = {**ExperimentConfig(**SMALL_CONFIG).to_dict(), **change}

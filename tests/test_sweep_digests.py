@@ -9,12 +9,14 @@ c whose lanes are split over two chunks at --jobs 2.
 """
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
 from driftbandit.cli import main
+from driftbandit.experiment import ExperimentConfig, run_experiment
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
@@ -41,3 +43,18 @@ def test_sweep_outputs_match_pinned_digests(tmp_path, capsys, name, jobs):
     written = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
                for f in DIGESTS[name]}
     assert written == DIGESTS[name]
+
+
+def test_benchmark_sweep_digest_hashes_the_bytes_sweep_writes(tmp_path, capsys):
+    # benchmarks/workloads.py formats sweep.csv again for its digest check;
+    # tie that copy to the bytes `driftbandit sweep` writes
+    spec = importlib.util.spec_from_file_location("workloads", REPO / "benchmarks" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    config_path = DATA / "sweep_bernoulli_clipped.json"
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config_path), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    config = ExperimentConfig.from_dict(json.loads(config_path.read_text()))
+    written = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+    assert written == workloads.sweep_digest(run_experiment(config))
