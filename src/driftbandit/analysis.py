@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BanditInstance, DiagnosticError, at_least, posted_mean
+from .core import BanditInstance, DiagnosticError, accounting_totals, at_least, posted_mean
 from .mechanism import Trajectory, arm_blocks
 
 
@@ -217,9 +217,10 @@ def summarize(trajectory: Trajectory, instance: BanditInstance) -> SummaryMetric
     best = instance.best_arm
     mu_best = instance.arm_means[best]
     rel_err = abs(posted_mean(state.arms[best]) - mu_best) / mu_best
+    regret, compensation = accounting_totals(state.gap_vector, state.arms)
     return SummaryMetrics(
-        regret=state.cum_regret,
-        compensation=state.cum_compensation,
+        regret=regret,
+        compensation=compensation,
         comp_rounds=sum(a.comp_count for a in state.arms),
         arm1_rel_error=rel_err,
         per_arm=tuple((a.pulls, a.comp_count, a.drift_sum) for a in state.arms),

@@ -231,35 +231,42 @@ def _whole(key: str, value) -> int:
     return int(value)
 
 
+def _stats(name: str) -> tuple[property, property, property]:
+    """Read-only views of the mean and std (aggregate) and the median of
+    [float(m.<name>) for m in rep_metrics], in replication order."""
+    def values(cell: CellResult) -> list[float]:
+        return [float(getattr(m, name)) for m in cell.rep_metrics]
+    return (property(lambda cell: aggregate(values(cell))[0]),
+            property(lambda cell: aggregate(values(cell))[1]),
+            property(lambda cell: median(values(cell))))
+
+
 @dataclass(frozen=True)
 class CellResult:
-    """Aggregated metrics for one (policy, l) grid cell.
+    """One (policy, l) grid cell: every replication's summary in replication
+    order, and statistics read from them when asked for (none is stored).
 
-    The medians describe the middle replication, which is what a single-run
-    reference value should be compared with; the means are the expectation
-    estimates.  `rep_metrics` keeps every replication's summary in
-    replication order, so a tail that carries a mean can be traced to its
-    runs.  `curve` is the mean of the replications' curves, point by point
-    (None unless the config captures trajectories).
+    So a tail that carries a mean can be traced to its runs.  The medians
+    describe the middle replication, which is what a single-run reference
+    value should be compared with; the means are the expectation estimates.
+    `curve` is the mean of the replications' curves, point by point (None
+    unless the config captures trajectories).
     """
 
     policy: PolicyKind
     l: float
-    regret_mean: float
-    regret_std: float
-    comp_mean: float
-    comp_std: float
-    comp_rounds_mean: float
-    comp_rounds_std: float
-    arm1_err_mean: float
-    arm1_err_std: float
-    regret_median: float
-    comp_median: float
-    comp_rounds_median: float
-    arm1_err_median: float
     rep_metrics: tuple[SummaryMetrics, ...]
-    comp_count_per_arm_mean: tuple[float, ...] = ()
-    curve: Curve | None = None
+    curve: Curve | None
+
+    regret_mean, regret_std, regret_median = _stats("regret")
+    comp_mean, comp_std, comp_median = _stats("compensation")
+    comp_rounds_mean, comp_rounds_std, comp_rounds_median = _stats("comp_rounds")
+    arm1_err_mean, arm1_err_std, arm1_err_median = _stats("arm1_rel_error")
+
+    @property
+    def comp_count_per_arm_mean(self) -> tuple[float, ...]:
+        return tuple(fmean(m.per_arm[i][1] for m in self.rep_metrics)
+                     for i in range(len(self.rep_metrics[0].per_arm)))
 
 
 @dataclass(frozen=True)
@@ -323,33 +330,12 @@ def _chunks(config: ExperimentConfig, jobs: int) -> list[Chunk]:
     return [tuple(lane for unit in units[c::count] for lane in unit) for c in range(count)]
 
 
-def _aggregate_cell(policy: PolicyKind, l: float,
-                    outcomes: list[tuple[SummaryMetrics, Curve | None]]) -> CellResult:
-    metrics = [m for m, _ in outcomes]
-    regret_xs = [m.regret for m in metrics]
-    comp_xs = [m.compensation for m in metrics]
-    rounds_xs = [float(m.comp_rounds) for m in metrics]
-    err_xs = [m.arm1_rel_error for m in metrics]
-    regret, comp, rounds, err = (aggregate(xs) for xs in
-                                 (regret_xs, comp_xs, rounds_xs, err_xs))
-    k = len(metrics[0].per_arm)
-    per_arm_comp = tuple(fmean(m.per_arm[i][1] for m in metrics) for i in range(k))
-    curves = [c for _, c in outcomes if c is not None]
-    curve = None
-    if curves:
-        curve = Curve(curves[0].rounds, [fmean(col) for col in zip(*(c.regret for c in curves))],
-                      [fmean(col) for col in zip(*(c.compensation for c in curves))])
-    return CellResult(
-        policy=policy, l=l,
-        regret_mean=regret[0], regret_std=regret[1],
-        comp_mean=comp[0], comp_std=comp[1],
-        comp_rounds_mean=rounds[0], comp_rounds_std=rounds[1],
-        arm1_err_mean=err[0], arm1_err_std=err[1],
-        regret_median=median(regret_xs), comp_median=median(comp_xs),
-        comp_rounds_median=median(rounds_xs), arm1_err_median=median(err_xs),
-        rep_metrics=tuple(metrics),
-        comp_count_per_arm_mean=per_arm_comp, curve=curve,
-    )
+def _mean_curve(curves: tuple[Curve | None, ...]) -> Curve | None:
+    """The point-by-point mean of a cell's replication curves (None if none were captured)."""
+    if curves[0] is None:
+        return None
+    return Curve(curves[0].rounds, [fmean(col) for col in zip(*(c.regret for c in curves))],
+                 [fmean(col) for col in zip(*(c.compensation for c in curves))])
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> AggregateResult:
@@ -373,8 +359,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> AggregateResult:
     cells = []
     for p_idx, policy in enumerate(config.policies):
         for l_idx, l in enumerate(config.l_values):
-            per_cell = [outcomes[(p_idx, l_idx, rep)] for rep in range(config.replications)]
-            cells.append(_aggregate_cell(policy, l, per_cell))
+            metrics, curves = zip(*(outcomes[p_idx, l_idx, rep]
+                                    for rep in range(config.replications)))
+            cells.append(CellResult(policy, l, metrics, _mean_curve(curves)))
     return AggregateResult(config=config, cells=tuple(cells))
 
 

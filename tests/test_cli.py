@@ -126,6 +126,25 @@ def test_library_rejections_exit_2_naming_the_flag(tmp_path, capsys, args, messa
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_sweep_jobs_below_1_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["sweep", "--config", str(REPO / "configs" / "nine_arm_sweep.json"),
+                 "--jobs", "0", "--out-dir", str(tmp_path)])
+    assert err.value.code == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_run_into_a_file_exits_1_naming_the_command(tmp_path, capsys):
+    # an error raised while running (here by mkdir) is reported, not a traceback
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run_cli(["run", "--policy", "ucb", "--T", "20", "--out-dir", str(taken)]) == 1
+    assert "error in run: [Errno 17] File exists" in capsys.readouterr().err
+    assert taken.read_text() == ""
+    assert list(tmp_path.iterdir()) == [taken]  # no manifest or other output
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
@@ -280,6 +299,7 @@ def test_sweep_rejects_empty_l_values(tmp_path, capsys):
     ({"policies": {"name": "ucb"}}, "policies must be a JSON array"),
     ({"policies": "ucb"}, "policies must be a JSON array"),
     ({"project_feedback": [1]}, "project_feedback must be a JSON object"),
+    ({"policies": []}, "policies must be non-empty"),
     # a required key left out, named with its path
     ({"horizon": DROP}, "missing config key horizon"),
     ({"arm_means": DROP}, "missing config key arm_means"),

@@ -157,6 +157,7 @@ def test_config_parses_policy_c():
     ({"policies": {"name": "ucb"}}, "policies must be a JSON array"),
     ({"policies": "ucb"}, "policies must be a JSON array"),
     ({"project_feedback": [1]}, "project_feedback must be a JSON object"),
+    ({"policies": []}, "policies must be non-empty"),
     # a required key left out, named with its path
     ({"arm_means": DROP}, "missing config key arm_means"),
     ({"policies": DROP}, "missing config key policies"),
@@ -247,6 +248,8 @@ def test_run_experiment_cell_grid():
         ("ucb", 0.0), ("ucb", 1.0), ("thompson", 0.0), ("thompson", 1.0)]
     cell = result.cell("ucb", 1.0)
     assert cell.regret_mean >= 0.0
+    with pytest.raises(KeyError, match=re.escape("no cell for (ucb, 0.5)")):
+        result.cell("ucb", 0.5)
 
 
 def test_run_experiment_curves():

@@ -34,6 +34,8 @@ def test_ucb_index_values():
 def test_ucb_index_rejects_zero_pulls():
     with pytest.raises(ValueError):
         ucb_index(0.5, 0, 10)
+    with pytest.raises(ValueError, match="t >= 1"):
+        ucb_index(0.5, 1, 0)
 
 
 @given(

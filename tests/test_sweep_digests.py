@@ -45,16 +45,31 @@ def test_sweep_outputs_match_pinned_digests(tmp_path, capsys, name, jobs):
     assert written == DIGESTS[name]
 
 
-def test_benchmark_sweep_digest_hashes_the_bytes_sweep_writes(tmp_path, capsys):
-    # benchmarks/workloads.py formats sweep.csv again for its digest check;
-    # tie that copy to the bytes `driftbandit sweep` writes
+def _workloads():
+    """benchmarks/workloads.py, loaded by path (benchmarks/ is not a package)."""
     spec = importlib.util.spec_from_file_location("workloads", REPO / "benchmarks" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_sweep_digest_hashes_the_bytes_sweep_writes(tmp_path, capsys):
+    # benchmarks/workloads.py formats sweep.csv again for its digest check;
+    # tie that copy to the bytes `driftbandit sweep` writes
     config_path = DATA / "sweep_bernoulli_clipped.json"
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(config_path), "--out-dir", str(out)]) == 0
     capsys.readouterr()
     config = ExperimentConfig.from_dict(json.loads(config_path.read_text()))
     written = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
-    assert written == workloads.sweep_digest(run_experiment(config))
+    assert written == _workloads().sweep_digest(run_experiment(config))
+
+
+@pytest.mark.parametrize("pick", [(0, 0), (1, 2), (3, 1)])
+def test_benchmark_cell_check_passes(pick):
+    # the benchmark's own check of a sweep: every cell in grid order, finite and
+    # non-negative, and the picked cell equal to its scalar recomputation
+    # (derive_seed -> run -> summarize -> aggregate)
+    config = ExperimentConfig.from_dict(
+        json.loads((DATA / "sweep_bernoulli_clipped.json").read_text()))
+    assert _workloads().failed_cells(config, run_experiment(config), pick, None) == set()
