@@ -299,7 +299,6 @@ def test_sweep_rejects_empty_l_values(tmp_path, capsys):
     ({"policies": {"name": "ucb"}}, "policies must be a JSON array"),
     ({"policies": "ucb"}, "policies must be a JSON array"),
     ({"project_feedback": [1]}, "project_feedback must be a JSON object"),
-    ({"policies": []}, "policies must be non-empty"),
     # a required key left out, named with its path
     ({"horizon": DROP}, "missing config key horizon"),
     ({"arm_means": DROP}, "missing config key arm_means"),
@@ -313,6 +312,8 @@ def test_sweep_rejects_empty_l_values(tmp_path, capsys):
     ({"policies": [{"name": {"kind": "ucb"}}]}, "policies[0].name"),
     # json.dumps writes Infinity, which json.load reads back
     ({"l_values": [0.0, float("inf")]}, "l_values[1]"),
+    # an empty policy list (kept last so the earlier case ids hold)
+    ({"policies": []}, "policies must be non-empty"),
 ])
 def test_sweep_rejects_bad_config_naming_the_key(tmp_path, capsys, change, key):
     path = write_config(tmp_path, small_config(**change))

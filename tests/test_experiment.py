@@ -157,7 +157,6 @@ def test_config_parses_policy_c():
     ({"policies": {"name": "ucb"}}, "policies must be a JSON array"),
     ({"policies": "ucb"}, "policies must be a JSON array"),
     ({"project_feedback": [1]}, "project_feedback must be a JSON object"),
-    ({"policies": []}, "policies must be non-empty"),
     # a required key left out, named with its path
     ({"arm_means": DROP}, "missing config key arm_means"),
     ({"policies": DROP}, "missing config key policies"),
@@ -170,6 +169,8 @@ def test_config_parses_policy_c():
     ({"policies": [{"name": ["ucb"]}]}, "policies[0].name"),
     ({"policies": [{"name": {"kind": "ucb"}}]}, "policies[0].name"),
     ({"l_values": [0.0, math.inf]}, "l_values[1]"),
+    # an empty policy list (kept last so the earlier case ids hold)
+    ({"policies": []}, "policies must be non-empty"),
 ])
 def test_config_from_dict_rejects_naming_the_key(change, key):
     data = {**ExperimentConfig(**SMALL_CONFIG).to_dict(), **change}
