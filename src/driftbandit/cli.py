@@ -115,11 +115,10 @@ def _cmd_run(args, parser) -> int:
     instance, policy, drift, options, seed = _simulation(args, parser)
     if seed < 0:
         parser.error(f"--seed must be >= 0, got {seed}")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before playing, so a bad --out-dir fails fast
     traj = run(instance, policy, drift, options, args.T, seed)
     metrics = summarize(traj, instance)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, out_dir / "trajectory.csv")
     summary = SUMMARY_ROW % (policy.name, args.l, args.T, args.seed, metrics.regret,
                              metrics.compensation, metrics.comp_rounds, metrics.arm1_rel_error)
@@ -151,10 +150,9 @@ def _cmd_sweep(args, parser) -> int:
         config = ExperimentConfig.from_dict(data)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         parser.error(f"invalid config {args.config}: {exc}")
-    result = run_experiment(config, jobs=args.jobs)
-
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before playing, so a bad --out-dir fails fast
+    result = run_experiment(config, jobs=args.jobs)
     outputs = {"summary_csv": "sweep.csv"}
     write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, [[SWEEP_ROW % (
         c.policy.name, c.l, c.regret_mean, c.regret_std, c.comp_mean, c.comp_std,

@@ -161,7 +161,8 @@ def lane_drift(models: Sequence[DriftModel]):
     """drift_apply for many lanes at once: x[j] -> drift_apply(models[j], x[j]).
 
     The models may differ only in their Lipschitz coefficient.  Returns a
-    function of the (lanes,) compensation array, which must be >= 0.
+    function apply(x, out) that writes the drift of the (lanes,) compensation
+    array x, which must be >= 0, into out.
     """
     kinds = {(m.kind, m.cap) for m in models}
     if len(kinds) != 1:
@@ -169,11 +170,13 @@ def lane_drift(models: Sequence[DriftModel]):
     kind, cap = kinds.pop()
     lipschitz = np.array([m.lipschitz for m in models])
 
-    def apply(x: np.ndarray) -> np.ndarray:
+    def apply(x: np.ndarray, out: np.ndarray) -> None:
         if kind == "zero":
-            return np.zeros_like(x)
-        b = lipschitz * x
-        return np.minimum(b, cap) if kind == "clipped_linear" else b
+            out.fill(0.0)
+            return
+        np.multiply(lipschitz, x, out=out)
+        if kind == "clipped_linear":
+            np.minimum(out, cap, out=out)
 
     return apply
 
@@ -275,18 +278,27 @@ def sample_reward(instance: BanditInstance, arm: int, rng: RngStream) -> float:
 
 
 def lane_rewards(instance: BanditInstance):
-    """sample_reward for many lanes at once.
+    """sample_reward for many lanes at once, in two steps: returns (draw, reward).
 
-    Returns a function of (arms, draws): lane j pulls arms[j] and draws from
-    its own stream in `draws`, exactly as sample_reward would.
+    draw(draws) is the one value sample_reward draws, for every lane of a
+    LaneStreams; reward(arms, drawn) is lane j's reward for pulling arms[j]
+    with its value drawn[j], exactly as sample_reward would give it.
     """
     means = np.asarray(instance.arm_means)
     noise = instance.noise
+    if noise.kind == "bernoulli":
+        def draw(draws: LaneStreams) -> np.ndarray:
+            return draws.uniform()
 
-    def sample(arms: np.ndarray, draws: LaneStreams) -> np.ndarray:
-        mu = means[arms]
-        if noise.kind == "bernoulli":
-            return np.where(draws.uniform() < mu, 1.0, 0.0)
-        return mu + noise.sigma * draws.normal()
+        def reward(arms: np.ndarray, drawn: np.ndarray) -> np.ndarray:
+            return np.where(drawn < means.take(arms), 1.0, 0.0)
+    else:
+        sigma = noise.sigma
 
-    return sample
+        def draw(draws: LaneStreams) -> np.ndarray:
+            return draws.normal()
+
+        def reward(arms: np.ndarray, drawn: np.ndarray) -> np.ndarray:
+            return means.take(arms) + sigma * drawn
+
+    return draw, reward

@@ -3,17 +3,20 @@
 Each lane is one mechanism.run with its own policy, options, drift coefficient
 and seed.  The lanes advance together as (lanes, K) arrays whose row j is
 lanes[j].  Each consecutive run of lanes with the same policy and resolved
-options forms a group: a slice of the rows with its own LaneStreams, where
-the policy's lane rule selects and the rewards are drawn.  The greedy pick,
-compensation, drift and credit run once over all lanes, in one round loop
-whose first K rounds are the warm start.  Every lane does the scalar loop's
-float operations in the same order and draws its own NumpyRng stream in the
-documented per-round order, so each lane ends with the ArmStates that
-mechanism.run gives for the same inputs, equal under ==.  An optional probe
-reads the live state after each round's credit; mechanism.CurveProbe reads
-the curves that mechanism.curve_of reads from the scalar runs.
-mechanism.run stays the executable spec; records and scripted streams exist
-only there.
+options forms a group: a slice of the rows with its own LaneStreams.  A group
+does only what differs by policy: its rule's lane form writes the group's
+rows of one bonus array or returns an override (policies), and it draws its
+reward noise into the group's rows of one buffer.  Everything else runs once
+over all lanes, in one round loop whose first K rounds are the warm start:
+one index posted + bonus, one argmax for the chosen and the greedy arms, the
+overrides, the compensation, drift and rewards (core), and one credit of the
+five ArmState fields.  Every lane does the scalar loop's float operations in
+the same order and draws its own NumpyRng stream in the documented per-round
+order, so each lane ends with the ArmStates that mechanism.run gives for the
+same inputs, equal under ==.  An optional probe reads the live state after
+each round's credit; mechanism.CurveProbe reads the curves that
+mechanism.curve_of reads from the scalar runs.  mechanism.run stays the
+executable spec; records and scripted streams exist only there.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .core import (
     lane_rewards,
 )
 from .mechanism import MechanismOptions, Trajectory, check_run_args
-from .policies import POLICIES, PolicyKind, greedy_choice_lanes
+from .policies import PolicyKind
 from .rng import LaneStreams
 
 
@@ -47,13 +50,17 @@ class Lane(NamedTuple):
 
 
 class _Group(NamedTuple):
-    """A consecutive run of lanes with one policy and resolved options: rows of the arrays."""
+    """A consecutive run of lanes with one policy and resolved options."""
 
-    rows: slice
-    select: Callable[[PolicyView, float | None, LaneStreams], np.ndarray]  # select_lanes
+    lane_form: Callable  # PolicyRule.lane_form: (view, c, draws, bonus) -> override or None
     c: float | None
     draws: LaneStreams
-    project: bool
+    # the group's rows of the engine's arrays, as views
+    posted: np.ndarray
+    pulls: np.ndarray
+    bonus: np.ndarray
+    chosen: np.ndarray
+    drawn: np.ndarray
 
 
 def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
@@ -72,59 +79,85 @@ def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
     if not lanes:
         raise ValueError("need at least one lane")
     check_run_args(instance, horizon)
+    n, k = len(lanes), instance.k
+    drift = lane_drift([lane.drift for lane in lanes])
+    draw, reward = lane_rewards(instance)
+
+    # state[f, j*K + i] = fields[f, j, i]: ArmState field f of lane j's arm i
+    state = np.zeros((5, n * k))
+    fields = state.reshape(5, n, k)
+    pulls, feedback = fields[:2]
+    arms = [ArmState(*fields[:, :, i]) for i in range(k)]  # what the probe reads
+    bonus = np.zeros((n, k))  # 0.0 in the rows of a rule that writes no bonus
+    # scores[0], the principal's index posted + bonus, over scores[1], the posted means:
+    # one argmax gives both picks, the chosen arms over the player's greedy arms
+    scores = np.empty((2, n, k))
+    index, posted = scores
+    picks = np.empty((2, n), dtype=np.int64)
+    chosen, greedy = picks
+    first = np.tile(np.arange(n) * k, (2, 1))  # cell of each lane's arm 0
+    cells = np.empty((2, n), dtype=np.int64)  # the cells of the picks
+    at = cells[0]  # the cell each lane pulls
+    posted_at = posted.reshape(-1)
+    state_at = state.reshape(-1)
+    field_at = np.arange(5)[:, None] * (n * k)  # state_at index of each field's cell 0
+    credited = np.empty((5, n), dtype=np.int64)  # state_at index of the fields of each pull
+    drawn = np.empty(n)
+    # the credit of a round, field by field: one pull, its feedback, drift, paid, compensation
+    credit = np.zeros((5, n))
+    credit[0] = 1.0
+    fb, b, paid, x = credit[1:]
+    projected = []  # fb's rows of the groups that project their feedback
+
     groups = []
     start = 0
     for (policy, options), same in groupby(
             lanes, lambda lane: (lane.policy, lane.options.resolve(lane.policy))):
         seeds = [lane.seed for lane in same]
-        groups.append(_Group(slice(start, start + len(seeds)), POLICIES[policy.name].select_lanes,
-                             policy.c, LaneStreams(seeds), options.project_feedback))
+        rows = slice(start, start + len(seeds))
+        groups.append(_Group(policy.rule.lane_form, policy.c, LaneStreams(seeds), posted[rows],
+                             pulls[rows], bonus[rows], chosen[rows], drawn[rows]))
+        if options.project_feedback:
+            projected.append(fb[rows])
         start += len(seeds)
-    n, k = len(lanes), instance.k
-    drift = lane_drift([lane.drift for lane in lanes])
-    reward = lane_rewards(instance)
 
-    # fields[f][j, i]: ArmState field f of lane j's arm i; the flat views index (lane, arm) cells
-    fields = [np.zeros((n, k)) for _ in range(5)]
-    pulls, feedback = fields[:2]
-    pulls_at, feedback_at, drift_at, comp_count_at, comp_sum_at = (a.reshape(-1) for a in fields)
-    first = np.arange(n) * k  # flat index of each lane's arm 0
-    arms = [ArmState(*(a[:, i] for a in fields)) for i in range(k)]  # what the probe reads
-
-    chosen = np.empty(n, dtype=np.int64)
-    r = np.empty(n)
-    unpaid = np.zeros(n)
     for t in range(1, horizon + 1):
         if t <= k:  # the warm start: arm t-1 in every lane, the player follows, nothing paid
-            chosen.fill(t - 1)
-            greedy, x = chosen, unpaid
+            for g in groups:
+                g.drawn[...] = draw(g.draws)
+            picks.fill(t - 1)
+            np.add(first, picks, out=cells)
+            x.fill(0.0)
         else:
-            posted = feedback / pulls
-            for g in groups:  # each lane draws for its selection here, then for its reward
-                rows = g.rows
-                chosen[rows] = g.select(PolicyView(t, posted[rows], pulls[rows]), g.c, g.draws)
-            greedy = greedy_choice_lanes(PolicyView(t, posted, pulls))
-            posted_at = posted.reshape(-1)
-            x = posted_at[first + greedy] - posted_at[first + chosen]  # 0.0 where unpaid
-        for g in groups:
-            r[g.rows] = reward(chosen[g.rows], g.draws)
-        at = first + chosen
-        b = drift(x)
-        fb = r + b
-        for g in groups:
-            if g.project:
-                np.clip(fb[g.rows], 0.0, 1.0, out=fb[g.rows])
-        pulls_at[at] += 1.0
-        feedback_at[at] += fb
-        drift_at[at] += b
-        comp_count_at[at] += chosen != greedy
-        comp_sum_at[at] += x
+            np.divide(feedback, pulls, out=posted)
+            overrides = []
+            for g in groups:  # each lane draws for its selection, then for its reward
+                override = g.lane_form(PolicyView(t, g.posted, g.pulls), g.c, g.draws, g.bonus)
+                if override is not None:
+                    overrides.append((g.chosen, override))
+                g.drawn[...] = draw(g.draws)
+            np.add(posted, bonus, out=index)
+            scores.reshape(2 * n, k).argmax(axis=1, out=picks.reshape(-1))
+            for group_chosen, (rows, arms_of_rows) in overrides:
+                group_chosen[rows] = arms_of_rows
+            np.add(first, picks, out=cells)
+            picked = posted_at.take(cells)  # the posted means of the picks
+            np.subtract(picked[1], picked[0], out=x)
+        paid[...] = chosen != greedy
+        drift(x, out=b)
+        np.add(reward(chosen, drawn), b, out=fb)
+        for rows_fb in projected:
+            np.clip(rows_fb, 0.0, 1.0, out=rows_fb)
+        np.add(field_at, at, out=credited)
+        pulled = state_at.take(credited)
+        pulled += credit
+        state_at[credited] = pulled
         if probe is not None:
             probe(t, arms)
 
-    # cells[j][i]: the five ArmState fields of lane j's arm i, in field order
-    cells = np.stack(fields, axis=-1).tolist()
+    # lane_cells[j][i]: the five ArmState fields of lane j's arm i, in field order
+    lane_cells = fields.transpose(1, 2, 0).tolist()
     finals = [SimState(round=horizon + 1, gap_vector=instance.gap_vector, rng=None,
                        arms=[ArmState(int(p), f, d, int(cc), cs) for p, f, d, cc, cs in lane])
-              for lane in cells]
+              for lane in lane_cells]
     return [Trajectory(records=[], final=final) for final in finals]

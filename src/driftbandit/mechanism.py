@@ -25,7 +25,7 @@ from .core import (
     drift_apply,
     sample_reward,
 )
-from .policies import POLICIES, PolicyKind, greedy_choice, select_arm
+from .policies import PolicyKind, greedy_choice, select_arm
 from .rng import NumpyRng, RngStream
 
 @dataclass(slots=True)
@@ -46,7 +46,7 @@ class RoundRecord:
 @dataclass(frozen=True)
 class MechanismOptions:
     """The loop's option: project_feedback=None means "policy default"
-    (POLICIES[name].projects_feedback).  resolve() pins it; warm_start() and
+    (policy.rule.projects_feedback).  resolve() pins it; warm_start() and
     step() take resolved options only."""
 
     project_feedback: bool | None = None
@@ -54,7 +54,7 @@ class MechanismOptions:
     def resolve(self, policy: PolicyKind) -> "MechanismOptions":
         if self.project_feedback is not None:
             return self
-        return replace(self, project_feedback=POLICIES[policy.name].projects_feedback)
+        return replace(self, project_feedback=policy.rule.projects_feedback)
 
 
 class Curve(NamedTuple):

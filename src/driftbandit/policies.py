@@ -6,12 +6,16 @@ are not reachable from here.  Ties break to the lowest arm index everywhere,
 and a uniform draw u maps to arm floor(u * K), so scripted-stream traces are
 exact.
 
-Each rule also has a lane form for the lockstep engine: the view's posted
-means and pulls are (lanes, K) float arrays, the draws come from a
-LaneStreams, and the result is one arm per lane.  A lane form does the
-scalar form's float operations in the same order and draws in the same
-order, and np.argmax keeps the first maximum like _argmax, so each lane
-picks what the scalar rule would.
+Each rule also has a lane form for the lockstep engine, which scores every
+lane's arms as posted + bonus and takes the first maximum of each row.  The
+view's posted means and pulls are the group's (lanes, K) float rows, and the
+draws come from a LaneStreams.  A lane form writes its index bonus into the
+group's rows of the engine's bonus array (UCB s/sqrt(n), Thompson
+z/sqrt(n+1)); a rule without one leaves them at 0.0, and posted + 0.0 has the
+argmax of posted.  A lane form may instead return an override, (rows, arms):
+those rows of the group take those arms.  It does the scalar form's float
+operations in the same order and draws in the same order, and np.argmax keeps
+the first maximum like _argmax, so each lane picks what the scalar rule would.
 """
 
 from __future__ import annotations
@@ -40,12 +44,16 @@ class PolicyKind:
     def __post_init__(self) -> None:
         if self.name not in POLICY_NAMES:
             raise InputError("name", f"must be one of {POLICY_NAMES}, got {self.name!r}")
-        if POLICIES[self.name].takes_c:
+        if self.rule.takes_c:
             if self.c is None:
                 raise InputError("c", f"is required by {self.name}")
             at_least("c", self.c, 0, strict=True)
         elif self.c is not None:
             raise InputError("c", f"is not taken by {self.name}")
+
+    @property
+    def rule(self) -> "PolicyRule":
+        return POLICIES[self.name]
 
     @classmethod
     def ucb(cls) -> "PolicyKind":
@@ -90,9 +98,9 @@ def ucb_select(view: PolicyView) -> int:
     return _argmax(scores)
 
 
-def ucb_select_lanes(view: PolicyView) -> np.ndarray:
-    s = math.sqrt(2.0 * math.log(view.t))
-    return (view.posted + s / np.sqrt(view.pulls)).argmax(axis=1)
+def ucb_bonus_lanes(view: PolicyView, bonus: np.ndarray) -> None:
+    np.sqrt(view.pulls, out=bonus)
+    np.divide(math.sqrt(2.0 * math.log(view.t)), bonus, out=bonus)
 
 
 def epsilon_schedule(c: float, k: int, t: int) -> float:
@@ -116,15 +124,14 @@ def egreedy_select(view: PolicyView, c: float, rng: RngStream) -> int:
     return _argmax(view.posted)
 
 
-def egreedy_select_lanes(view: PolicyView, c: float, draws: LaneStreams) -> np.ndarray:
+def egreedy_override_lanes(view: PolicyView, c: float, draws: LaneStreams
+                           ) -> tuple[np.ndarray, np.ndarray] | None:
     k = view.posted.shape[1]
-    eps = epsilon_schedule(c, k, view.t)
-    chosen = view.posted.argmax(axis=1)
-    explore = np.flatnonzero(draws.uniform() < eps)
-    if explore.size:
-        arm = (draws.uniform(explore) * k).astype(np.int64)
-        chosen[explore] = np.minimum(arm, k - 1)
-    return chosen
+    explore = (draws.uniform() < epsilon_schedule(c, k, view.t)).nonzero()[0]
+    if not explore.size:
+        return None
+    arm = (draws.uniform(explore) * k).astype(np.int64)
+    return explore, np.minimum(arm, k - 1)
 
 
 def thompson_sample(view: PolicyView, rng: RngStream) -> int:
@@ -136,9 +143,10 @@ def thompson_sample(view: PolicyView, rng: RngStream) -> int:
     return _argmax(scores)
 
 
-def thompson_sample_lanes(view: PolicyView, draws: LaneStreams) -> np.ndarray:
-    z = draws.normals(view.posted.shape[1])
-    return (view.posted + z / np.sqrt(view.pulls + 1.0)).argmax(axis=1)
+def thompson_bonus_lanes(view: PolicyView, draws: LaneStreams, bonus: np.ndarray) -> None:
+    np.add(view.pulls, 1.0, out=bonus)
+    np.sqrt(bonus, out=bonus)
+    np.divide(draws.normals(bonus.shape[1]), bonus, out=bonus)
 
 
 def greedy_choice(view: PolicyView) -> int:
@@ -146,17 +154,14 @@ def greedy_choice(view: PolicyView) -> int:
     return _argmax(view.posted)
 
 
-def greedy_choice_lanes(view: PolicyView) -> np.ndarray:
-    return view.posted.argmax(axis=1)
-
-
 @dataclass(frozen=True)
 class PolicyRule:
     """Everything that tells one principal apart from the others."""
 
     select: Callable[[PolicyView, float | None, RngStream], int]  # (view, c, rng) -> arm
-    # the same rule for (lanes, K) views: (view, c, draws) -> one arm per lane
-    select_lanes: Callable[[PolicyView, float | None, LaneStreams], np.ndarray]
+    # the lane form, for (lanes, K) views: (view, c, draws, bonus) -> override or None
+    lane_form: Callable[[PolicyView, float | None, LaneStreams, np.ndarray],
+                        tuple[np.ndarray, np.ndarray] | None]
     takes_c: bool = False  # whether PolicyKind carries an exploration constant c
     projects_feedback: bool = False  # default of MechanismOptions.project_feedback
 
@@ -164,16 +169,17 @@ class PolicyRule:
 POLICIES: dict[str, PolicyRule] = {
     # UCB1 (Auer, Cesa-Bianchi & Fischer 2002)
     "ucb": PolicyRule(lambda view, c, rng: ucb_select(view),
-                      lambda view, c, draws: ucb_select_lanes(view)),
+                      lambda view, c, draws, bonus: ucb_bonus_lanes(view, bonus)),
     # epsilon_t-greedy, eps_t = min(1, cK/t) (Auer, Cesa-Bianchi & Fischer 2002)
-    "egreedy": PolicyRule(egreedy_select, egreedy_select_lanes,
+    "egreedy": PolicyRule(egreedy_select,
+                          lambda view, c, draws, bonus: egreedy_override_lanes(view, c, draws),
                           takes_c=True, projects_feedback=True),
     # Gaussian Thompson sampling (Agrawal & Goyal 2013)
     "thompson": PolicyRule(lambda view, c, rng: thompson_sample(view, rng),
-                           lambda view, c, draws: thompson_sample_lanes(view, draws)),
+                           lambda view, c, draws, bonus: thompson_bonus_lanes(view, draws, bonus)),
     # no-incentive baseline: always the player's own pick
     "greedy": PolicyRule(lambda view, c, rng: greedy_choice(view),
-                         lambda view, c, draws: greedy_choice_lanes(view)),
+                         lambda view, c, draws, bonus: None),
 }
 POLICY_NAMES = tuple(POLICIES)
 

@@ -6,7 +6,8 @@ for the explore coin, then one uniform for the arm if exploring; Thompson:
 one normal per arm in arm-index order), then the environment draws once for
 the reward sample.  LaneStreams replays many NumpyRng streams together, in
 the lockstep engine's two shapes of draw: normals for every lane, and one
-uniform for some lanes.
+uniform for some lanes.  Each lockstep group draws from its own LaneStreams,
+and its normals may be a view of its blocks, valid until its next normal draw.
 """
 
 from __future__ import annotations
@@ -83,11 +84,14 @@ class _NormalBlocks:
         self._pos = _BLOCK  # every lane's next draw; _BLOCK: used up
 
     def take(self, n: int) -> np.ndarray:
-        """The next n draws of every lane, shape (lanes, n)."""
+        """The next n draws of every lane, shape (lanes, n).
+
+        Often a view of the blocks: it is valid until the next take.
+        """
         pos = self._pos
         if pos + n <= _BLOCK:
             self._pos = pos + n
-            return self._buf[:, pos:pos + n].copy()
+            return self._buf[:, pos:pos + n]
         rest = self._buf[:, pos:].copy()  # the blocks run out within this draw
         for fill, row in zip(self._fills, self._buf):
             fill(out=row)
@@ -136,6 +140,8 @@ class LaneStreams:
     uniform/normal calls it returns the values NumpyRng would, because each
     lane refills its uniform and normal blocks at the same draws.  normal()
     and normals(n) draw for every lane, uniform(lanes) for the named lanes.
+    The normals may be a view of the streams' blocks, valid until the next
+    normal draw from the same LaneStreams.
     """
 
     __slots__ = ("_uniform", "_normal")

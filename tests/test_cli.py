@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from driftbandit import cli
 from driftbandit.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -143,6 +144,21 @@ def test_run_into_a_file_exits_1_naming_the_command(tmp_path, capsys):
     assert "error in run: [Errno 17] File exists" in capsys.readouterr().err
     assert taken.read_text() == ""
     assert list(tmp_path.iterdir()) == [taken]  # no manifest or other output
+
+
+@pytest.mark.parametrize("args, play", [
+    (["run", "--policy", "ucb", "--T", "200000"], "run"),
+    (["sweep", "--config", str(REPO / "configs" / "nine_arm_sweep.json")], "run_experiment"),
+])
+def test_out_dir_that_is_a_file_exits_1_before_playing(tmp_path, capsys, monkeypatch, args, play):
+    calls = []
+    monkeypatch.setattr(cli, play, lambda *a, **kw: calls.append(a))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run_cli(args + ["--out-dir", str(taken)]) == 1
+    assert f"error in {args[0]}: [Errno 17] File exists" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [taken]
 
 
 def test_python_dash_m_runs_the_cli():

@@ -5,7 +5,9 @@ every work item of run_experiment, must give the SummaryMetrics and the curve
 that derive_seed -> run -> summarize gives for the same inputs.
 """
 
+import ast
 from dataclasses import astuple
+from pathlib import Path
 from statistics import fmean
 
 import numpy as np
@@ -27,8 +29,10 @@ from driftbandit import (
     run_experiment,
     summarize,
 )
+from driftbandit import lockstep
 from driftbandit.lockstep import Lane, run_lanes
 from driftbandit.mechanism import CurveProbe, curve_of
+from driftbandit.policies import POLICY_NAMES
 from driftbandit.rng import LaneStreams
 
 POLICIES = st.one_of(
@@ -72,6 +76,13 @@ def _assert_lanes_equal_scalar(instance, lanes, horizon, stride):
        means=MEANS, noise=NOISE, drift=DRIFT,
        horizon_extra=st.one_of(st.integers(0, 40), st.integers(100, 1300)),
        stride=STRIDE, seed_base=SEED)
+# every policy twice, interleaved, so eight groups share one argmax; Bernoulli
+# rewards on close means tie the posted means now and then in every group, so
+# the first-maximum rule decides ties in all of them; egreedy projects its feedback
+@example(lanes=[(policy, l) for l in (0.0, 1.1) for policy in (
+             PolicyKind.ucb(), PolicyKind.greedy(), PolicyKind.egreedy(4.0), PolicyKind.thompson())],
+         overrides={"egreedy": True}, means=(0.5, 0.45, 0.4), noise=NoiseModel("bernoulli"),
+         drift=("linear", None), horizon_extra=1300, stride=None, seed_base=20260809)
 def test_run_lanes_equals_scalar_run(lanes, overrides, means, noise, drift, horizon_extra,
                                      stride, seed_base):
     # lanes of one or several policies in one lockstep, in any order, with
@@ -220,7 +231,7 @@ def test_lane_streams_thompson_draws_past_shared_refills():
 
 
 @settings(max_examples=15, deadline=None)
-@given(policies=st.lists(POLICIES, min_size=1, max_size=2, unique_by=lambda p: p.name),
+@given(policies=st.lists(POLICIES, min_size=1, max_size=4, unique_by=lambda p: p.name),
        means=MEANS, noise=NOISE, drift=DRIFT,
        ls=st.lists(L_VALUE, min_size=1, max_size=3, unique=True),
        replications=st.integers(1, 3), horizon_extra=st.integers(0, 400),
@@ -254,6 +265,16 @@ def test_run_experiment_equals_scalar_items(policies, means, noise, drift, ls, r
                     fmean(col) for col in zip(*(c.compensation for c in curves))]
             else:
                 assert cell.curve is None
+
+
+def test_lockstep_names_no_policy():
+    # the engine reaches each rule through PolicyKind.rule, so it cannot fork by policy
+    tree = ast.parse(Path(lockstep.__file__).read_text())
+    strings = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert not strings & {*POLICY_NAMES, "name"}
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "name"] == []
 
 
 def test_run_lanes_rejects_what_run_rejects():
