@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BanditInstance, DiagnosticError, accounting_totals, at_least, posted_mean
-from .mechanism import Trajectory, arm_blocks
+from .mechanism import Trajectory, read_blocks, record_blocks
 
 
 @dataclass(frozen=True)
@@ -175,9 +175,10 @@ def ucb_drift_slack(trajectory: Trajectory, lipschitz: float) -> tuple[float, fl
     for every arm.  Raises DiagnosticError at the first bound exceeded by more than
     1e-9 max(1, bound); else returns (max x_t / radius, max B_i / bound), 0/0 read as 0.
     """
+    gaps = trajectory.final.gap_vector
     per_round = cumulative = 0.0
-    for block, running in arm_blocks(trajectory):
-        late = np.array([r.t for r in block]) > len(trajectory.final.gap_vector)
+    for block, running, _, _ in read_blocks(record_blocks(trajectory), gaps):
+        late = np.array([r.t for r in block]) > len(gaps)
         t, chosen, x = np.array([(r.t, r.chosen, r.compensation) for r in block])[late].T
         pulls, _, drift = running[:-1][late].transpose(1, 0, 2)  # the state before each credit
         log_t = np.array([math.log(v) for v in t])

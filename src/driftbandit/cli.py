@@ -35,8 +35,9 @@ from .core import (DRIFT_KINDS, NOISE_KINDS, BanditError, BanditInstance, DriftM
                    NoiseModel)
 from .experiment import ExperimentConfig, ExperimentError, run_experiment
 from .mechanism import (CURVE_COLUMNS, CURVE_ROW, SUMMARY_COLUMNS, SUMMARY_ROW, SWEEP_COLUMNS,
-                        SWEEP_ROW, TRAJECTORY_COLUMNS, MechanismOptions, check_run_args, fmt_real,
-                        run, trajectory_blocks, write_csv, write_trajectory_csv)
+                        SWEEP_ROW, TRAJECTORY_COLUMNS, MechanismOptions, check_run_args, csv_file,
+                        fmt_real, record_blocks, run, trajectory_lines, trajectory_writer,
+                        write_csv)
 from .policies import POLICIES, POLICY_NAMES, PolicyKind
 from .rng import ScriptedRng, ScriptExhaustedError
 
@@ -117,9 +118,11 @@ def _cmd_run(args, parser) -> int:
         parser.error(f"--seed must be >= 0, got {seed}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # before playing, so a bad --out-dir fails fast
-    traj = run(instance, policy, drift, options, args.T, seed)
+    # trajectory.csv is written block by block while the rounds are played
+    with csv_file(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS) as write:
+        traj = run(instance, policy, drift, options, args.T, seed, keep_records=False,
+                   on_block=trajectory_writer(write, instance.gap_vector))
     metrics = summarize(traj, instance)
-    write_trajectory_csv(traj, out_dir / "trajectory.csv")
     summary = SUMMARY_ROW % (policy.name, args.l, args.T, args.seed, metrics.regret,
                              metrics.compensation, metrics.comp_rounds, metrics.arm1_rel_error)
     write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, [[summary]])
@@ -222,7 +225,7 @@ def _cmd_trace(args, parser) -> int:
     except (ScriptExhaustedError, ValueError) as exc:  # the other flags are checked already
         parser.error(f"--draws {args.draws}: {exc}")
     print(",".join(TRAJECTORY_COLUMNS))
-    for lines in trajectory_blocks(traj):
+    for lines in trajectory_lines(record_blocks(traj), traj.final.gap_vector):
         print("\n".join(lines))
     return 0
 

@@ -9,8 +9,11 @@ posted means at the start of the round, before the new pull lands.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from pathlib import Path
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,6 +133,9 @@ def step(state: SimState, policy: PolicyKind, drift: DriftModel,
     return _play(state, instance, chosen, greedy, x, b, project)
 
 
+BLOCK_ROUNDS = 1024  # rounds a run hands on, and a trajectory reader reads, together
+
+
 def check_run_args(instance: BanditInstance, horizon: int) -> None:
     """InputError naming the horizon unless it covers the warm start."""
     if horizon < instance.k:
@@ -146,30 +152,39 @@ def curve_rounds(horizon: int, stride: int) -> list[int]:
 
 def run(instance: BanditInstance, policy: PolicyKind, drift: DriftModel,
         options: MechanismOptions, horizon: int, seed: int | RngStream,
-        *, keep_records: bool = True) -> Trajectory:
+        *, keep_records: bool = True,
+        on_block: Callable[[list[RoundRecord]], None] | None = None) -> Trajectory:
     """Warm-start then step until `horizon` rounds have been played.
 
     `seed` is either an integer (seeding the production stream) or an
     RngStream instance (e.g. ScriptedRng for golden traces).  Deterministic:
-    identical inputs give bit-identical trajectories.
+    identical inputs give bit-identical trajectories.  `on_block`, if given,
+    is called with each block of records as soon as it is played, in round
+    order: rounds 1..BLOCK_ROUNDS (the warm start first), then the next
+    BLOCK_ROUNDS, and so on, the blocks record_blocks cuts from the records.
+    With keep_records=False the Trajectory keeps no record, so the run holds
+    one block at a time.
     """
     check_run_args(instance, horizon)
     rng = seed if not isinstance(seed, int) else NumpyRng(seed)
     state = SimState.fresh(instance, rng)
     options = options.resolve(policy)
 
-    records = warm_start(state, instance, options)
-    if not keep_records:
-        records.clear()
-    while state.round <= horizon:
-        rec = step(state, policy, drift, instance, options)
+    records: list[RoundRecord] = []
+    pending = warm_start(state, instance, options)
+    for start in range(0, horizon, BLOCK_ROUNDS):
+        end = min(start + BLOCK_ROUNDS, horizon)
+        while state.round <= end:
+            pending.append(step(state, policy, drift, instance, options))
+        block, pending = pending[:end - start], pending[end - start:]
         if keep_records:
-            records.append(rec)
+            records += block
+        if on_block is not None:
+            on_block(block)
     return Trajectory(records=records, final=state)
 
 
 REAL_FORMAT = "%.9g"  # every real in every CSV and printed line: 9 significant digits
-BLOCK_ROUNDS = 1024  # trajectory rounds formatted and written together
 
 # Each CSV file's columns, and the row template whose `%` over a row's values is its line.
 TRAJECTORY_COLUMNS = ("t", "chosen", "greedy", "compensated", "compensation",
@@ -190,21 +205,28 @@ def fmt_real(x: float) -> str:
     return REAL_FORMAT % x
 
 
-def arm_blocks(trajectory: Trajectory):
-    """Yield (records, running) for each block of BLOCK_ROUNDS rounds.
-
-    running[j, :, i] is arm i's (pulls, comp_sum, drift_sum) after the block's
-    first j rounds; row 0 carries the block before.  np.cumsum adds each round's
-    increments in round order, so every value is bit-equal to the ArmState field
-    the run held: adding +0.0 leaves a non-negative sum unchanged.
-    """
+def record_blocks(trajectory: Trajectory):
+    """The trajectory's records cut into the blocks run() hands its on_block: BLOCK_ROUNDS
+    rounds each, the last one shorter."""
     records = trajectory.records
     if not records:
         raise ValueError("trajectory carries no records (captured with keep_records=False?)")
-    k = len(trajectory.final.gap_vector)
+    return (records[start:start + BLOCK_ROUNDS] for start in range(0, len(records), BLOCK_ROUNDS))
+
+
+def read_blocks(blocks, gap_vector: Sequence[float]):
+    """Yield (records, running, cum_regret, cum_compensation) for each block of records.
+
+    The one reader of a run's per-arm running state, carried across blocks.
+    running[j, :, i] is arm i's (pulls, comp_sum, drift_sum) after the block's
+    first j rounds; row 0 carries the block before.  np.cumsum adds each round's
+    increments in round order, so every value is bit-equal to the ArmState field
+    the run held: adding +0.0 leaves a non-negative sum unchanged.  cum_regret and
+    cum_compensation are accounting_totals over the per-arm columns after each round.
+    """
+    k = len(gap_vector)
     carry = np.zeros((3, k))
-    for start in range(0, len(records), BLOCK_ROUNDS):
-        block = records[start:start + BLOCK_ROUNDS]
+    for block in blocks:
         running = np.zeros((len(block) + 1, 3, k))
         running[0] = carry
         # flat index of each round's pulls cell; its comp_sum cell is k on, drift_sum 2k on
@@ -213,16 +235,8 @@ def arm_blocks(trajectory: Trajectory):
         running.reshape(-1)[at + k] = [r.compensation if r.compensated else 0.0 for r in block]
         running.reshape(-1)[at + 2 * k] = [r.drift for r in block]
         carry = running.cumsum(axis=0, out=running)[-1]
-        yield block, running
-
-
-def cumulative_blocks(trajectory: Trajectory):
-    """Yield (records, cum_regret, cum_compensation) for each block of BLOCK_ROUNDS rounds:
-    accounting_totals over the per-arm columns of arm_blocks' rows after each round."""
-    gaps = trajectory.final.gap_vector
-    for block, running in arm_blocks(trajectory):
         columns = [ArmState(pulls=p, comp_sum=c) for p, c, _ in running[1:].transpose(2, 1, 0)]
-        yield (block, *accounting_totals(gaps, columns))
+        yield (block, running, *accounting_totals(gap_vector, columns))
 
 
 def curve_of(trajectory: Trajectory, stride: int) -> Curve:
@@ -232,7 +246,8 @@ def curve_of(trajectory: Trajectory, stride: int) -> Curve:
     cum_compensation columns, the totals after t pulls, warm start included.
     """
     rounds = curve_rounds(len(trajectory.records), stride)
-    _, regret, comp = zip(*cumulative_blocks(trajectory))
+    blocks = read_blocks(record_blocks(trajectory), trajectory.final.gap_vector)
+    regret, comp = zip(*[(r, c) for _, _, r, c in blocks])
     rows = np.array(rounds) - 1  # round t is row t of the CSV, index t - 1
     return Curve(rounds, np.concatenate(regret)[rows].tolist(),
                  np.concatenate(comp)[rows].tolist())
@@ -256,33 +271,66 @@ class CurveProbe:
         return [Curve(list(self.rounds), r, c) for r, c in zip(regret, comp)]
 
 
-def trajectory_blocks(trajectory: Trajectory):
-    """Yield the CSV lines (no terminator) of each block, in TRAJECTORY_COLUMNS order.
+def trajectory_lines(blocks, gap_vector: Sequence[float]):
+    """Yield the CSV lines (no terminator) of each block of records, in TRAJECTORY_COLUMNS order.
 
-    Every consumer of a trajectory's rows (write_trajectory_csv, `trace`,
-    trajectory_rows) reads these lines, so the format lives here only.
+    Every consumer of a run's rows (the streamed writer, write_trajectory_csv,
+    `trace`, trajectory_rows) reads these lines, so the format lives here only.
     """
-    for block, regret, comp in cumulative_blocks(trajectory):
+    for block, _, regret, comp in read_blocks(blocks, gap_vector):
         yield [TRAJECTORY_ROW % (r.t, r.chosen, r.greedy, r.compensated, r.compensation,
                                  r.drift, r.raw_reward, r.feedback, cum_regret, cum_comp)
                for r, cum_regret, cum_comp in zip(block, regret.tolist(), comp.tolist())]
 
 
+def trajectory_writer(write: Callable[[list[str]], None], gap_vector: Sequence[float]):
+    """A run() on_block that hands write() each block's trajectory_lines as the block is played."""
+    inbox: list[list[RoundRecord]] = []
+    # the reader pulls its next block from the inbox, so each next() reads the block just put there
+    lines = trajectory_lines(iter(inbox.pop, None), gap_vector)
+
+    def on_block(block: list[RoundRecord]) -> None:
+        inbox.append(block)
+        write(next(lines))
+
+    return on_block
+
+
 def trajectory_rows(trajectory: Trajectory):
     """Yield CSV rows (tuples of strings) in TRAJECTORY_COLUMNS order."""
-    for lines in trajectory_blocks(trajectory):
+    for lines in trajectory_lines(record_blocks(trajectory), trajectory.final.gap_vector):
         for line in lines:
             yield tuple(line.split(","))
 
 
+@contextmanager
+def csv_file(path, columns: Sequence[str]):
+    """Open a CSV file for writing: yields write(lines), which writes a block of row-template
+    lines at once, each ended with CRLF as the csv module ends it (no field ever needs
+    quoting).  The header is written first.  The file is written under a temporary name
+    beside `path` and renamed onto `path` only when the block exits without an error, so a
+    failed write leaves no partial file and any earlier file at `path` as it was."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", newline="") as fh:
+            def write(lines: Sequence[str]) -> None:
+                fh.write("\r\n".join([*lines, ""]))  # each line ended, an empty block writes nothing
+
+            write([",".join(columns)])
+            yield write
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
 def write_csv(path, columns: Sequence[str], blocks) -> None:
-    """The writer of every CSV file: the header, then each block of row-template lines at
-    once, each line ended with CRLF as the csv module ends it (no field ever needs quoting)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\r\n")
+    """The writer of every CSV file: the header, then each block of lines (csv_file)."""
+    with csv_file(path, columns) as write:
         for lines in blocks:
-            fh.write("\r\n".join([*lines, ""]))  # each line ended, an empty block writes nothing
+            write(lines)
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    write_csv(path, TRAJECTORY_COLUMNS, trajectory_blocks(trajectory))
+    write_csv(path, TRAJECTORY_COLUMNS,
+              trajectory_lines(record_blocks(trajectory), trajectory.final.gap_vector))

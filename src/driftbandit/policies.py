@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -72,15 +72,10 @@ class PolicyKind:
         return cls("greedy")
 
 
-def _argmax(scores) -> int:
-    best = 0
-    bv = scores[0]
-    for i in range(1, len(scores)):
-        v = scores[i]
-        if v > bv:
-            best = i
-            bv = v
-    return best
+def _argmax(scores: Sequence[float]) -> int:
+    """The index of the first maximum: max() keeps its pick unless a later value is strictly
+    greater, and index() returns the first value equal (or, for a nan, identical) to it."""
+    return scores.index(max(scores))
 
 
 def ucb_index(posted: float, pulls: int, t: int) -> float:

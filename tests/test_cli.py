@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from driftbandit import cli
-from driftbandit.cli import main
+from driftbandit import (BanditInstance, DriftModel, MechanismOptions, NoiseModel, PolicyKind, cli,
+                         mechanism, run, write_trajectory_csv)
+from driftbandit.cli import DEFAULT_MEANS, main
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_TRACE = Path(__file__).resolve().parent / "data" / "golden_trace_ucb.txt"
@@ -35,6 +36,62 @@ def test_run_twice_byte_identical(tmp_path):
     assert run_cli(args + ["--out-dir", str(tmp_path / "b")]) == 0
     for name in ("trajectory.csv", "summary.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("horizon", [9, 1023, 1024, 1025, 2051])
+def test_run_streams_the_bytes_of_write_trajectory_csv(tmp_path, horizon):
+    # the file written while playing equals the one written from the kept records
+    assert run_cli(["run", "--policy", "thompson", "--l", "1.1", "--T", str(horizon),
+                    "--seed", "5", "--out-dir", str(tmp_path)]) == 0
+    inst = BanditInstance(DEFAULT_MEANS.split(","), NoiseModel("gaussian", 1.0))
+    kept = run(inst, PolicyKind.thompson(), DriftModel("linear", lipschitz=1.1),
+               MechanismOptions(), horizon, 5, keep_records=True)
+    write_trajectory_csv(kept, tmp_path / "kept.csv")
+    assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "kept.csv").read_bytes()
+
+
+def test_run_that_fails_mid_play_leaves_no_trajectory_csv(tmp_path, capsys, monkeypatch):
+    args = ["run", "--policy", "ucb", "--T", "3000", "--out-dir", str(tmp_path)]
+    inner = mechanism.step
+
+    def failing(state, *rest):
+        if state.round == 2000:
+            raise ValueError("step failed")
+        return inner(state, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mechanism, "step", failing)
+        assert run_cli(args) == 1
+    assert "error in run: step failed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no trajectory.csv, partial or whole
+    # a reused out-dir keeps the earlier run's complete trajectory.csv beside its summary
+    assert run_cli(args + ["--seed", "2"]) == 0
+    earlier = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(mechanism, "step", failing)
+    assert run_cli(args) == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == earlier
+
+
+PEAK_RSS = """
+import resource, sys
+from driftbandit.cli import main
+main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_run_peak_memory_does_not_grow_with_the_horizon(tmp_path):
+    # Kept records cost about 200 B a round: 36 MB more at T=200000 than at T=20000.
+    # A run that holds one block at a time peaks within 4 MB of itself at any horizon.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", PEAK_RSS, "run", "--policy", "ucb", "--means", "0.9,0.5",
+         "--l", "1.1", "--seed", "7", "--T", str(horizon), "--out-dir", str(tmp_path / str(horizon))],
+        env=env, stdout=subprocess.PIPE, text=True) for horizon in (20000, 200000)]
+    short, long = (int(p.communicate(timeout=120)[0].split()[-1]) for p in procs)  # KiB
+    assert [p.returncode for p in procs] == [0, 0]
+    assert long - short < 4 * 1024
 
 
 def test_run_rejects_negative_drift_coefficient(tmp_path, capsys):

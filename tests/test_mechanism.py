@@ -39,10 +39,10 @@ from driftbandit.mechanism import (
     SWEEP_ROW,
     TRAJECTORY_COLUMNS,
     TRAJECTORY_ROW,
-    arm_blocks,
-    cumulative_blocks,
     curve_of,
     fmt_real,
+    read_blocks,
+    record_blocks,
     write_csv,
 )
 from driftbandit.policies import POLICY_NAMES
@@ -316,10 +316,10 @@ def test_trajectory_rows_cumulative_columns():
                         2 * BLOCK_ROUNDS + 3):
             traj = run(inst, policy, DriftModel("linear", lipschitz=1.1), MechanismOptions(),
                        horizon, 21)
-            blocks = list(cumulative_blocks(traj))
-            assert [len(records) for records, _, _ in blocks] == [
+            blocks = list(read_blocks(record_blocks(traj), traj.final.gap_vector))
+            assert [len(records) for records, *_ in blocks] == [
                 min(BLOCK_ROUNDS, horizon - start) for start in range(0, horizon, BLOCK_ROUNDS)]
-            totals = [(reg, comp) for _, regret, compensation in blocks
+            totals = [(reg, comp) for _, _, regret, compensation in blocks
                       for reg, comp in zip(regret.tolist(), compensation.tolist())]
             expected = _per_row_totals(traj)
             assert totals == expected
@@ -329,17 +329,39 @@ def test_trajectory_rows_cumulative_columns():
                 (fmt_real(reg), fmt_real(comp)) for reg, comp in expected]
 
 
-def test_arm_blocks_running_state_equals_the_run():
+def test_read_blocks_running_state_equals_the_run():
     # the row after each round is the ArmState the run held; the last is the final state
     inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
     for policy in (PolicyKind.ucb(), PolicyKind.egreedy(4.0), PolicyKind.thompson()):
         traj = run(inst, policy, DriftModel("linear", lipschitz=1.1), MechanismOptions(),
                    BLOCK_ROUNDS + 40, 21)
-        blocks = list(arm_blocks(traj))
-        assert [len(records) for records, _ in blocks] == [BLOCK_ROUNDS, 40]
+        blocks = list(read_blocks(record_blocks(traj), traj.final.gap_vector))
+        assert [len(records) for records, *_ in blocks] == [BLOCK_ROUNDS, 40]
         assert (blocks[1][1][0] == blocks[0][1][-1]).all()  # the carry row
         final = blocks[-1][1][-1]
         assert final.T.tolist() == [[a.pulls, a.comp_sum, a.drift_sum] for a in traj.final.arms]
+
+
+@pytest.mark.parametrize("means, horizon", [
+    (NINE_ARM_MEANS, 9), (NINE_ARM_MEANS, BLOCK_ROUNDS - 1), (NINE_ARM_MEANS, BLOCK_ROUNDS),
+    (NINE_ARM_MEANS, BLOCK_ROUNDS + 1), (NINE_ARM_MEANS, 2 * BLOCK_ROUNDS + 3),
+    # a warm start longer than a block is cut like any other rounds
+    (tuple(0.9 - i / 2000 for i in range(BLOCK_ROUNDS + 6)), BLOCK_ROUNDS + 9),
+], ids=["T=K", "T=1023", "T=1024", "T=1025", "T=2051", "K=1030"])
+def test_run_hands_on_block_the_kept_records_cut_at_block_rounds(means, horizon):
+    inst = BanditInstance(means, NoiseModel("gaussian", 1.0))
+    args = (inst, PolicyKind.ucb(), DriftModel("linear", lipschitz=1.1), MechanismOptions(),
+            horizon, 21)
+    kept = run(*args)
+    for keep_records in (False, True):
+        blocks = []
+        streamed = run(*args, keep_records=keep_records, on_block=blocks.append)
+        assert [len(block) for block in blocks] == [
+            min(BLOCK_ROUNDS, horizon - start) for start in range(0, horizon, BLOCK_ROUNDS)]
+        assert [r for block in blocks for r in block] == kept.records
+        assert blocks == list(record_blocks(kept))
+        assert streamed.records == (kept.records if keep_records else [])
+        assert (streamed.final.round, streamed.final.arms) == (kept.final.round, kept.final.arms)
 
 
 def _float_from_bits(bits: int) -> float:

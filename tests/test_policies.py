@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from driftbandit import (
     PolicyKind,
@@ -15,7 +15,7 @@ from driftbandit import (
     ucb_index,
     ucb_select,
 )
-from driftbandit.policies import POLICIES, POLICY_NAMES
+from driftbandit.policies import POLICIES, POLICY_NAMES, _argmax
 
 
 def view(posted, pulls, t):
@@ -164,6 +164,30 @@ def test_argmax_shift_invariance(shift):
     assert greedy_choice(v0) == greedy_choice(v1)
     zs = [0.3, -1.2, 0.8, 0.1]
     assert thompson_sample(v0, ScriptedRng(zs)) == thompson_sample(v1, ScriptedRng(zs))
+
+
+def _argmax_loop(scores):
+    """The first-maximum loop _argmax replaced, kept as its reference."""
+    best, bv = 0, scores[0]
+    for i in range(1, len(scores)):
+        if scores[i] > bv:
+            best, bv = i, scores[i]
+    return best
+
+
+# few distinct values, so ties are common; signed zeros, infinities and nan included
+SCORES = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 0.5, -0.5, 1.0]) | st.floats()
+
+
+@given(st.lists(SCORES, min_size=1, max_size=9))
+@example([0.5, 0.9, 0.9])
+@example([-0.0, 0.0])
+@example([0.0, -0.0])
+@example([-math.inf, -math.inf])
+@example([1.0, math.inf, math.inf])
+@example([math.nan, 1.0])
+def test_argmax_is_the_first_maximum_loop(scores):
+    assert _argmax(scores) == _argmax(tuple(scores)) == _argmax_loop(scores)
 
 
 # ---------------------------------------------------------------- PolicyKind
