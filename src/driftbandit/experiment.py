@@ -275,10 +275,15 @@ class AggregateResult:
     cells: tuple[CellResult, ...]  # policy-major, then l, matching config order
 
     def cell(self, policy_name: str, l: float) -> CellResult:
-        for c in self.cells:
-            if c.policy.name == policy_name and c.l == l:
-                return c
-        raise KeyError(f"no cell for ({policy_name}, {l})")
+        """The one cell of (policy_name, l); KeyError if there is none, or more than one
+        because the config lists the policy or the coefficient twice."""
+        found = [c for c in self.cells if c.policy.name == policy_name and c.l == l]
+        if len(found) > 1:
+            raise KeyError(f"{len(found)} cells for ({policy_name}, {l}): the config repeats "
+                           f"the policy or the coefficient, so read result.cells by index")
+        if not found:
+            raise KeyError(f"no cell for ({policy_name}, {l})")
+        return found[0]
 
 
 Chunk = tuple[tuple[int, int, int], ...]  # the (policy index, l index, rep) lanes of one lockstep

@@ -5,18 +5,19 @@ and seed.  The lanes advance together as (lanes, K) arrays whose row j is
 lanes[j].  Each consecutive run of lanes with the same policy and resolved
 options forms a group: a slice of the rows with its own LaneStreams.  A group
 does only what differs by policy: its rule's lane form writes the group's
-rows of one bonus array or returns an override (policies), and it draws its
-reward noise into the group's rows of one buffer.  Everything else runs once
-over all lanes, in one round loop whose first K rounds are the warm start:
-one index posted + bonus, one argmax for the chosen and the greedy arms, the
-overrides, the compensation, drift and rewards (core), and one credit of the
-five ArmState fields.  Every lane does the scalar loop's float operations in
-the same order and draws its own NumpyRng stream in the documented per-round
-order, so each lane ends with the ArmStates that mechanism.run gives for the
-same inputs, equal under ==.  An optional probe reads the live state after
-each round's credit; mechanism.CurveProbe reads the curves that
-mechanism.curve_of reads from the scalar runs.  mechanism.run stays the
-executable spec; records and scripted streams exist only there.
+rows of one bonus array (policies), and it draws its reward noise into the
+group's rows of one buffer.  Everything else runs once over all lanes, in one
+round loop whose first K rounds are the warm start: one index posted + bonus,
+one argmax for the chosen and the greedy arms, the compensation, drift and
+rewards (core), and one credit of the five ArmState fields.  Every lane does
+the scalar loop's float operations in the same order and draws its own
+NumpyRng stream in the documented per-round order, so each lane ends with the
+ArmStates that mechanism.run gives for the same inputs, equal under ==; a
+lane whose sums overflow is refused as mechanism.run refuses it.  An optional
+probe reads the live state after each round's credit; mechanism.CurveProbe
+reads the curves that mechanism.curve_of reads from the scalar runs.
+mechanism.run stays the executable spec; records and scripted streams exist
+only there.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .core import (
     lane_drift,
     lane_rewards,
 )
-from .mechanism import MechanismOptions, Trajectory, check_run_args
+from .mechanism import MechanismOptions, Trajectory, check_finite, check_run_args
 from .policies import PolicyKind
 from .rng import LaneStreams
 
@@ -52,14 +53,13 @@ class Lane(NamedTuple):
 class _Group(NamedTuple):
     """A consecutive run of lanes with one policy and resolved options."""
 
-    lane_form: Callable  # PolicyRule.lane_form: (view, c, draws, bonus) -> override or None
+    lane_form: Callable  # PolicyRule.lane_form: (view, c, draws, bonus) writes the bonus rows
     c: float | None
     draws: LaneStreams
     # the group's rows of the engine's arrays, as views
     posted: np.ndarray
     pulls: np.ndarray
     bonus: np.ndarray
-    chosen: np.ndarray
     drawn: np.ndarray
 
 
@@ -75,6 +75,8 @@ def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
     t's credit, for t = 1..horizon: arms[i] is an ArmState whose five fields
     are live (lanes,) views of arm i in every lane, row j being lanes[j].
     The views change as the lanes play on, so a probe copies what it keeps.
+    A lane whose arm sums overflow raises BanditError naming its index and
+    seed, where mechanism.run raises it (check_finite).
     """
     if not lanes:
         raise ValueError("need at least one lane")
@@ -116,7 +118,7 @@ def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
         seeds = [lane.seed for lane in same]
         rows = slice(start, start + len(seeds))
         groups.append(_Group(policy.rule.lane_form, policy.c, LaneStreams(seeds), posted[rows],
-                             pulls[rows], bonus[rows], chosen[rows], drawn[rows]))
+                             pulls[rows], bonus[rows], drawn[rows]))
         if options.project_feedback:
             projected.append(fb[rows])
         start += len(seeds)
@@ -130,16 +132,11 @@ def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
             x.fill(0.0)
         else:
             np.divide(feedback, pulls, out=posted)
-            overrides = []
             for g in groups:  # each lane draws for its selection, then for its reward
-                override = g.lane_form(PolicyView(t, g.posted, g.pulls), g.c, g.draws, g.bonus)
-                if override is not None:
-                    overrides.append((g.chosen, override))
+                g.lane_form(PolicyView(t, g.posted, g.pulls), g.c, g.draws, g.bonus)
                 g.drawn[...] = draw(g.draws)
             np.add(posted, bonus, out=index)
             scores.reshape(2 * n, k).argmax(axis=1, out=picks.reshape(-1))
-            for group_chosen, (rows, arms_of_rows) in overrides:
-                group_chosen[rows] = arms_of_rows
             np.add(first, picks, out=cells)
             picked = posted_at.take(cells)  # the posted means of the picks
             np.subtract(picked[1], picked[0], out=x)
@@ -160,4 +157,7 @@ def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
     finals = [SimState(round=horizon + 1, gap_vector=instance.gap_vector, rng=None,
                        arms=[ArmState(int(p), f, d, int(cc), cs) for p, f, d, cc, cs in lane])
               for lane in lane_cells]
+    if not np.isfinite(state).all():
+        j = int(np.isfinite(fields).all(axis=(0, 2)).argmin())  # the first lane that overflowed
+        check_finite(finals[j].arms, f"lane {j} (seed {lanes[j].seed})")
     return [Trajectory(records=[], final=final) for final in finals]

@@ -9,6 +9,7 @@ posted means at the start of the round, before the new pull lands.
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -19,6 +20,7 @@ import numpy as np
 
 from .core import (
     ArmState,
+    BanditError,
     BanditInstance,
     DriftModel,
     InputError,
@@ -143,6 +145,17 @@ def check_run_args(instance: BanditInstance, horizon: int) -> None:
                                     f"{instance.k} arms")
 
 
+def check_finite(arms: Sequence[ArmState], run_name: str = "run") -> None:
+    """BanditError naming the first arm whose feedback_sum, drift_sum or comp_sum is not
+    finite.  A sum that turned +-inf or nan never turns finite again, so a run that
+    passes at its end never posted a non-finite mean."""
+    for i, arm in enumerate(arms):
+        for name in ("feedback_sum", "drift_sum", "comp_sum"):
+            value = getattr(arm, name)
+            if not math.isfinite(value):
+                raise BanditError(f"{run_name} overflowed: arm {i} {name} is {value}")
+
+
 def curve_rounds(horizon: int, stride: int) -> list[int]:
     """The rounds a curve samples: every `stride`-th round, and the final round."""
     if stride < 1:
@@ -163,7 +176,8 @@ def run(instance: BanditInstance, policy: PolicyKind, drift: DriftModel,
     order: rounds 1..BLOCK_ROUNDS (the warm start first), then the next
     BLOCK_ROUNDS, and so on, the blocks record_blocks cuts from the records.
     With keep_records=False the Trajectory keeps no record, so the run holds
-    one block at a time.
+    one block at a time.  A run whose arm sums overflow raises BanditError
+    (check_finite) after its last block.
     """
     check_run_args(instance, horizon)
     rng = seed if not isinstance(seed, int) else NumpyRng(seed)
@@ -181,6 +195,7 @@ def run(instance: BanditInstance, policy: PolicyKind, drift: DriftModel,
             records += block
         if on_block is not None:
             on_block(block)
+    check_finite(state.arms)
     return Trajectory(records=records, final=state)
 
 

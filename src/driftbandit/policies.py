@@ -9,13 +9,16 @@ exact.
 Each rule also has a lane form for the lockstep engine, which scores every
 lane's arms as posted + bonus and takes the first maximum of each row.  The
 view's posted means and pulls are the group's (lanes, K) float rows, and the
-draws come from a LaneStreams.  A lane form writes its index bonus into the
-group's rows of the engine's bonus array (UCB s/sqrt(n), Thompson
-z/sqrt(n+1)); a rule without one leaves them at 0.0, and posted + 0.0 has the
-argmax of posted.  A lane form may instead return an override, (rows, arms):
-those rows of the group take those arms.  It does the scalar form's float
-operations in the same order and draws in the same order, and np.argmax keeps
-the first maximum like _argmax, so each lane picks what the scalar rule would.
+draws come from a LaneStreams.  A lane form writes the group's rows of the
+engine's bonus array, and does nothing else: UCB s/sqrt(n), Thompson
+z/sqrt(n+1), egreedy +inf at each exploring lane's drawn arm and 0.0
+elsewhere; greedy leaves its rows at 0.0, and posted + 0.0 has the argmax of
+posted.  It does the scalar form's float operations in the same order and
+draws in the same order, and np.argmax keeps the first maximum like _argmax,
+so each lane picks what the scalar rule would as long as no score is nan
+(_argmax([1.0, nan, 2.0]) is 2, np.argmax gives 1).  The posted means of a
+run that completes are finite (mechanism.check_finite), so posted + inf is
+its row's one infinite score.
 """
 
 from __future__ import annotations
@@ -119,14 +122,14 @@ def egreedy_select(view: PolicyView, c: float, rng: RngStream) -> int:
     return _argmax(view.posted)
 
 
-def egreedy_override_lanes(view: PolicyView, c: float, draws: LaneStreams
-                           ) -> tuple[np.ndarray, np.ndarray] | None:
-    k = view.posted.shape[1]
+def egreedy_bonus_lanes(view: PolicyView, c: float, draws: LaneStreams,
+                        bonus: np.ndarray) -> None:
+    k = bonus.shape[1]
+    bonus.fill(0.0)
     explore = (draws.uniform() < epsilon_schedule(c, k, view.t)).nonzero()[0]
-    if not explore.size:
-        return None
-    arm = (draws.uniform(explore) * k).astype(np.int64)
-    return explore, np.minimum(arm, k - 1)
+    if explore.size:
+        arm = (draws.uniform(explore) * k).astype(np.int64)
+        bonus[explore, np.minimum(arm, k - 1)] = math.inf
 
 
 def thompson_sample(view: PolicyView, rng: RngStream) -> int:
@@ -154,9 +157,8 @@ class PolicyRule:
     """Everything that tells one principal apart from the others."""
 
     select: Callable[[PolicyView, float | None, RngStream], int]  # (view, c, rng) -> arm
-    # the lane form, for (lanes, K) views: (view, c, draws, bonus) -> override or None
-    lane_form: Callable[[PolicyView, float | None, LaneStreams, np.ndarray],
-                        tuple[np.ndarray, np.ndarray] | None]
+    # the lane form, for (lanes, K) views: (view, c, draws, bonus) writes the group's bonus rows
+    lane_form: Callable[[PolicyView, float | None, LaneStreams, np.ndarray], None]
     takes_c: bool = False  # whether PolicyKind carries an exploration constant c
     projects_feedback: bool = False  # default of MechanismOptions.project_feedback
 
@@ -166,8 +168,7 @@ POLICIES: dict[str, PolicyRule] = {
     "ucb": PolicyRule(lambda view, c, rng: ucb_select(view),
                       lambda view, c, draws, bonus: ucb_bonus_lanes(view, bonus)),
     # epsilon_t-greedy, eps_t = min(1, cK/t) (Auer, Cesa-Bianchi & Fischer 2002)
-    "egreedy": PolicyRule(egreedy_select,
-                          lambda view, c, draws, bonus: egreedy_override_lanes(view, c, draws),
+    "egreedy": PolicyRule(egreedy_select, egreedy_bonus_lanes,
                           takes_c=True, projects_feedback=True),
     # Gaussian Thompson sampling (Agrawal & Goyal 2013)
     "thompson": PolicyRule(lambda view, c, rng: thompson_sample(view, rng),

@@ -72,6 +72,13 @@ def test_run_that_fails_mid_play_leaves_no_trajectory_csv(tmp_path, capsys, monk
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == earlier
 
 
+def test_run_whose_sums_overflow_exits_1_and_leaves_no_csv(tmp_path, capsys):
+    assert run_cli(["run", "--policy", "egreedy", "--project", "off", "--l", "1e300",
+                    "--T", "200", "--out-dir", str(tmp_path)]) == 1
+    assert "error in run: run overflowed: arm 0 feedback_sum is inf" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no trajectory.csv or summary.csv
+
+
 PEAK_RSS = """
 import resource, sys
 from driftbandit.cli import main
@@ -319,6 +326,16 @@ def test_sweep_csv_layout_and_determinism(tmp_path):
     assert list(rows[0].keys()) == ["policy", "l", "regret_mean", "regret_std",
                                     "comp_mean", "comp_std", "comp_rounds_mean",
                                     "arm1_err_mean"]
+
+
+def test_sweep_whose_sums_overflow_exits_1(tmp_path, capsys):
+    path = write_config(tmp_path, small_config(
+        policies=[{"name": "ucb"}, {"name": "egreedy", "c": 4.0}], l_values=[1e300],
+        project_feedback={"egreedy": False}))
+    with pytest.warns(RuntimeWarning):  # numpy's overflow and invalid-value warnings
+        assert run_cli(["sweep", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "overflowed: arm 0" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_sweep_shipped_config_grid(tmp_path):

@@ -253,6 +253,16 @@ def test_run_experiment_cell_grid():
         result.cell("ucb", 0.5)
 
 
+def test_cell_refuses_a_lookup_that_matches_two_cells():
+    # two egreedy entries with different c: (egreedy, l) names two cells
+    config = ExperimentConfig(**{**SMALL_CONFIG, "horizon": 20, "replications": 1, "policies": (
+        PolicyKind.egreedy(4.0), PolicyKind.ucb(), PolicyKind.egreedy(8.0))})
+    result = run_experiment(config)
+    with pytest.raises(KeyError, match=re.escape("2 cells for (egreedy, 1.0)")):
+        result.cell("egreedy", 1.0)
+    assert result.cell("ucb", 1.0) is result.cells[3]
+
+
 def test_run_experiment_curves():
     config = ExperimentConfig(**{**SMALL_CONFIG, "capture_trajectories": True,
                                  "trajectory_stride": 25})

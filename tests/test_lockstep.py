@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from driftbandit import (
     ArmState,
+    BanditError,
     BanditInstance,
     DriftModel,
     ExperimentConfig,
@@ -231,13 +232,19 @@ def test_lane_streams_thompson_draws_past_shared_refills():
 
 
 @settings(max_examples=15, deadline=None)
-@given(policies=st.lists(POLICIES, min_size=1, max_size=4, unique_by=lambda p: p.name),
+@given(policies=st.lists(POLICIES, min_size=1, max_size=4),
        means=MEANS, noise=NOISE, drift=DRIFT,
        ls=st.lists(L_VALUE, min_size=1, max_size=3, unique=True),
        replications=st.integers(1, 3), horizon_extra=st.integers(0, 400),
        stride=STRIDE, overrides=st.dictionaries(
            st.sampled_from(["ucb", "egreedy", "thompson", "greedy"]), st.booleans()),
        master=SEED)
+# a repeated entry: the identical egreedy pair plays as one lockstep group, and
+# the third egreedy differs only by c
+@example(policies=[PolicyKind.egreedy(4.0), PolicyKind.egreedy(4.0), PolicyKind.ucb(),
+                   PolicyKind.egreedy(60.0)],
+         means=(0.5, 0.45, 0.4), noise=NoiseModel("bernoulli"), drift=("linear", None),
+         ls=[0.0, 1.1], replications=2, horizon_extra=300, stride=7, overrides={}, master=9)
 def test_run_experiment_equals_scalar_items(policies, means, noise, drift, ls, replications,
                                             horizon_extra, stride, overrides, master):
     kind, cap = drift
@@ -254,7 +261,7 @@ def test_run_experiment_equals_scalar_items(policies, means, noise, drift, ls, r
             runs = [run(instance, policy, config.drift_model(l), config.options_for(policy),
                         config.horizon, derive_seed(master, p_idx, l_idx, rep))
                     for rep in range(replications)]
-            cell = result.cell(policy.name, l)
+            cell = result.cells[p_idx * len(ls) + l_idx]
             assert cell.rep_metrics == tuple(summarize(r, instance) for r in runs)
             if stride is not None:
                 curves = [curve_of(r, stride) for r in runs]
@@ -288,3 +295,18 @@ def test_run_lanes_rejects_what_run_rejects():
     with pytest.raises(ValueError, match="drift kind"):
         run_lanes(instance, [ucb, Lane(PolicyKind.thompson(), MechanismOptions(),
                                        DriftModel("zero"), 2)], 20)
+
+
+def test_run_lanes_refuses_a_lane_whose_sums_overflow():
+    # the egreedy lane of test_run_refuses_arm_sums_that_overflow; the ucb lane stays finite.
+    # Past its first non-finite posted mean the lane no longer follows the scalar run,
+    # so the arm and the value it ends with may differ from the scalar run's
+    instance = BanditInstance((0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1),
+                              NoiseModel("gaussian", 1.0))
+    drift = DriftModel("linear", lipschitz=1e300)
+    off = MechanismOptions(project_feedback=False)
+    lanes = [Lane(PolicyKind.ucb(), off, drift, 2), Lane(PolicyKind.egreedy(4.0), off, drift, 1)]
+    with pytest.raises(BanditError, match=r"lane 1 \(seed 1\) overflowed: arm \d "):
+        with pytest.warns(RuntimeWarning):  # numpy's overflow and invalid-value warnings
+            run_lanes(instance, lanes, 200)
+    run_lanes(instance, lanes[:1], 200)

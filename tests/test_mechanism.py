@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from driftbandit import (
     ArmState,
+    BanditError,
     BanditInstance,
     DriftModel,
     MechanismOptions,
@@ -39,6 +40,7 @@ from driftbandit.mechanism import (
     SWEEP_ROW,
     TRAJECTORY_COLUMNS,
     TRAJECTORY_ROW,
+    check_finite,
     curve_of,
     fmt_real,
     read_blocks,
@@ -171,6 +173,25 @@ def test_run_rejects_short_horizon():
     inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
     with pytest.raises(ValueError):
         run(inst, PolicyKind.ucb(), NO_DRIFT, MechanismOptions(), 8, 1)
+
+
+def test_run_refuses_arm_sums_that_overflow():
+    # unprojected egreedy pays for exploring an arm far below a drifted leader, and
+    # l * x overflows; the sums stay non-finite, so the end of the run sees them
+    inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
+    with pytest.raises(BanditError, match="run overflowed: arm 0 feedback_sum is inf"):
+        run(inst, PolicyKind.egreedy(4.0), DriftModel("linear", lipschitz=1e300),
+            MechanismOptions(project_feedback=False), 200, 1)
+
+
+@pytest.mark.parametrize("field", ["feedback_sum", "drift_sum", "comp_sum"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_check_finite_names_the_first_non_finite_sum(field, value):
+    arms = [ArmState(pulls=2, feedback_sum=1.0), ArmState(pulls=1, **{field: value}),
+            ArmState(pulls=1, drift_sum=math.nan)]
+    with pytest.raises(BanditError, match=f"lane 3 overflowed: arm 1 {field} is {value}"):
+        check_finite(arms, "lane 3")
+    check_finite(arms[:1])
 
 
 @pytest.mark.parametrize("policy", [

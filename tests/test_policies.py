@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -15,7 +16,7 @@ from driftbandit import (
     ucb_index,
     ucb_select,
 )
-from driftbandit.policies import POLICIES, POLICY_NAMES, _argmax
+from driftbandit.policies import POLICIES, POLICY_NAMES, _argmax, egreedy_bonus_lanes
 
 
 def view(posted, pulls, t):
@@ -107,6 +108,39 @@ def test_egreedy_draw_order_coin_then_arm():
     rng = ScriptedRng([0.3, 0.0])
     assert egreedy_select(v, 4.0, rng) == 0
     assert rng.consumed == 2
+
+
+class _ScriptedUniforms:
+    """A LaneStreams stand-in: each uniform(lanes) call returns the next scripted array,
+    one value per lane drawing."""
+
+    def __init__(self, lanes, *draws):
+        self._lanes, self._draws = lanes, list(draws)
+
+    def uniform(self, lanes=None):
+        values = np.array(self._draws.pop(0))
+        assert len(values) == (self._lanes if lanes is None else len(lanes))
+        return values
+
+
+def test_egreedy_bonus_lanes_picks_what_egreedy_select_picks():
+    # tied posted means in every row; eps = min(1, 1.0 * 3 / 6) = 0.5
+    posted = np.array([[0.5, 0.5, 0.2], [0.3, 0.7, 0.7], [0.4, 0.4, 0.4], [0.9, 0.1, 0.9]])
+    pulls = np.array([[2.0, 3.0, 1.0], [1.0, 2.0, 3.0], [2.0, 2.0, 2.0], [4.0, 1.0, 1.0]])
+    c, t = 1.0, 6
+    last = math.nextafter(1.0, 0.0)  # floor(u * 3) = 2, the last arm
+    rounds = [([0.1, 0.7, 0.2, 0.49], [last, 0.34, 0.0]),  # lanes 0, 2 and 3 explore
+              ([0.5, 0.9, 0.6, 0.99], None)]  # no lane explores
+    bonus = np.zeros((4, 3))
+    for coins, arms in rounds:
+        draws = _ScriptedUniforms(4, coins, *([arms] if arms else []))
+        egreedy_bonus_lanes(PolicyView(t, posted, pulls), c, draws, bonus)
+        script = iter(arms or [])
+        for row, coin in enumerate(coins):
+            rng = ScriptedRng([coin] + ([next(script)] if coin < 0.5 else []))
+            expected = egreedy_select(view(posted[row], pulls[row], t), c, rng)
+            assert int(np.argmax(posted[row] + bonus[row])) == expected
+    assert bonus.tolist() == np.zeros((4, 3)).tolist()  # the exploring round left no inf
 
 
 # ---------------------------------------------------------------- thompson
