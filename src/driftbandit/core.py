@@ -236,13 +236,22 @@ class SimState:
     Owns the rng stream, so independent replications can run in parallel.
     Cumulative regret and compensation are derived from the per-arm counters
     in arm-index order, which makes the accounting identities exact rather
-    than subject to per-round float accumulation order.
+    than subject to per-round float accumulation order.  `posted` and `pulls`
+    are the live policy view of `arms`: derived from them when the state is
+    built, then kept by credit(), which is how a round changes an arm.  A
+    state whose `arms` list is replaced after it is built does not follow it.
     """
 
     round: int  # 1-based
     arms: list[ArmState]
     gap_vector: tuple[float, ...]  # environment-side, for regret accounting
     rng: RngStream
+    posted: list[float] = field(init=False, repr=False, compare=False)  # 0.0 while unpulled
+    pulls: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.posted = [a.feedback_sum / a.pulls if a.pulls else 0.0 for a in self.arms]
+        self.pulls = [a.pulls for a in self.arms]
 
     @classmethod
     def fresh(cls, instance: BanditInstance, rng: RngStream) -> "SimState":
@@ -257,15 +266,23 @@ class SimState:
     def cum_compensation(self) -> float:
         return accounting_totals(self.gap_vector, self.arms)[1]
 
+    def credit(self, i: int, feedback: float, drift: float, paid: bool, x: float) -> None:
+        """Credit one pull of arm i: its feedback and drift, and x if it was paid for;
+        then its entries of the live view."""
+        arm = self.arms[i]
+        arm.pulls += 1
+        arm.feedback_sum += feedback
+        arm.drift_sum += drift
+        if paid:
+            arm.comp_count += 1
+            arm.comp_sum += x
+        self.pulls[i] = arm.pulls
+        self.posted[i] = arm.feedback_sum / arm.pulls
+
     def policy_view(self) -> PolicyView:
-        posted = []
-        pulls = []
-        for a in self.arms:
-            if a.pulls == 0:
-                raise WarmStartError("warm start incomplete: an arm has zero pulls")
-            posted.append(a.feedback_sum / a.pulls)
-            pulls.append(a.pulls)
-        return PolicyView(self.round, tuple(posted), tuple(pulls))
+        if 0 in self.pulls:
+            raise WarmStartError("warm start incomplete: an arm has zero pulls")
+        return PolicyView(self.round, tuple(self.posted), tuple(self.pulls))
 
 
 def sample_reward(instance: BanditInstance, arm: int, rng: RngStream) -> float:

@@ -25,7 +25,7 @@ from typing import Sequence
 from . import analysis
 from .analysis import SummaryMetrics
 from .core import BanditInstance, DriftModel, InputError, NoiseModel
-from .lockstep import Lane, run_lanes
+from .lockstep import Lane, LaneError, run_lanes
 from .mechanism import Curve, CurveProbe, MechanismOptions, Trajectory, check_run_args
 from .policies import POLICY_NAMES, PolicyKind
 
@@ -347,7 +347,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> AggregateResult:
     """Run every (policy, l, replication) work item and aggregate per cell.
 
     `jobs` bounds parallel worker processes; results do not depend on it.
-    A failing chunk raises ExperimentError naming the chunk's first triple.
+    A failing chunk raises ExperimentError naming the triple of the lane that
+    failed (LaneError), or else the chunk's first triple.
     """
     chunks = _chunks(config, max(jobs, 1))
     outcomes: dict[tuple[int, int, int], tuple[SummaryMetrics, Curve | None]] = {}
@@ -371,7 +372,10 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> AggregateResult:
 
 
 def _describe_failure(config: ExperimentConfig, chunk: Chunk, exc: Exception) -> str:
-    p_idx, l_idx, rep = chunk[0]
-    return (f"replications failed in the chunk of {len(chunk)} starting at "
-            f"policy={config.policies[p_idx].name}, l={config.l_values[l_idx]}, "
+    if isinstance(exc, LaneError):  # one lane failed: name its own triple
+        where, triple = "replication failed at", chunk[exc.lane]
+    else:
+        where, triple = f"replications failed in the chunk of {len(chunk)} starting at", chunk[0]
+    p_idx, l_idx, rep = triple
+    return (f"{where} policy={config.policies[p_idx].name}, l={config.l_values[l_idx]}, "
             f"rep={rep}: {exc}")

@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import (
     ArmState,
+    BanditError,
     BanditInstance,
     DriftModel,
     PolicyView,
@@ -39,6 +40,17 @@ from .core import (
 from .mechanism import MechanismOptions, Trajectory, check_finite, check_run_args
 from .policies import PolicyKind
 from .rng import LaneStreams
+
+
+class LaneError(BanditError):
+    """One lane of run_lanes failed: `lane` is its index in run_lanes' lanes."""
+
+    def __init__(self, message: str, lane: int) -> None:
+        super().__init__(message, lane)  # both in args, so the error pickles
+        self.lane = lane
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 class Lane(NamedTuple):
@@ -75,8 +87,8 @@ def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
     t's credit, for t = 1..horizon: arms[i] is an ArmState whose five fields
     are live (lanes,) views of arm i in every lane, row j being lanes[j].
     The views change as the lanes play on, so a probe copies what it keeps.
-    A lane whose arm sums overflow raises BanditError naming its index and
-    seed, where mechanism.run raises it (check_finite).
+    A lane whose arm sums overflow raises LaneError naming its index and
+    seed, where mechanism.run raises BanditError (check_finite).
     """
     if not lanes:
         raise ValueError("need at least one lane")
@@ -159,5 +171,8 @@ def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
               for lane in lane_cells]
     if not np.isfinite(state).all():
         j = int(np.isfinite(fields).all(axis=(0, 2)).argmin())  # the first lane that overflowed
-        check_finite(finals[j].arms, f"lane {j} (seed {lanes[j].seed})")
+        try:
+            check_finite(finals[j].arms, f"lane {j} (seed {lanes[j].seed})")
+        except BanditError as exc:
+            raise LaneError(str(exc), j) from None
     return [Trajectory(records=[], final=final) for final in finals]

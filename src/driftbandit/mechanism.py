@@ -87,17 +87,11 @@ def _play(state: SimState, instance: BanditInstance, chosen: int, greedy: int, x
     if project:
         fb = min(1.0, max(0.0, fb))
     compensated = chosen != greedy
-    arm = state.arms[chosen]
-    arm.pulls += 1
-    arm.feedback_sum += fb
-    arm.drift_sum += b
-    if compensated:
-        arm.comp_count += 1
-        arm.comp_sum += x
-    rec = RoundRecord(
-        t=state.round, chosen=chosen, greedy=greedy, compensated=compensated,
-        compensation=x, drift=b, raw_reward=r, feedback=fb,
-        regret_increment=state.gap_vector[chosen])
+    state.credit(chosen, fb, b, compensated, x)
+    # positional: RoundRecord's field order (t, chosen, greedy, compensated, compensation,
+    # drift, raw_reward, feedback, regret_increment)
+    rec = RoundRecord(state.round, chosen, greedy, compensated, x, b, r, fb,
+                      state.gap_vector[chosen])
     state.round += 1
     return rec
 

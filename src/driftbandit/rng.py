@@ -43,30 +43,28 @@ class NumpyRng:
     function of the call sequence, so identically seeded runs are bit-equal.
     """
 
-    __slots__ = ("_gen", "_ubuf", "_upos", "_nbuf", "_npos")
+    __slots__ = ("_gen", "_uniforms", "_normals")
 
     def __init__(self, seed: int):
         self._gen = np.random.default_rng(seed)
-        self._ubuf: list[float] = []
-        self._upos = 0
-        self._nbuf: list[float] = []
-        self._npos = 0
+        # the next value of the current block of each kind; a draw that finds its
+        # block used up draws the next _BLOCK values of that kind
+        self._uniforms = iter(()).__next__
+        self._normals = iter(()).__next__
 
     def uniform(self) -> float:
-        if self._upos >= len(self._ubuf):
-            self._ubuf = self._gen.random(_BLOCK).tolist()
-            self._upos = 0
-        v = self._ubuf[self._upos]
-        self._upos += 1
-        return v
+        try:
+            return self._uniforms()
+        except StopIteration:
+            self._uniforms = iter(self._gen.random(_BLOCK).tolist()).__next__
+            return self._uniforms()
 
     def normal(self) -> float:
-        if self._npos >= len(self._nbuf):
-            self._nbuf = self._gen.standard_normal(_BLOCK).tolist()
-            self._npos = 0
-        v = self._nbuf[self._npos]
-        self._npos += 1
-        return v
+        try:
+            return self._normals()
+        except StopIteration:
+            self._normals = iter(self._gen.standard_normal(_BLOCK).tolist()).__next__
+            return self._normals()
 
 
 class _NormalBlocks:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -196,6 +197,31 @@ def test_bernoulli_support_and_mean():
     mu = 0.3
     half_width = 3 * math.sqrt(mu * (1 - mu) / n)
     assert abs(sum(draws) / n - mu) <= half_width
+
+
+# ---------------------------------------------------------------- streams
+
+@pytest.mark.parametrize("seed", [0, 20260809, 2**64 - 1])
+def test_numpy_rng_returns_the_generator_blocks_in_the_order_they_ran_out(seed):
+    # The seed->stream mapping, pinned against numpy itself: a draw that finds its
+    # kind's 1024-value block used up takes the next block of that kind from the one
+    # generator, random(1024) or standard_normal(1024).  The first run ends exactly at
+    # a block's end, so a stream that refilled as a block ran out, not at the next
+    # draw, would take the second uniform block before the first normal one.
+    runs = [("u", 1024), ("n", 1500), ("u", 1000), ("n", 900), ("u", 700)]
+    # draws 1, 1025 and 2049 of each kind find its blocks used up: u n n u n u
+    gen = np.random.default_rng(seed)
+    u1, n1, n2, u2, n3, u3 = (gen.random(1024) if kind == "u" else gen.standard_normal(1024)
+                              for kind in "unnunu")
+    expected = {"u": np.concatenate((u1, u2, u3)).tolist(),
+                "n": np.concatenate((n1, n2, n3)).tolist()}
+    rng = NumpyRng(seed)
+    got = {"u": [], "n": []}
+    for kind, n in runs:
+        draw = rng.uniform if kind == "u" else rng.normal
+        got[kind] += [draw() for _ in range(n)]
+    assert got == {kind: expected[kind][:len(values)] for kind, values in got.items()}
+    assert (len(got["u"]), len(got["n"])) == (2724, 2400)  # three blocks of each kind
 
 
 # ---------------------------------------------------------------- state

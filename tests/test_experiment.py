@@ -2,11 +2,13 @@ import math
 import random
 import re
 import statistics
+import warnings
 
 import pytest
 
 from driftbandit import (
     AggregateResult,
+    BanditError,
     ExperimentConfig,
     ExperimentError,
     PolicyKind,
@@ -350,6 +352,37 @@ def test_run_experiment_names_first_triple_of_failing_chunk(jobs, named):
         run_experiment(bad, jobs=jobs)
     assert f"policy=ucb, {named}" in str(err.value)
     assert "lipschitz" in str(err.value)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_experiment_names_the_lane_that_failed(jobs):
+    # unprojected egreedy overflows at l=1e300 (test_run_refuses_arm_sums_that_overflow);
+    # ucb and l=0.0 stay finite.  At jobs=1 the failing lane sits after the 8 ucb lanes
+    # and 4 egreedy l=0.0 lanes; at jobs=2 (the egreedy lanes cross the pool) after
+    # the 4 l=0.0 lanes of its chunk
+    config = ExperimentConfig(
+        arm_means=(0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1),
+        policies=(PolicyKind.ucb(), PolicyKind.egreedy(4.0)), l_values=(0.0, 1e300),
+        horizon=200, replications=4, master_seed=20260809,
+        project_overrides={"egreedy": False})
+    first_bad = None
+    for rep in range(config.replications):  # the scalar run of each egreedy l=1e300 item
+        seed = derive_seed(config.master_seed, 1, 1, rep)
+        try:
+            run(config.instance(), config.policies[1], config.drift_model(1e300),
+                config.options_for(config.policies[1]), config.horizon, seed)
+        except BanditError:
+            first_bad = rep, seed
+            break
+    assert first_bad is not None
+    rep, seed = first_bad
+    with pytest.raises(ExperimentError) as err, warnings.catch_warnings():
+        # numpy's overflow and invalid-value warnings, raised in this process at jobs=1
+        warnings.simplefilter("ignore", RuntimeWarning)
+        run_experiment(config, jobs=jobs)
+    message = str(err.value)
+    assert message.startswith(f"replication failed at policy=egreedy, l=1e+300, rep={rep}: ")
+    assert f"(seed {seed}) overflowed: arm " in message
 
 
 def test_sublinear_growth_bernoulli_drift():

@@ -95,6 +95,23 @@ def test_run_lanes_equals_scalar_run(lanes, overrides, means, noise, drift, hori
     _assert_lanes_equal_scalar(instance, mixed, instance.k + horizon_extra, stride)
 
 
+@settings(max_examples=30, deadline=None)
+@given(lanes=st.lists(st.tuples(POLICIES, L_VALUE, st.booleans()), min_size=1, max_size=6),
+       means=MEANS, noise=NOISE, drift=DRIFT, horizon_extra=st.integers(0, 300),
+       seed_base=SEED)
+def test_run_lanes_finals_post_the_scalar_final_view(lanes, means, noise, drift,
+                                                     horizon_extra, seed_base):
+    # each final state's live view is derived from its arms when run_lanes builds it
+    instance = BanditInstance(means, noise)
+    horizon = instance.k + horizon_extra
+    lanes = [Lane(policy, MechanismOptions(project_feedback=project), _drift(*drift, l),
+                  derive_seed(seed_base, 0, j, 0))
+             for j, (policy, l, project) in enumerate(lanes)]
+    for got, lane in zip(run_lanes(instance, lanes, horizon), lanes):
+        scalar = run(instance, lane.policy, lane.drift, lane.options, horizon, lane.seed)
+        assert got.final.policy_view() == scalar.final.policy_view()
+
+
 @pytest.mark.parametrize("noise", [NoiseModel("bernoulli"), NoiseModel("gaussian", 1.0)])
 @pytest.mark.parametrize("policy", [PolicyKind.ucb(), PolicyKind.egreedy(4.0),
                                     PolicyKind.thompson(), PolicyKind.greedy()])

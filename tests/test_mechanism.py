@@ -19,9 +19,11 @@ from driftbandit import (
     NoiseModel,
     NumpyRng,
     PolicyKind,
+    PolicyView,
     ScriptedRng,
     SimState,
     WarmStartError,
+    posted_mean,
     run,
     step,
     trajectory_rows,
@@ -54,10 +56,9 @@ NO_DRIFT = DriftModel("zero")
 
 
 def make_state(instance, arms, rng=None):
-    state = SimState.fresh(instance, rng or NumpyRng(0))
-    state.arms = arms
-    state.round = 1 + sum(a.pulls for a in arms)
-    return state
+    # through the constructor, which derives the live view from `arms`
+    return SimState(round=1 + sum(a.pulls for a in arms), arms=arms,
+                    gap_vector=instance.gap_vector, rng=rng or NumpyRng(0))
 
 
 # ---------------------------------------------------------------- warm start
@@ -158,6 +159,48 @@ def test_step_compensation_zero_on_posted_tie():
     rec = step(state, PolicyKind.greedy(), DriftModel("linear", lipschitz=1.0),
                inst, MechanismOptions(project_feedback=False))
     assert rec.chosen == 0 and not rec.compensated and rec.compensation == 0.0
+
+
+def rebuilt_view(state):
+    """The policy view read afresh from state.arms: each arm's posted_mean and pulls."""
+    return PolicyView(state.round, tuple(posted_mean(a) for a in state.arms),
+                      tuple(a.pulls for a in state.arms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(policy=st.sampled_from([PolicyKind.ucb(), PolicyKind.egreedy(4.0),
+                               PolicyKind.thompson(), PolicyKind.greedy()]),
+       project=st.booleans(),
+       noise=st.sampled_from([NoiseModel("bernoulli"), NoiseModel("gaussian", 1.0)]),
+       drift=st.sampled_from([DriftModel("linear", lipschitz=1.1),
+                              DriftModel("clipped_linear", lipschitz=3.0, cap=0.2)]),
+       means=st.lists(st.integers(1, 100), min_size=2, max_size=6, unique=True).map(
+           lambda xs: tuple(x / 100 for x in xs)),
+       rounds=st.integers(0, 300), seed=st.integers(0, 2**64 - 1))
+def test_live_view_equals_the_view_rebuilt_from_the_arms(policy, project, noise, drift,
+                                                         means, rounds, seed):
+    inst = BanditInstance(means, noise)
+    state = SimState.fresh(inst, NumpyRng(seed))
+    with pytest.raises(WarmStartError):
+        state.policy_view()
+    options = MechanismOptions(project_feedback=project)
+    warm_start(state, inst, options)
+    assert state.policy_view() == rebuilt_view(state)
+    for _ in range(rounds):
+        step(state, policy, drift, inst, options)
+        assert state.policy_view() == rebuilt_view(state)
+
+
+def test_constructor_derives_the_live_view_from_the_arms():
+    inst = BanditInstance((0.9, 0.8, 0.7), NoiseModel("gaussian", 0.0))
+    arms = [ArmState(pulls=2, feedback_sum=1.5), ArmState(pulls=1, feedback_sum=0.25),
+            ArmState(pulls=4, feedback_sum=3.0)]
+    state = make_state(inst, arms)
+    assert state.policy_view() == rebuilt_view(state) == PolicyView(8, (0.75, 0.25, 0.75),
+                                                                     (2, 1, 4))
+    arms[1].pulls = 0
+    with pytest.raises(WarmStartError):
+        make_state(inst, arms).policy_view()
 
 
 # ---------------------------------------------------------------- run
