@@ -237,9 +237,10 @@ class SimState:
     Cumulative regret and compensation are derived from the per-arm counters
     in arm-index order, which makes the accounting identities exact rather
     than subject to per-round float accumulation order.  `posted` and `pulls`
-    are the live policy view of `arms`: derived from them when the state is
-    built, then kept by credit(), which is how a round changes an arm.  A
-    state whose `arms` list is replaced after it is built does not follow it.
+    are the live policy view of `arms`: derived from them whenever `arms` is
+    assigned (by the constructor, dataclasses.replace or a plain assignment),
+    then kept by credit(), which is how a round changes an arm.  An ArmState
+    edited in place outside credit() is not followed.
     """
 
     round: int  # 1-based
@@ -248,10 +249,6 @@ class SimState:
     rng: RngStream
     posted: list[float] = field(init=False, repr=False, compare=False)  # 0.0 while unpulled
     pulls: list[int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.posted = [a.feedback_sum / a.pulls if a.pulls else 0.0 for a in self.arms]
-        self.pulls = [a.pulls for a in self.arms]
 
     @classmethod
     def fresh(cls, instance: BanditInstance, rng: RngStream) -> "SimState":
@@ -269,7 +266,7 @@ class SimState:
     def credit(self, i: int, feedback: float, drift: float, paid: bool, x: float) -> None:
         """Credit one pull of arm i: its feedback and drift, and x if it was paid for;
         then its entries of the live view."""
-        arm = self.arms[i]
+        arm = self._arms[i]
         arm.pulls += 1
         arm.feedback_sum += feedback
         arm.drift_sum += drift
@@ -283,6 +280,16 @@ class SimState:
         if 0 in self.pulls:
             raise WarmStartError("warm start incomplete: an arm has zero pulls")
         return PolicyView(self.round, tuple(self.posted), tuple(self.pulls))
+
+
+def _set_arms(state: SimState, arms: list[ArmState]) -> None:
+    state._arms = arms
+    state.posted = [a.feedback_sum / a.pulls if a.pulls else 0.0 for a in arms]
+    state.pulls = [a.pulls for a in arms]
+
+
+# set after the class body, where a property would read as the field's default
+SimState.arms = property(lambda state: state._arms, _set_arms)
 
 
 def sample_reward(instance: BanditInstance, arm: int, rng: RngStream) -> float:

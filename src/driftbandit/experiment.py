@@ -11,12 +11,14 @@ same for few lanes as for many, so the grid is played in as few chunks as
 there are workers: the work units (the lanes of one policy, or a part of
 them when there are fewer policies than workers) are dealt round-robin to
 min(jobs, units) chunks, and each chunk is one lockstep, in a worker process of
-its own when there are several.
+its own when there are several.  The workers come from a
+concurrent.futures.ProcessPoolExecutor, imported by run_experiment only when
+it opens one, so that a process which never fans a sweep out (run, bounds,
+trace, a one-chunk sweep) does not load concurrent.futures and multiprocessing.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from statistics import fmean, median, stdev
@@ -354,7 +356,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> AggregateResult:
     outcomes: dict[tuple[int, int, int], tuple[SummaryMetrics, Curve | None]] = {}
     # one worker per chunk; a single chunk (always at jobs <= 1) plays in this
     # process, where patches of run and summarize apply
-    with ProcessPoolExecutor(max_workers=len(chunks)) if len(chunks) > 1 else nullcontext() as pool:
+    if len(chunks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a fanned-out sweep pays its import
+        context = ProcessPoolExecutor(max_workers=len(chunks))
+    else:
+        context = nullcontext()
+    with context as pool:
         played = (map if pool is None else pool.map)(_run_chunk, [config] * len(chunks), chunks)
         for chunk in chunks:
             try:

@@ -101,6 +101,26 @@ def test_run_peak_memory_does_not_grow_with_the_horizon(tmp_path):
     assert long - short < 4 * 1024
 
 
+NO_POOL = """
+import sys, tempfile
+import driftbandit
+from driftbandit import cli
+with tempfile.TemporaryDirectory() as out:
+    assert cli.main(["run", "--policy", "ucb", "--T", "50", "--out-dir", out]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")))
+"""
+
+
+def test_run_does_not_import_the_worker_pool():
+    # only a sweep that opens two or more workers loads concurrent.futures and multiprocessing
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", NO_POOL], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_run_rejects_negative_drift_coefficient(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         run_cli(["run", "--policy", "ucb", "--l", "-1", "--out-dir", str(tmp_path)])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import random
 import re
@@ -18,7 +19,6 @@ from driftbandit import (
     run_experiment,
     summarize,
 )
-from driftbandit import experiment
 from driftbandit.experiment import _chunks
 
 SMALL_CONFIG = dict(
@@ -310,7 +310,8 @@ def test_run_experiment_opens_one_worker_per_chunk(monkeypatch, l_values, pools)
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+    # run_experiment imports the pool class only when it opens one, and so reads the patch
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     config = ExperimentConfig(**{**SMALL_CONFIG, "policies": (PolicyKind.ucb(),),
                                  "l_values": l_values, "replications": 1})
     assert run_experiment(config, jobs=8) == run_experiment(config, jobs=1)

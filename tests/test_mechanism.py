@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import struct
@@ -201,6 +202,20 @@ def test_constructor_derives_the_live_view_from_the_arms():
     arms[1].pulls = 0
     with pytest.raises(WarmStartError):
         make_state(inst, arms).policy_view()
+
+
+def test_assigning_arms_rebuilds_the_live_view():
+    inst = BanditInstance((0.9, 0.8, 0.7), NoiseModel("gaussian", 0.0))
+    arms = [ArmState(pulls=2, feedback_sum=1.5), ArmState(pulls=1, feedback_sum=0.25),
+            ArmState(pulls=4, feedback_sum=3.0)]
+    state = SimState.fresh(inst, NumpyRng(0))
+    state.arms = arms
+    state.round = 8
+    assert state.arms is arms
+    assert state.policy_view() == make_state(inst, arms).policy_view() == rebuilt_view(state)
+    replaced = dataclasses.replace(state, arms=[ArmState(pulls=1, feedback_sum=0.5)] * 3)
+    assert replaced.policy_view() == PolicyView(8, (0.5, 0.5, 0.5), (1, 1, 1))
+    assert state.policy_view() == PolicyView(8, (0.75, 0.25, 0.75), (2, 1, 4))
 
 
 # ---------------------------------------------------------------- run
