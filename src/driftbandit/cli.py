@@ -152,6 +152,8 @@ def _cmd_sweep(args, parser) -> int:
             data["master_seed"] = args.seed
         config = ExperimentConfig.from_dict(data)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, InputError) and exc.field == "master_seed" and args.seed is not None:
+            parser.error(f"--seed {exc.problem}")  # the seed came from the flag
         parser.error(f"invalid config {args.config}: {exc}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # before playing, so a bad --out-dir fails fast

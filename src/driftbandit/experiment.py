@@ -100,7 +100,7 @@ class ExperimentConfig:
         if self.trajectory_stride < 1:
             raise ValueError("trajectory_stride must be >= 1")
         if not 0 <= self.master_seed <= _MASK64:
-            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
+            raise InputError("master_seed", f"must be in [0, 2**64), got {self.master_seed}")
         # fail early on the rules of the domain types, naming the key
         instance = _named({"kind": "noise.kind", "sigma": "noise.sigma", None: "arm_means"},
                           self.instance)

@@ -4,15 +4,18 @@ Every run owns exactly one stream.  The draw order is part of the simulation
 contract: within a round the policy draws first (epsilon-greedy: one uniform
 for the explore coin, then one uniform for the arm if exploring; Thompson:
 one normal per arm in arm-index order), then the environment draws once for
-the reward sample.  LaneStreams replays many NumpyRng streams together, in
-the lockstep engine's two shapes of draw: normals for every lane, and one
-uniform for some lanes.  Each lockstep group draws from its own LaneStreams,
-and its normals may be a view of its blocks, valid until its next normal draw.
+the reward sample.  A seed's stream is its generator's `_BLOCK`-value blocks
+of each kind, in the order they ran out.  NumpyRng hands them out one scalar
+at a time; LaneStreams replays many NumpyRng streams together, in the lockstep
+engine's two shapes of draw: normals for every lane, and one uniform for some
+lanes.  Each lockstep group draws from its own LaneStreams, and its normals
+may be a view of its blocks, valid until its next normal draw.
 """
 
 from __future__ import annotations
 
-from typing import Protocol
+from itertools import chain, repeat
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -39,96 +42,23 @@ _BLOCK = 1024  # refill size; fixed, part of the seed->stream mapping
 class NumpyRng:
     """PCG64-backed stream with block-buffered scalar draws.
 
-    Given a seed, the sequence of uniform()/normal() results is a pure
-    function of the call sequence, so identically seeded runs are bit-equal.
+    uniform() and normal() run through the generator's random(_BLOCK) and
+    standard_normal(_BLOCK) blocks, and a block is drawn only when a draw finds
+    the one before it used up.  So the sequence of results is a pure function of
+    the seed and the call sequence, and identically seeded runs are bit-equal.
     """
 
-    __slots__ = ("_gen", "_uniforms", "_normals")
+    __slots__ = ("uniform", "normal")
 
     def __init__(self, seed: int):
-        self._gen = np.random.default_rng(seed)
-        # the next value of the current block of each kind; a draw that finds its
-        # block used up draws the next _BLOCK values of that kind
-        self._uniforms = iter(()).__next__
-        self._normals = iter(()).__next__
-
-    def uniform(self) -> float:
-        try:
-            return self._uniforms()
-        except StopIteration:
-            self._uniforms = iter(self._gen.random(_BLOCK).tolist()).__next__
-            return self._uniforms()
-
-    def normal(self) -> float:
-        try:
-            return self._normals()
-        except StopIteration:
-            self._normals = iter(self._gen.standard_normal(_BLOCK).tolist()).__next__
-            return self._normals()
+        gen = np.random.default_rng(seed)
+        self.uniform = _scalars(gen.random)
+        self.normal = _scalars(gen.standard_normal)
 
 
-class _NormalBlocks:
-    """Normals for every lane, from one `_BLOCK`-value block per lane.
-
-    Every lane draws as often, so the lanes share one position, a draw is a
-    slice, and a draw that finds the blocks used up refills them all.
-    """
-
-    __slots__ = ("_fills", "_buf", "_pos")
-
-    def __init__(self, fills):
-        self._fills = fills  # fills[j](out=row) writes lane j's next block into row
-        self._buf = np.empty((len(fills), _BLOCK))
-        self._pos = _BLOCK  # every lane's next draw; _BLOCK: used up
-
-    def take(self, n: int) -> np.ndarray:
-        """The next n draws of every lane, shape (lanes, n).
-
-        Often a view of the blocks: it is valid until the next take.
-        """
-        pos = self._pos
-        if pos + n <= _BLOCK:
-            self._pos = pos + n
-            return self._buf[:, pos:pos + n]
-        rest = self._buf[:, pos:].copy()  # the blocks run out within this draw
-        for fill, row in zip(self._fills, self._buf):
-            fill(out=row)
-        self._pos = 0
-        return np.concatenate((rest, self.take(n - (_BLOCK - pos))), axis=1)
-
-
-class _UniformBlocks:
-    """One uniform for each drawing lane, from one `_BLOCK`-value block per lane.
-
-    Each lane keeps its own position, and a draw refills only the used-up
-    blocks of the lanes drawing.
-    """
-
-    __slots__ = ("_fills", "_buf", "_flat", "_start", "_pos", "_room")
-
-    def __init__(self, fills):
-        lanes = len(fills)
-        self._fills = fills  # fills[j](out=row) writes lane j's next block into row
-        self._buf = np.empty((lanes, _BLOCK))
-        self._flat = self._buf.reshape(-1)
-        self._start = np.arange(lanes) * _BLOCK  # flat index of each lane's block
-        self._pos = np.full(lanes, _BLOCK)  # each lane's next draw; _BLOCK: used up
-        self._room = 0  # draws left before a draw must look for used-up blocks
-
-    def take(self, lanes: np.ndarray | None = None) -> np.ndarray:
-        """The next draw of each lane in `lanes` (all lanes if None)."""
-        if not self._room:
-            drawing = np.arange(len(self._pos)) if lanes is None else lanes
-            for lane in drawing[self._pos[drawing] == _BLOCK].tolist():
-                self._fills[lane](out=self._buf[lane])
-                self._pos[lane] = 0
-            # 1 while a lane that is not drawing is used up: the next draw looks again
-            self._room = max(_BLOCK - int(self._pos.max()), 1)
-        self._room -= 1
-        rows = slice(None) if lanes is None else lanes
-        at = self._start[rows] + self._pos[rows]
-        self._pos[rows] += 1
-        return self._flat[at]
+def _scalars(draw) -> Callable[[], float]:
+    """The next value of draw(_BLOCK), draw(_BLOCK), ... as a Python float."""
+    return chain.from_iterable(map(np.ndarray.tolist, map(draw, repeat(_BLOCK)))).__next__
 
 
 class LaneStreams:
@@ -136,30 +66,62 @@ class LaneStreams:
 
     Lane j replays NumpyRng(seeds[j]) exactly: for any per-lane sequence of
     uniform/normal calls it returns the values NumpyRng would, because each
-    lane refills its uniform and normal blocks at the same draws.  normal()
-    and normals(n) draw for every lane, uniform(lanes) for the named lanes.
-    The normals may be a view of the streams' blocks, valid until the next
-    normal draw from the same LaneStreams.
+    lane refills its uniform and normal blocks at the same draws.  Every lane
+    draws as many normals, so the normal blocks share one position, a draw is
+    a slice (a view of the blocks, valid until the next normal draw), and a
+    draw that finds them used up refills them all.  Uniforms are drawn for
+    some lanes, so each lane keeps its own uniform position, and a draw
+    refills only the used-up blocks of the lanes drawing.
     """
 
-    __slots__ = ("_uniform", "_normal")
+    __slots__ = ("_gens", "_normals", "_npos", "_uniforms", "_flat", "_start", "_upos",
+                 "_room")
 
     def __init__(self, seeds):
-        gens = [np.random.default_rng(s) for s in seeds]
-        self._uniform = _UniformBlocks([g.random for g in gens])
-        self._normal = _NormalBlocks([g.standard_normal for g in gens])
+        self._gens = [np.random.default_rng(s) for s in seeds]
+        lanes = len(self._gens)
+        self._normals = np.empty((lanes, _BLOCK))
+        self._npos = _BLOCK  # every lane's next normal; _BLOCK: used up
+        self._uniforms = np.empty((lanes, _BLOCK))
+        self._flat = self._uniforms.reshape(-1)
+        self._start = np.arange(lanes) * _BLOCK  # flat index of each lane's uniform block
+        self._upos = np.full(lanes, _BLOCK)  # each lane's next uniform; _BLOCK: used up
+        self._room = 0  # uniform draws left before one must look for used-up blocks
 
     def uniform(self, lanes: np.ndarray | None = None) -> np.ndarray:
         """One uniform per lane in `lanes` (all lanes if None)."""
-        return self._uniform.take(lanes)
+        if not self._room:
+            drawing = np.arange(len(self._gens)) if lanes is None else lanes
+            for lane in drawing[self._upos[drawing] == _BLOCK].tolist():
+                self._gens[lane].random(out=self._uniforms[lane])
+                self._upos[lane] = 0
+            # 1 while a lane that is not drawing is used up: the next draw looks again
+            self._room = max(_BLOCK - int(self._upos.max()), 1)
+        self._room -= 1
+        rows = slice(None) if lanes is None else lanes
+        at = self._start[rows] + self._upos[rows]
+        self._upos[rows] += 1
+        return self._flat[at]
 
     def normal(self) -> np.ndarray:
         """One standard normal per lane."""
-        return self._normal.take(1)[:, 0]
+        pos = self._npos
+        if pos < _BLOCK:
+            self._npos = pos + 1
+            return self._normals[:, pos]
+        return self.normals(1)[:, 0]
 
     def normals(self, n: int) -> np.ndarray:
         """n consecutive standard normals per lane, shape (lanes, n)."""
-        return self._normal.take(n)
+        pos = self._npos
+        if pos + n <= _BLOCK:
+            self._npos = pos + n
+            return self._normals[:, pos:pos + n]
+        rest = self._normals[:, pos:].copy()  # the blocks run out within this draw
+        for gen, row in zip(self._gens, self._normals):
+            gen.standard_normal(out=row)
+        self._npos = 0
+        return np.concatenate((rest, self.normals(n - (_BLOCK - pos))), axis=1)
 
 
 class ScriptedRng:

@@ -172,9 +172,9 @@ def test_bounds_non_positive_c_exits_2_naming_it(tmp_path, capsys, c):
     (["bounds", "--T", "1"], "--T must be >= 2"),
     # derive_seed reads the master seed mod 2^64, so -1 would replay 2^64 - 1
     (["sweep", "--config", str(REPO / "configs" / "nine_arm_sweep.json"), "--seed", "-1"],
-     "master_seed must be in [0, 2**64)"),
+     "--seed must be in [0, 2**64), got -1"),
     (["sweep", "--config", str(REPO / "configs" / "nine_arm_sweep.json"), "--seed", str(2 ** 64)],
-     "master_seed must be in [0, 2**64)"),
+     "--seed must be in [0, 2**64), got 18446744073709551616"),
     (["run", "--policy", "ucb", "--means", "0.5,0.5"],
      "--means 0.5,0.5: maximum mean 0.5 attained by more than one arm"),
     (["trace", "--policy", "ucb", "--means", "0.5,0.5", "--draws", "0"],

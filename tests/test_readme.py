@@ -1,0 +1,40 @@
+"""The README's code and schemas agree with the package.
+
+The "Library example" block must run as printed, and the column lists of
+"CSV schemas" must be the column tuples that `mechanism.write_csv` writes,
+in the same order: the README calls that order part of the contract.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from driftbandit import mechanism
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _section(title: str) -> str:
+    """The README text under the `## <title>` heading, up to the next one."""
+    start = README.index(f"\n## {title}")
+    end = README.find("\n## ", start + 1)
+    return README[start:end if end >= 0 else None]
+
+
+def test_library_example_runs(capsys):
+    code = re.search(r"```python\n(.*?)```", _section("Library example"), re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("SummaryMetrics(")
+
+
+@pytest.mark.parametrize("name, columns", [
+    ("trajectory.csv", mechanism.TRAJECTORY_COLUMNS),
+    ("summary.csv", mechanism.SUMMARY_COLUMNS),
+    ("sweep.csv", mechanism.SWEEP_COLUMNS),
+    ("curves.csv", mechanism.CURVE_COLUMNS),
+])
+def test_csv_schema_lists_the_column_tuple(name, columns):
+    # a bullet "- `<name>` (note): `col, col,\n  col` ...", the list wrapped over lines
+    found = re.search(rf"^- `{re.escape(name)}`[^:]*: `([^`]+)`", _section("CSV schemas"), re.M)
+    assert tuple(col.strip() for col in found.group(1).split(",")) == columns
