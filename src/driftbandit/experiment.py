@@ -9,12 +9,15 @@ gives each lane exactly what mechanism.run gives for its triple, and plays
 the lanes of several policies together.  A lockstep round costs about the
 same for few lanes as for many, so the grid is played in as few chunks as
 there are workers: the work units (the lanes of one policy, or a part of
-them when there are fewer policies than workers) are dealt round-robin to
-min(jobs, units) chunks, and each chunk is one lockstep, in a worker process of
-its own when there are several.  The workers come from a
-concurrent.futures.ProcessPoolExecutor, imported by run_experiment only when
-it opens one, so that a process which never fans a sweep out (run, bounds,
-trace, a one-chunk sweep) does not load concurrent.futures and multiprocessing.
+them when there are fewer policies than workers) are dealt to min(jobs, units)
+chunks, and each chunk is one lockstep, in a worker process of its own when
+there are several.  The deal balances the chunks' cost: a unit weighs its
+lanes times its policy's fixed per-lane cost (PolicyRule.lane_cost), and the
+units go heaviest first, each to the chunk with the least weight so far.  The
+workers come from a concurrent.futures.ProcessPoolExecutor, imported by
+run_experiment only when it opens one, so that a process which never fans a
+sweep out (run, bounds, trace, a one-chunk sweep) does not load
+concurrent.futures and multiprocessing.
 """
 
 from __future__ import annotations
@@ -322,10 +325,14 @@ def _run_chunk(config: ExperimentConfig,
 
 
 def _chunks(config: ExperimentConfig, jobs: int) -> list[Chunk]:
-    """The grid's work units dealt round-robin to min(jobs, units) chunks.
+    """The grid's work units dealt to min(jobs, units) chunks, heaviest first.
 
     A unit is the lanes of one policy, split into parts of equal size only
     when there are fewer policies than jobs, so that every worker gets one.
+    A unit weighs its lanes times its rule's lane_cost.  The units go heaviest
+    first, each to the first chunk with the least weight so far (Graham's LPT
+    rule); the sort is stable, so units of equal weight are dealt round-robin.
+    A chunk's lanes are in grid order.
     """
     lanes = [(l_idx, rep) for l_idx in range(len(config.l_values))
              for rep in range(config.replications)]
@@ -333,8 +340,14 @@ def _chunks(config: ExperimentConfig, jobs: int) -> list[Chunk]:
     cuts = [len(lanes) * i // parts for i in range(parts + 1)]  # parts of equal size, +-1
     units = [tuple((p_idx, l_idx, rep) for l_idx, rep in lanes[a:b])
              for p_idx in range(len(config.policies)) for a, b in zip(cuts, cuts[1:])]
-    count = min(jobs, len(units))
-    return [tuple(lane for unit in units[c::count] for lane in unit) for c in range(count)]
+    weights = [len(unit) * config.policies[unit[0][0]].rule.lane_cost for unit in units]
+    loads = [0.0] * min(jobs, len(units))
+    dealt: list[list[int]] = [[] for _ in loads]
+    for u in sorted(range(len(units)), key=lambda u: -weights[u]):
+        c = loads.index(min(loads))
+        loads[c] += weights[u]
+        dealt[c].append(u)
+    return [tuple(lane for u in sorted(members) for lane in units[u]) for members in dealt]
 
 
 def _mean_curve(curves: tuple[Curve | None, ...]) -> Curve | None:

@@ -89,7 +89,14 @@ class LaneStreams:
         self._room = 0  # uniform draws left before one must look for used-up blocks
 
     def uniform(self, lanes: np.ndarray | None = None) -> np.ndarray:
-        """One uniform per lane in `lanes` (all lanes if None)."""
+        """One uniform per lane in `lanes` (all lanes if None), as a new array.
+
+        Each lane's value is its block's entry at its own position, which
+        then moves on by one.  A draw for all lanes (egreedy's coin, Bernoulli
+        rewards: every round) adds and bumps the whole start and position
+        arrays, which costs less than indexing them; a draw for some lanes
+        indexes them by `lanes`.
+        """
         if not self._room:
             drawing = np.arange(len(self._gens)) if lanes is None else lanes
             for lane in drawing[self._upos[drawing] == _BLOCK].tolist():
@@ -98,10 +105,13 @@ class LaneStreams:
             # 1 while a lane that is not drawing is used up: the next draw looks again
             self._room = max(_BLOCK - int(self._upos.max()), 1)
         self._room -= 1
-        rows = slice(None) if lanes is None else lanes
-        at = self._start[rows] + self._upos[rows]
-        self._upos[rows] += 1
-        return self._flat[at]
+        if lanes is None:
+            at = self._start + self._upos
+            self._upos += 1
+        else:
+            at = self._start[lanes] + self._upos[lanes]
+            self._upos[lanes] += 1
+        return self._flat.take(at)
 
     def normal(self) -> np.ndarray:
         """One standard normal per lane."""

@@ -1,9 +1,11 @@
 import concurrent.futures
+import json
 import math
 import random
 import re
 import statistics
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,13 @@ SMALL_CONFIG = dict(
 )
 
 DROP = object()  # a config change that leaves the key out
+
+NINE_ARMS = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
+CANONICAL = Path(__file__).resolve().parents[1] / "configs" / "nine_arm_sweep.json"
+# every rule once, greedy the cheapest, and nine egreedy entries that differ only in c
+FOUR_RULES = (PolicyKind.ucb(), PolicyKind.egreedy(4.0), PolicyKind.thompson(),
+              PolicyKind.greedy())
+NINE_EGREEDY = tuple(PolicyKind.egreedy(c) for c in (1, 2, 4, 8, 16, 36, 90, 360, 500))
 
 
 # ---------------------------------------------------------------- derive_seed
@@ -291,6 +300,46 @@ def test_chunks_deal_every_triple_once(n_policies, jobs):
     assert len(chunks) == min(jobs, units)
     if jobs == 1:
         assert len(chunks) == 1
+    # lanes stay in grid order, so each policy's lanes in a chunk form one group
+    assert all(list(chunk) == sorted(chunk) for chunk in chunks)
+
+
+def test_chunks_deal_the_canonical_grid_by_cost():
+    # thompson's lanes cost about as much as ucb's and egreedy's together
+    config = ExperimentConfig.from_dict(json.loads(CANONICAL.read_text()))
+    chunks = _chunks(config, 2)
+    assert [sorted({p_idx for p_idx, _, _ in chunk}) for chunk in chunks] == [[2], [0, 1]]
+
+
+def _round_robin(config, jobs):
+    """The deal by count: the units _chunks cuts, dealt as units[c::count]."""
+    lanes = [(l_idx, rep) for l_idx in range(len(config.l_values))
+             for rep in range(config.replications)]
+    parts = min(len(lanes), -(-jobs // len(config.policies)))
+    cuts = [len(lanes) * i // parts for i in range(parts + 1)]
+    units = [tuple((p_idx, l_idx, rep) for l_idx, rep in lanes[a:b])
+             for p_idx in range(len(config.policies)) for a, b in zip(cuts, cuts[1:])]
+    count = min(jobs, len(units))
+    return [tuple(lane for unit in units[c::count] for lane in unit) for c in range(count)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+@pytest.mark.parametrize("policies", [(PolicyKind.thompson(),), NINE_EGREEDY],
+                         ids=["one-policy-in-parts", "nine-egreedy"])
+def test_chunks_deal_equal_cost_units_round_robin(policies, jobs):
+    # 12 lanes a policy cut into 1-4 parts of 12/parts lanes: every unit weighs the same
+    config = ExperimentConfig(**{**SMALL_CONFIG, "policies": policies, "replications": 6})
+    assert _chunks(config, jobs) == _round_robin(config, jobs)
+
+
+@pytest.mark.parametrize("policies", [FOUR_RULES, NINE_EGREEDY],
+                         ids=["four-rules", "nine-egreedy"])
+def test_run_experiment_cells_do_not_depend_on_the_deal(policies):
+    config = ExperimentConfig(arm_means=NINE_ARMS, policies=policies, l_values=(0.0, 1.1),
+                              horizon=40, replications=2, master_seed=20260809)
+    serial = run_experiment(config, jobs=1)
+    for jobs in (2, 3, 4):
+        assert run_experiment(config, jobs=jobs) == serial, jobs
 
 
 @pytest.mark.parametrize("l_values,pools", [((0.0,), []), ((0.0, 1.0), [2])])
@@ -334,12 +383,15 @@ def test_run_experiment_names_failing_triple():
 
 
 def test_run_experiment_jobs2_names_failing_triple():
-    # only the thompson items fail; the error names the first failing triple
-    bad = ExperimentConfig(**SMALL_CONFIG)
-    object.__setattr__(bad.policies[1], "name", "missing")
+    # only the egreedy items fail: with its c dropped past validation its lane form
+    # raises TypeError.  At jobs=2 its 8 lanes are a chunk, whose first triple is named
+    bad = ExperimentConfig(**{**SMALL_CONFIG,
+                              "policies": (PolicyKind.ucb(), PolicyKind.egreedy(4.0))})
+    object.__setattr__(bad.policies[1], "c", None)
     with pytest.raises(ExperimentError) as err:
         run_experiment(bad, jobs=2)
-    assert "policy=missing, l=0.0, rep=0" in str(err.value)
+    assert str(err.value).startswith(
+        "replications failed in the chunk of 8 starting at policy=egreedy, l=0.0, rep=0: ")
 
 
 @pytest.mark.parametrize("jobs,named", [(1, "l=0.0, rep=0"), (2, "l=-1.0, rep=0")])
