@@ -73,7 +73,7 @@ def gaps(arm_means: Sequence[float]) -> tuple[tuple[float, ...], float]:
 
 
 NOISE_KINDS = ("gaussian", "bernoulli")
-DRIFT_KINDS = ("zero", "linear", "clipped_linear")
+DRIFT_KINDS = ("linear", "clipped_linear")
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,9 @@ class BanditInstance:
 class DriftModel:
     """Feedback drift as a function of compensation.
 
-    Kinds: 'zero' (no drift), 'linear' (lipschitz * x), 'clipped_linear'
-    (linear up to an absolute cap).  All kinds are non-decreasing, vanish at
-    0, and are Lipschitz with constant `lipschitz`.
+    Kinds: 'linear' (lipschitz * x) and 'clipped_linear' (linear up to an
+    absolute cap).  Both are non-decreasing, vanish at 0, and are Lipschitz
+    with constant `lipschitz`; lipschitz = 0 is no drift.
     """
 
     kind: str
@@ -149,8 +149,6 @@ def drift_apply(model: DriftModel, x: float) -> float:
     """Drift injected into feedback for compensation x >= 0."""
     if x < 0:
         raise ValueError(f"compensation must be >= 0, got {x} (mechanism bug upstream)")
-    if model.kind == "zero":
-        return 0.0
     b = model.lipschitz * x
     if model.kind == "clipped_linear" and b > model.cap:
         return model.cap
@@ -171,9 +169,6 @@ def lane_drift(models: Sequence[DriftModel]):
     lipschitz = np.array([m.lipschitz for m in models])
 
     def apply(x: np.ndarray, out: np.ndarray) -> None:
-        if kind == "zero":
-            out.fill(0.0)
-            return
         np.multiply(lipschitz, x, out=out)
         if kind == "clipped_linear":
             np.minimum(out, cap, out=out)

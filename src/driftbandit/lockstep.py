@@ -37,7 +37,7 @@ from .core import (
     lane_drift,
     lane_rewards,
 )
-from .mechanism import MechanismOptions, Trajectory, check_finite, check_run_args
+from .mechanism import MechanismOptions, Trajectory, check_finite, check_run_args, run
 from .policies import PolicyKind
 from .rng import LaneStreams
 
@@ -88,7 +88,7 @@ def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
     are live (lanes,) views of arm i in every lane, row j being lanes[j].
     The views change as the lanes play on, so a probe copies what it keeps.
     A lane whose arm sums overflow raises LaneError naming its index and
-    seed, where mechanism.run raises BanditError (check_finite).
+    seed and the arm that mechanism.run names (check_finite).
     """
     if not lanes:
         raise ValueError("need at least one lane")
@@ -171,8 +171,10 @@ def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
               for lane in lane_cells]
     if not np.isfinite(state).all():
         j = int(np.isfinite(fields).all(axis=(0, 2)).argmin())  # the first lane that overflowed
-        try:
-            check_finite(finals[j].arms, f"lane {j} (seed {lanes[j].seed})")
-        except BanditError as exc:
-            raise LaneError(str(exc), j) from None
+        policy, options, lane_drift_model, seed = lanes[j]
+        try:  # replayed alone it names mechanism.run's arm: past a nan mean the argmaxes differ
+            run(instance, policy, lane_drift_model, options, horizon, seed, keep_records=False)
+            check_finite(finals[j].arms)
+        except BanditError as exc:  # "run overflowed: arm ..."
+            raise LaneError(f"lane {j} (seed {seed}) {str(exc).removeprefix('run ')}", j) from None
     return [Trajectory(records=[], final=final) for final in finals]

@@ -165,9 +165,10 @@ class PolicyRule:
     projects_feedback: bool = False  # default of MechanismOptions.project_feedback
 
 
-# The lane costs are ratios of one-policy lockstep times at the canonical config's
-# size (350 lanes, T=20000, process time, 2 cores): ucb 0.87 s, egreedy 1.16 s and
-# thompson 2.09 s; greedy, which writes no bonus, 0.71-0.73 s against ucb's 0.84-0.86 s.
+# The lane costs are ratios of one-policy lockstep times at the canonical config's size
+# (350 lanes, T=20000, process time): ucb 0.87 s, egreedy 1.16, thompson 2.09, greedy 0.71-0.73
+# against ucb's 0.84-0.86.  Retimed at 0.68, 0.76, 1.37 and 0.57 s, whose ratios would deal the
+# four rules at --jobs 2 more slowly (sweep 1.97 against 1.95 s, medians of 5; README).
 POLICIES: dict[str, PolicyRule] = {
     # UCB1 (Auer, Cesa-Bianchi & Fischer 2002)
     "ucb": PolicyRule(lambda view, c, rng: ucb_select(view),

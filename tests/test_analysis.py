@@ -251,7 +251,7 @@ def test_min_pairwise_gap():
 
 def test_summarize_zero_noise_greedy():
     inst = BanditInstance((0.9, 0.8), NoiseModel("gaussian", 0.0))
-    traj = run(inst, PolicyKind.greedy(), DriftModel("zero"),
+    traj = run(inst, PolicyKind.greedy(), DriftModel("linear", lipschitz=0.0),
                MechanismOptions(), 4, 0)
     m = summarize(traj, inst)
     assert m.regret == pytest.approx(0.1)  # warm-start pull of arm 1 only

@@ -21,6 +21,7 @@ from driftbandit import (
     sample_reward,
     true_empirical_mean,
 )
+from driftbandit.core import DRIFT_KINDS
 
 NINE_ARM_MEANS = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
 
@@ -33,7 +34,7 @@ def test_drift_linear_reference_coefficient():
 
 
 @pytest.mark.parametrize("model", [
-    DriftModel("zero"),
+    DriftModel("linear", lipschitz=0.0),
     DriftModel("linear", lipschitz=1.1),
     DriftModel("clipped_linear", lipschitz=2.0, cap=0.1),
 ])
@@ -72,7 +73,7 @@ def test_drift_model_validation():
     y=st.floats(min_value=0, max_value=1e6),
     lipschitz=st.floats(min_value=0, max_value=100),
     cap=st.floats(min_value=0, max_value=100),
-    kind=st.sampled_from(["zero", "linear", "clipped_linear"]),
+    kind=st.sampled_from(DRIFT_KINDS),
 )
 def test_drift_axioms(x, y, lipschitz, cap, kind):
     model = DriftModel(kind, lipschitz=lipschitz, cap=cap if kind == "clipped_linear" else None)

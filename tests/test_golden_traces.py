@@ -164,15 +164,6 @@ def test_thompson_golden_trace():
     assert traj.final.arms[1].feedback_sum == s1
 
 
-def test_zero_drift_and_linear_zero_traces_identical():
-    draws = [0.0] * 6
-    a = run(INST, PolicyKind.ucb(), DriftModel("zero"), MechanismOptions(), 6,
-            ScriptedRng(draws))
-    b = run(INST, PolicyKind.ucb(), DriftModel("linear", lipschitz=0.0),
-            MechanismOptions(), 6, ScriptedRng(draws))
-    assert a.records == b.records
-
-
 def test_scripted_stream_exhaustion_reports_supply():
     from driftbandit import ScriptExhaustedError
 

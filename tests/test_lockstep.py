@@ -31,6 +31,7 @@ from driftbandit import (
     summarize,
 )
 from driftbandit import lockstep
+from driftbandit.core import DRIFT_KINDS
 from driftbandit.lockstep import Lane, run_lanes
 from driftbandit.mechanism import CurveProbe, curve_of
 from driftbandit.policies import POLICY_NAMES
@@ -43,15 +44,15 @@ MEANS = st.lists(st.integers(1, 100), min_size=2, max_size=6, unique=True).map(
     lambda xs: tuple(x / 100 for x in xs))
 NOISE = st.one_of(st.just(NoiseModel("bernoulli")),
                   st.sampled_from([0.0, 0.3, 1.0, 2.5]).map(lambda s: NoiseModel("gaussian", s)))
-DRIFT = st.sampled_from([("zero", None), ("linear", None), ("clipped_linear", 0.0),
-                         ("clipped_linear", 0.05), ("clipped_linear", 0.4)])
+DRIFT = st.sampled_from([(kind, cap) for kind in DRIFT_KINDS
+                         for cap in ((0.0, 0.05, 0.4) if kind == "clipped_linear" else (None,))])
 L_VALUE = st.sampled_from([0.0, 0.05, 0.4, 1.1, 3.0])
 STRIDE = st.one_of(st.none(), st.integers(1, 60))
 SEED = st.integers(0, 2**64 - 1)
 
 
 def _drift(kind: str, cap, l: float) -> DriftModel:
-    return DriftModel(kind, lipschitz=0.0 if kind == "zero" else l, cap=cap)
+    return DriftModel(kind, lipschitz=l, cap=cap)
 
 
 def _one_policy(policy, drifts, options, seeds):
@@ -311,19 +312,19 @@ def test_run_lanes_rejects_what_run_rejects():
         run_lanes(instance, [ucb], 2)
     with pytest.raises(ValueError, match="drift kind"):
         run_lanes(instance, [ucb, Lane(PolicyKind.thompson(), MechanismOptions(),
-                                       DriftModel("zero"), 2)], 20)
+                                       DriftModel("clipped_linear", 1.0, 0.3), 2)], 20)
 
 
 def test_run_lanes_refuses_a_lane_whose_sums_overflow():
-    # the egreedy lane of test_run_refuses_arm_sums_that_overflow; the ucb lane stays finite.
-    # Past its first non-finite posted mean the lane no longer follows the scalar run,
-    # so the arm and the value it ends with may differ from the scalar run's
+    # the egreedy lane of test_run_refuses_arm_sums_that_overflow; the ucb lane stays finite
     instance = BanditInstance((0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1),
                               NoiseModel("gaussian", 1.0))
     drift = DriftModel("linear", lipschitz=1e300)
     off = MechanismOptions(project_feedback=False)
     lanes = [Lane(PolicyKind.ucb(), off, drift, 2), Lane(PolicyKind.egreedy(4.0), off, drift, 1)]
-    with pytest.raises(BanditError, match=r"lane 1 \(seed 1\) overflowed: arm \d "):
+    # the arm, field and value that mechanism.run names for the egreedy lane alone
+    named = r"^lane 1 \(seed 1\) overflowed: arm 0 feedback_sum is inf$"
+    with pytest.raises(BanditError, match=named):
         with pytest.warns(RuntimeWarning):  # numpy's overflow and invalid-value warnings
             run_lanes(instance, lanes, 200)
     run_lanes(instance, lanes[:1], 200)

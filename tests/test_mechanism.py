@@ -53,7 +53,7 @@ from driftbandit.mechanism import (
 from driftbandit.policies import POLICY_NAMES
 
 NINE_ARM_MEANS = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
-NO_DRIFT = DriftModel("zero")
+NO_DRIFT = DriftModel("linear", lipschitz=0.0)
 
 
 def make_state(instance, arms, rng=None):
@@ -260,7 +260,8 @@ def test_run_deterministic_and_zero_drift_equals_linear_zero(policy):
     opts = MechanismOptions()
     a = run(inst, policy, NO_DRIFT, opts, 300, 7)
     b = run(inst, policy, NO_DRIFT, opts, 300, 7)
-    c = run(inst, policy, DriftModel("linear", lipschitz=0.0), opts, 300, 7)
+    # clipped_linear at l = 0 is the other zero drift
+    c = run(inst, policy, DriftModel("clipped_linear", lipschitz=0.0, cap=0.2), opts, 300, 7)
     assert a.records == b.records == c.records
     assert a.final.cum_regret == b.final.cum_regret == c.final.cum_regret
 

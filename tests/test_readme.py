@@ -2,7 +2,8 @@
 
 The "Library example" block must run as printed, and the column lists of
 "CSV schemas" must be the column tuples that `mechanism.write_csv` writes,
-in the same order: the README calls that order part of the contract.
+in the same order: the README calls that order part of the contract.  The
+config schema's `drift_kind` comment lists `core.DRIFT_KINDS` in order.
 """
 
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from driftbandit import mechanism
+from driftbandit.core import DRIFT_KINDS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -38,3 +40,9 @@ def test_csv_schema_lists_the_column_tuple(name, columns):
     # a bullet "- `<name>` (note): `col, col,\n  col` ...", the list wrapped over lines
     found = re.search(rf"^- `{re.escape(name)}`[^:]*: `([^`]+)`", _section("CSV schemas"), re.M)
     assert tuple(col.strip() for col in found.group(1).split(",")) == columns
+
+
+def test_config_schema_lists_the_drift_kinds():
+    # the line `"drift_kind": "linear",   // kind | kind`
+    found = re.search(r'^ *"drift_kind": [^/]*// (.*)$', _section("Sweep config schema (JSON)"), re.M)
+    assert tuple(kind.strip() for kind in found.group(1).split("|")) == DRIFT_KINDS

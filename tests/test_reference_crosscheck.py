@@ -53,7 +53,7 @@ def _reference(policy, seed, sigma):
 
 def _package(policy, seed, sigma):
     inst = BanditInstance(MEANS, NoiseModel("gaussian", sigma))
-    traj = run(inst, policy, DriftModel("zero"),
+    traj = run(inst, policy, DriftModel("linear", lipschitz=0.0),
                MechanismOptions(project_feedback=False), HORIZON, seed,
                keep_records=False)
     return summarize(traj, inst).regret
