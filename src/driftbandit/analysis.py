@@ -176,8 +176,10 @@ def ucb_drift_slack(trajectory: Trajectory, lipschitz: float) -> tuple[float, fl
     1e-9 max(1, bound); else returns (max x_t / radius, max B_i / bound), 0/0 read as 0.
     """
     gaps = trajectory.final.gap_vector
+    read = read_blocks(gaps)
     per_round = cumulative = 0.0
-    for block, running, _, _ in read_blocks(record_blocks(trajectory), gaps):
+    for block in record_blocks(trajectory):
+        running, _, _ = read(block)
         late = np.array([r.t for r in block]) > len(gaps)
         t, chosen, x = np.array([(r.t, r.chosen, r.compensation) for r in block])[late].T
         pulls, _, drift = running[:-1][late].transpose(1, 0, 2)  # the state before each credit

@@ -36,8 +36,7 @@ from .core import (DRIFT_KINDS, NOISE_KINDS, BanditError, BanditInstance, DriftM
 from .experiment import ExperimentConfig, ExperimentError, run_experiment
 from .mechanism import (CURVE_COLUMNS, CURVE_ROW, SUMMARY_COLUMNS, SUMMARY_ROW, SWEEP_COLUMNS,
                         SWEEP_ROW, TRAJECTORY_COLUMNS, MechanismOptions, check_run_args, csv_file,
-                        fmt_real, record_blocks, run, trajectory_lines, trajectory_writer,
-                        write_csv)
+                        fmt_real, run, trajectory_lines, write_csv)
 from .policies import POLICIES, POLICY_NAMES, PolicyKind
 from .rng import ScriptedRng, ScriptExhaustedError
 
@@ -119,9 +118,10 @@ def _cmd_run(args, parser) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # before playing, so a bad --out-dir fails fast
     # trajectory.csv is written block by block while the rounds are played
+    lines = trajectory_lines(instance.gap_vector)
     with csv_file(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS) as write:
         traj = run(instance, policy, drift, options, args.T, seed, keep_records=False,
-                   on_block=trajectory_writer(write, instance.gap_vector))
+                   on_block=lambda block: write(lines(block)))
     metrics = summarize(traj, instance)
     summary = SUMMARY_ROW % (policy.name, args.l, args.T, args.seed, metrics.regret,
                              metrics.compensation, metrics.comp_rounds, metrics.arm1_rel_error)
@@ -222,13 +222,13 @@ def _cmd_trace(args, parser) -> int:
     if args.T > 20:
         parser.error(f"--T {args.T}: trace supports T <= 20 (use run for longer horizons)")
     instance, policy, drift, options, rng = _simulation(args, parser, args.draws)
+    lines, rows = trajectory_lines(instance.gap_vector), [",".join(TRAJECTORY_COLUMNS)]
     try:
-        traj = run(instance, policy, drift, options, args.T, rng)
+        run(instance, policy, drift, options, args.T, rng, keep_records=False,
+            on_block=lambda block: rows.extend(lines(block)))
     except (ScriptExhaustedError, ValueError) as exc:  # the other flags are checked already
         parser.error(f"--draws {args.draws}: {exc}")
-    print(",".join(TRAJECTORY_COLUMNS))
-    for lines in trajectory_lines(record_blocks(traj), traj.final.gap_vector):
-        print("\n".join(lines))
+    print("\n".join(rows))  # only once the run has passed, so a failed trace prints no row
     return 0
 
 

@@ -139,7 +139,7 @@ def check_run_args(instance: BanditInstance, horizon: int) -> None:
                                     f"{instance.k} arms")
 
 
-def check_finite(arms: Sequence[ArmState], run_name: str = "run") -> None:
+def check_finite(arms: Sequence[ArmState]) -> None:
     """BanditError naming the first arm whose feedback_sum, drift_sum or comp_sum is not
     finite.  A sum that turned +-inf or nan never turns finite again, so a run that
     passes at its end never posted a non-finite mean."""
@@ -147,7 +147,7 @@ def check_finite(arms: Sequence[ArmState], run_name: str = "run") -> None:
         for name in ("feedback_sum", "drift_sum", "comp_sum"):
             value = getattr(arm, name)
             if not math.isfinite(value):
-                raise BanditError(f"{run_name} overflowed: arm {i} {name} is {value}")
+                raise BanditError(f"run overflowed: arm {i} {name} is {value}")
 
 
 def curve_rounds(horizon: int, stride: int) -> list[int]:
@@ -223,10 +223,10 @@ def record_blocks(trajectory: Trajectory):
     return (records[start:start + BLOCK_ROUNDS] for start in range(0, len(records), BLOCK_ROUNDS))
 
 
-def read_blocks(blocks, gap_vector: Sequence[float]):
-    """Yield (records, running, cum_regret, cum_compensation) for each block of records.
+def read_blocks(gap_vector: Sequence[float]):
+    """read(block) -> (running, cum_regret, cum_compensation), called per block in round order.
 
-    The one reader of a run's per-arm running state, carried across blocks.
+    The one reader of a run's per-arm running state, carried from call to call.
     running[j, :, i] is arm i's (pulls, comp_sum, drift_sum) after the block's
     first j rounds; row 0 carries the block before.  np.cumsum adds each round's
     increments in round order, so every value is bit-equal to the ArmState field
@@ -235,7 +235,8 @@ def read_blocks(blocks, gap_vector: Sequence[float]):
     """
     k = len(gap_vector)
     carry = np.zeros((3, k))
-    for block in blocks:
+
+    def read(block: Sequence[RoundRecord]):
         running = np.zeros((len(block) + 1, 3, k))
         running[0] = carry
         # flat index of each round's pulls cell; its comp_sum cell is k on, drift_sum 2k on
@@ -243,9 +244,11 @@ def read_blocks(blocks, gap_vector: Sequence[float]):
         running.reshape(-1)[at] = 1.0
         running.reshape(-1)[at + k] = [r.compensation if r.compensated else 0.0 for r in block]
         running.reshape(-1)[at + 2 * k] = [r.drift for r in block]
-        carry = running.cumsum(axis=0, out=running)[-1]
+        carry[:] = running.cumsum(axis=0, out=running)[-1]
         columns = [ArmState(pulls=p, comp_sum=c) for p, c, _ in running[1:].transpose(2, 1, 0)]
-        yield (block, running, *accounting_totals(gap_vector, columns))
+        return running, *accounting_totals(gap_vector, columns)
+
+    return read
 
 
 def curve_of(trajectory: Trajectory, stride: int) -> Curve:
@@ -255,8 +258,7 @@ def curve_of(trajectory: Trajectory, stride: int) -> Curve:
     cum_compensation columns, the totals after t pulls, warm start included.
     """
     rounds = curve_rounds(len(trajectory.records), stride)
-    blocks = read_blocks(record_blocks(trajectory), trajectory.final.gap_vector)
-    regret, comp = zip(*[(r, c) for _, _, r, c in blocks])
+    _, regret, comp = zip(*map(read_blocks(trajectory.final.gap_vector), record_blocks(trajectory)))
     rows = np.array(rounds) - 1  # round t is row t of the CSV, index t - 1
     return Curve(rounds, np.concatenate(regret)[rows].tolist(),
                  np.concatenate(comp)[rows].tolist())
@@ -280,34 +282,26 @@ class CurveProbe:
         return [Curve(list(self.rounds), r, c) for r, c in zip(regret, comp)]
 
 
-def trajectory_lines(blocks, gap_vector: Sequence[float]):
-    """Yield the CSV lines (no terminator) of each block of records, in TRAJECTORY_COLUMNS order.
+def trajectory_lines(gap_vector: Sequence[float]):
+    """lines(block): a block's CSV lines (no terminator), called per block in round order.
 
-    Every consumer of a run's rows (the streamed writer, write_trajectory_csv,
-    `trace`, trajectory_rows) reads these lines, so the format lives here only.
+    Every consumer of a run's rows (`run`, write_trajectory_csv, `trace`,
+    trajectory_rows) reads these lines, so the format lives here only.
     """
-    for block, _, regret, comp in read_blocks(blocks, gap_vector):
-        yield [TRAJECTORY_ROW % (r.t, r.chosen, r.greedy, r.compensated, r.compensation,
-                                 r.drift, r.raw_reward, r.feedback, cum_regret, cum_comp)
-               for r, cum_regret, cum_comp in zip(block, regret.tolist(), comp.tolist())]
+    read = read_blocks(gap_vector)
 
+    def lines(block: Sequence[RoundRecord]) -> list[str]:
+        _, regret, comp = read(block)
+        return [TRAJECTORY_ROW % (r.t, r.chosen, r.greedy, r.compensated, r.compensation,
+                                  r.drift, r.raw_reward, r.feedback, cum_regret, cum_comp)
+                for r, cum_regret, cum_comp in zip(block, regret.tolist(), comp.tolist())]
 
-def trajectory_writer(write: Callable[[list[str]], None], gap_vector: Sequence[float]):
-    """A run() on_block that hands write() each block's trajectory_lines as the block is played."""
-    inbox: list[list[RoundRecord]] = []
-    # the reader pulls its next block from the inbox, so each next() reads the block just put there
-    lines = trajectory_lines(iter(inbox.pop, None), gap_vector)
-
-    def on_block(block: list[RoundRecord]) -> None:
-        inbox.append(block)
-        write(next(lines))
-
-    return on_block
+    return lines
 
 
 def trajectory_rows(trajectory: Trajectory):
     """Yield CSV rows (tuples of strings) in TRAJECTORY_COLUMNS order."""
-    for lines in trajectory_lines(record_blocks(trajectory), trajectory.final.gap_vector):
+    for lines in map(trajectory_lines(trajectory.final.gap_vector), record_blocks(trajectory)):
         for line in lines:
             yield tuple(line.split(","))
 
@@ -342,4 +336,4 @@ def write_csv(path, columns: Sequence[str], blocks) -> None:
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     write_csv(path, TRAJECTORY_COLUMNS,
-              trajectory_lines(record_blocks(trajectory), trajectory.final.gap_vector))
+              map(trajectory_lines(trajectory.final.gap_vector), record_blocks(trajectory)))

@@ -535,3 +535,14 @@ def test_trace_rejects_long_horizon(capsys):
         run_cli(["trace", "--policy", "ucb", "--T", "21", "--draws", "0"])
     assert err.value.code == 2
     assert "T <= 20" in capsys.readouterr().err
+
+
+def test_trace_whose_sums_overflow_exits_1_and_prints_no_row(capsys):
+    # warm start: arm 0 draws 1e300; round 3 explores arm 1 (coin 0, arm draw 0.5) and
+    # pays x = 1e300 for it, so l * x is inf: rows are only printed once the run has passed
+    args = ["trace", "--policy", "egreedy", "--project", "off", "--l", "1e10",
+            "--means", "0.6,0.5", "--T", "3", "--draws", "1e300,0,0,0.5,0"]
+    assert run_cli(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error in trace: run overflowed: arm 1 feedback_sum is inf" in err

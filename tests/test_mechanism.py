@@ -247,8 +247,8 @@ def test_run_refuses_arm_sums_that_overflow():
 def test_check_finite_names_the_first_non_finite_sum(field, value):
     arms = [ArmState(pulls=2, feedback_sum=1.0), ArmState(pulls=1, **{field: value}),
             ArmState(pulls=1, drift_sum=math.nan)]
-    with pytest.raises(BanditError, match=f"lane 3 overflowed: arm 1 {field} is {value}"):
-        check_finite(arms, "lane 3")
+    with pytest.raises(BanditError, match=f"run overflowed: arm 1 {field} is {value}"):
+        check_finite(arms)
     check_finite(arms[:1])
 
 
@@ -396,10 +396,10 @@ def test_trajectory_rows_cumulative_columns():
                         2 * BLOCK_ROUNDS + 3):
             traj = run(inst, policy, DriftModel("linear", lipschitz=1.1), MechanismOptions(),
                        horizon, 21)
-            blocks = list(read_blocks(record_blocks(traj), traj.final.gap_vector))
-            assert [len(records) for records, *_ in blocks] == [
+            blocks = list(map(read_blocks(traj.final.gap_vector), record_blocks(traj)))
+            assert [len(running) - 1 for running, *_ in blocks] == [
                 min(BLOCK_ROUNDS, horizon - start) for start in range(0, horizon, BLOCK_ROUNDS)]
-            totals = [(reg, comp) for _, _, regret, compensation in blocks
+            totals = [(reg, comp) for _, regret, compensation in blocks
                       for reg, comp in zip(regret.tolist(), compensation.tolist())]
             expected = _per_row_totals(traj)
             assert totals == expected
@@ -415,11 +415,34 @@ def test_read_blocks_running_state_equals_the_run():
     for policy in (PolicyKind.ucb(), PolicyKind.egreedy(4.0), PolicyKind.thompson()):
         traj = run(inst, policy, DriftModel("linear", lipschitz=1.1), MechanismOptions(),
                    BLOCK_ROUNDS + 40, 21)
-        blocks = list(read_blocks(record_blocks(traj), traj.final.gap_vector))
-        assert [len(records) for records, *_ in blocks] == [BLOCK_ROUNDS, 40]
-        assert (blocks[1][1][0] == blocks[0][1][-1]).all()  # the carry row
-        final = blocks[-1][1][-1]
+        blocks = list(map(read_blocks(traj.final.gap_vector), record_blocks(traj)))
+        assert [len(running) - 1 for running, *_ in blocks] == [BLOCK_ROUNDS, 40]
+        assert (blocks[1][0][0] == blocks[0][0][-1]).all()  # the carry row
+        final = blocks[-1][0][-1]
         assert final.T.tolist() == [[a.pulls, a.comp_sum, a.drift_sum] for a in traj.final.arms]
+
+
+@pytest.mark.parametrize("policy", [PolicyKind.ucb(), PolicyKind.egreedy(4.0),
+                                    PolicyKind.thompson()])
+def test_read_blocks_gives_the_same_rows_however_the_records_are_cut(policy):
+    # the carry row joins the blocks: cut into blocks of 1, 7 or BLOCK_ROUNDS records,
+    # the reader gives the same running rows and cumulative totals, bit for bit
+    inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
+    traj = run(inst, policy, DriftModel("linear", lipschitz=1.1), MechanismOptions(),
+               2 * BLOCK_ROUNDS + 3, 21)
+
+    def read_cut(size):
+        read = read_blocks(traj.final.gap_vector)
+        rows = []  # (running row, cum_regret, cum_compensation) after each round
+        for start in range(0, len(traj.records), size):
+            running, regret, comp = read(traj.records[start:start + size])
+            rows += zip(running[1:].tolist(), regret.tolist(), comp.tolist())
+        return rows
+
+    whole = read_cut(BLOCK_ROUNDS)
+    assert len(whole) == len(traj.records)
+    assert read_cut(1) == whole
+    assert read_cut(7) == whole
 
 
 @pytest.mark.parametrize("means, horizon", [

@@ -4,8 +4,11 @@ The "Library example" block must run as printed, and the column lists of
 "CSV schemas" must be the column tuples that `mechanism.write_csv` writes,
 in the same order: the README calls that order part of the contract.  The
 config schema's `drift_kind` comment lists `core.DRIFT_KINDS` in order.
+Every backticked name of a package module (`mechanism.run`,
+`core.SimState.credit`) names an attribute of that module.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -46,3 +49,23 @@ def test_config_schema_lists_the_drift_kinds():
     # the line `"drift_kind": "linear",   // kind | kind`
     found = re.search(r'^ *"drift_kind": [^/]*// (.*)$', _section("Sweep config schema (JSON)"), re.M)
     assert tuple(kind.strip() for kind in found.group(1).split("|")) == DRIFT_KINDS
+
+
+def test_code_references_resolve():
+    # spans outside fenced blocks that start with a module's name; `lockstep.py` is a file name
+    text = re.sub(r"```.*?```", "", README, flags=re.S)
+    modules = "core|mechanism|lockstep|experiment|analysis|policies|rng|cli"
+    found = (re.match(rf"(?:{modules})(?:\.\w+)+", span) for span in re.findall(r"`([^`]+)`", text))
+    names = {m.group(0) for m in found if m and not m.group(0).endswith(".py")}
+    assert names  # the pattern still finds the README's references
+
+    def resolves(name):
+        module, *path = name.split(".")
+        owner = importlib.import_module(f"driftbandit.{module}")
+        for attr in path:
+            if not hasattr(owner, attr):
+                return False
+            owner = getattr(owner, attr)
+        return True
+
+    assert sorted(name for name in names if not resolves(name)) == []
