@@ -300,22 +300,20 @@ def lane_rewards(instance: BanditInstance):
     """sample_reward for many lanes at once, in two steps: returns (draw, reward).
 
     draw(draws) is the one value sample_reward draws, for every lane of a
-    LaneStreams; reward(arms, drawn) is lane j's reward for pulling arms[j]
-    with its value drawn[j], exactly as sample_reward would give it.
+    LaneStreams (its unbound uniform or normal method); reward(arms, drawn)
+    is lane j's reward for pulling arms[j] with its value drawn[j], exactly
+    as sample_reward would give it.
     """
     means = np.asarray(instance.arm_means)
     noise = instance.noise
     if noise.kind == "bernoulli":
-        def draw(draws: LaneStreams) -> np.ndarray:
-            return draws.uniform()
+        draw = LaneStreams.uniform
 
         def reward(arms: np.ndarray, drawn: np.ndarray) -> np.ndarray:
             return np.where(drawn < means.take(arms), 1.0, 0.0)
     else:
         sigma = noise.sigma
-
-        def draw(draws: LaneStreams) -> np.ndarray:
-            return draws.normal()
+        draw = LaneStreams.normal
 
         def reward(arms: np.ndarray, drawn: np.ndarray) -> np.ndarray:
             return means.take(arms) + sigma * drawn

@@ -5,19 +5,21 @@ and seed.  The lanes advance together as (lanes, K) arrays whose row j is
 lanes[j].  Each consecutive run of lanes with the same policy and resolved
 options forms a group: a slice of the rows with its own LaneStreams.  A group
 does only what differs by policy: its rule's lane form writes the group's
-rows of one bonus array (policies), and it draws its reward noise into the
-group's rows of one buffer.  Everything else runs once over all lanes, in one
-round loop whose first K rounds are the warm start: one index posted + bonus,
-one argmax for the chosen and the greedy arms, the compensation, drift and
-rewards (core), and one credit of the five ArmState fields.  Every lane does
-the scalar loop's float operations in the same order and draws its own
-NumpyRng stream in the documented per-round order, so each lane ends with the
-ArmStates that mechanism.run gives for the same inputs, equal under ==; a
-lane whose sums overflow is refused as mechanism.run refuses it.  An optional
-probe reads the live state after each round's credit; mechanism.CurveProbe
-reads the curves that mechanism.curve_of reads from the scalar runs.
-mechanism.run stays the executable spec; records and scripted streams exist
-only there.
+rows of one bonus array from the round and the group's pulls (policies), and
+it draws its reward noise into the group's rows of one buffer.  Everything
+else runs once over all lanes, in one round loop whose first K rounds are the
+warm start: one index posted + bonus, one argmax for the chosen and the
+greedy arms, the compensation, drift and rewards (core), and one credit of
+the five ArmState fields.  The loop's numpy functions, bound methods and
+views are bound once before it, since at a few dozen lanes the Python around
+each call is a fair share of a round.  Every lane does the scalar loop's
+float operations in the same order and draws its own NumpyRng stream in the
+documented per-round order, so each lane ends with the ArmStates that
+mechanism.run gives for the same inputs, equal under ==; a lane whose sums
+overflow is refused as mechanism.run refuses it.  An optional probe reads the
+live state after each round's credit; mechanism.CurveProbe reads the curves
+that mechanism.curve_of reads from the scalar runs.  mechanism.run stays the
+executable spec; records and scripted streams exist only there.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .core import (
     BanditError,
     BanditInstance,
     DriftModel,
-    PolicyView,
     SimState,
     lane_drift,
     lane_rewards,
@@ -65,11 +66,10 @@ class Lane(NamedTuple):
 class _Group(NamedTuple):
     """A consecutive run of lanes with one policy and resolved options."""
 
-    lane_form: Callable  # PolicyRule.lane_form: (view, c, draws, bonus) writes the bonus rows
+    lane_form: Callable  # PolicyRule.lane_form: (t, pulls, c, draws, bonus) writes the bonus rows
     c: float | None
     draws: LaneStreams
-    # the group's rows of the engine's arrays, as views
-    posted: np.ndarray
+    # the group's rows of the engine's arrays, as views; no lane form reads the posted means
     pulls: np.ndarray
     bonus: np.ndarray
     drawn: np.ndarray
@@ -111,10 +111,9 @@ def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
     chosen, greedy = picks
     first = np.tile(np.arange(n) * k, (2, 1))  # cell of each lane's arm 0
     cells = np.empty((2, n), dtype=np.int64)  # the cells of the picks
-    at = cells[0]  # the cell each lane pulls
-    posted_at = posted.reshape(-1)
     state_at = state.reshape(-1)
-    field_at = np.arange(5)[:, None] * (n * k)  # state_at index of each field's cell 0
+    # state_at index of each field of each lane's arm 0: field f's cell 0 plus the lane's first
+    field_first = np.arange(5)[:, None] * (n * k) + first[0]
     credited = np.empty((5, n), dtype=np.int64)  # state_at index of the fields of each pull
     drawn = np.empty(n)
     # the credit of a round, field by field: one pull, its feedback, drift, paid, compensation
@@ -129,36 +128,41 @@ def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
             lanes, lambda lane: (lane.policy, lane.options.resolve(lane.policy))):
         seeds = [lane.seed for lane in same]
         rows = slice(start, start + len(seeds))
-        groups.append(_Group(policy.rule.lane_form, policy.c, LaneStreams(seeds), posted[rows],
-                             pulls[rows], bonus[rows], drawn[rows]))
+        groups.append(_Group(policy.rule.lane_form, policy.c, LaneStreams(seeds), pulls[rows],
+                             bonus[rows], drawn[rows]))
         if options.project_feedback:
             projected.append(fb[rows])
         start += len(seeds)
 
+    # the round loop's functions and views, bound once (see the module docstring)
+    add, divide, subtract, clip = np.add, np.divide, np.subtract, np.clip
+    take_posted, take_state = posted.reshape(-1).take, state_at.take
+    argmax_scores = scores.reshape(2 * n, k).argmax
+    flat_picks = picks.reshape(-1)
     for t in range(1, horizon + 1):
         if t <= k:  # the warm start: arm t-1 in every lane, the player follows, nothing paid
-            for g in groups:
-                g.drawn[...] = draw(g.draws)
+            for _, _, draws, _, _, drawn_rows in groups:
+                drawn_rows[...] = draw(draws)
             picks.fill(t - 1)
-            np.add(first, picks, out=cells)
             x.fill(0.0)
         else:
-            np.divide(feedback, pulls, out=posted)
-            for g in groups:  # each lane draws for its selection, then for its reward
-                g.lane_form(PolicyView(t, g.posted, g.pulls), g.c, g.draws, g.bonus)
-                g.drawn[...] = draw(g.draws)
-            np.add(posted, bonus, out=index)
-            scores.reshape(2 * n, k).argmax(axis=1, out=picks.reshape(-1))
-            np.add(first, picks, out=cells)
-            picked = posted_at.take(cells)  # the posted means of the picks
-            np.subtract(picked[1], picked[0], out=x)
+            divide(feedback, pulls, out=posted)
+            # each lane draws for its selection, then for its reward
+            for lane_form, c, draws, pulls_rows, bonus_rows, drawn_rows in groups:
+                lane_form(t, pulls_rows, c, draws, bonus_rows)
+                drawn_rows[...] = draw(draws)
+            add(posted, bonus, out=index)
+            argmax_scores(axis=1, out=flat_picks)
+            add(first, picks, out=cells)
+            picked = take_posted(cells)  # the posted means of the picks
+            subtract(picked[1], picked[0], out=x)
         paid[...] = chosen != greedy
         drift(x, out=b)
-        np.add(reward(chosen, drawn), b, out=fb)
+        add(reward(chosen, drawn), b, out=fb)
         for rows_fb in projected:
-            np.clip(rows_fb, 0.0, 1.0, out=rows_fb)
-        np.add(field_at, at, out=credited)
-        pulled = state_at.take(credited)
+            clip(rows_fb, 0.0, 1.0, out=rows_fb)
+        add(field_first, chosen, out=credited)
+        pulled = take_state(credited)
         pulled += credit
         state_at[credited] = pulled
         if probe is not None:

@@ -7,9 +7,9 @@ and a uniform draw u maps to arm floor(u * K), so scripted-stream traces are
 exact.
 
 Each rule also has a lane form for the lockstep engine, which scores every
-lane's arms as posted + bonus and takes the first maximum of each row.  The
-view's posted means and pulls are the group's (lanes, K) float rows, and the
-draws come from a LaneStreams.  A lane form writes the group's rows of the
+lane's arms as posted + bonus and takes the first maximum of each row.  A
+lane form sees only the round t and the pulls, the group's (lanes, K) float
+rows, and draws from a LaneStreams.  It writes the group's rows of the
 engine's bonus array, and does nothing else: UCB s/sqrt(n), Thompson
 z/sqrt(n+1), egreedy +inf at each exploring lane's drawn arm and 0.0
 elsewhere; greedy leaves its rows at 0.0, and posted + 0.0 has the argmax of
@@ -96,9 +96,10 @@ def ucb_select(view: PolicyView) -> int:
     return _argmax(scores)
 
 
-def ucb_bonus_lanes(view: PolicyView, bonus: np.ndarray) -> None:
-    np.sqrt(view.pulls, out=bonus)
-    np.divide(math.sqrt(2.0 * math.log(view.t)), bonus, out=bonus)
+def ucb_bonus_lanes(t: int, pulls: np.ndarray, c: None, draws: LaneStreams,
+                    bonus: np.ndarray) -> None:
+    np.sqrt(pulls, out=bonus)
+    np.divide(math.sqrt(2.0 * math.log(t)), bonus, out=bonus)
 
 
 def epsilon_schedule(c: float, k: int, t: int) -> float:
@@ -122,11 +123,11 @@ def egreedy_select(view: PolicyView, c: float, rng: RngStream) -> int:
     return _argmax(view.posted)
 
 
-def egreedy_bonus_lanes(view: PolicyView, c: float, draws: LaneStreams,
+def egreedy_bonus_lanes(t: int, pulls: np.ndarray, c: float, draws: LaneStreams,
                         bonus: np.ndarray) -> None:
     k = bonus.shape[1]
     bonus.fill(0.0)
-    explore = (draws.uniform() < epsilon_schedule(c, k, view.t)).nonzero()[0]
+    explore = (draws.uniform() < epsilon_schedule(c, k, t)).nonzero()[0]
     if explore.size:
         arm = (draws.uniform(explore) * k).astype(np.int64)
         bonus[explore, np.minimum(arm, k - 1)] = math.inf
@@ -141,8 +142,9 @@ def thompson_sample(view: PolicyView, rng: RngStream) -> int:
     return _argmax(scores)
 
 
-def thompson_bonus_lanes(view: PolicyView, draws: LaneStreams, bonus: np.ndarray) -> None:
-    np.add(view.pulls, 1.0, out=bonus)
+def thompson_bonus_lanes(t: int, pulls: np.ndarray, c: None, draws: LaneStreams,
+                         bonus: np.ndarray) -> None:
+    np.add(pulls, 1.0, out=bonus)
     np.sqrt(bonus, out=bonus)
     np.divide(draws.normals(bonus.shape[1]), bonus, out=bonus)
 
@@ -157,8 +159,8 @@ class PolicyRule:
     """Everything that tells one principal apart from the others."""
 
     select: Callable[[PolicyView, float | None, RngStream], int]  # (view, c, rng) -> arm
-    # the lane form, for (lanes, K) views: (view, c, draws, bonus) writes the group's bonus rows
-    lane_form: Callable[[PolicyView, float | None, LaneStreams, np.ndarray], None]
+    # the lane form, for (lanes, K) rows: (t, pulls, c, draws, bonus) writes the group's bonus rows
+    lane_form: Callable[[int, np.ndarray, float | None, LaneStreams, np.ndarray], None]
     # a lane's share of a lockstep round, relative to UCB's; experiment._chunks weighs by it
     lane_cost: float
     takes_c: bool = False  # whether PolicyKind carries an exploration constant c
@@ -171,18 +173,16 @@ class PolicyRule:
 # four rules at --jobs 2 more slowly (sweep 1.97 against 1.95 s, medians of 5; README).
 POLICIES: dict[str, PolicyRule] = {
     # UCB1 (Auer, Cesa-Bianchi & Fischer 2002)
-    "ucb": PolicyRule(lambda view, c, rng: ucb_select(view),
-                      lambda view, c, draws, bonus: ucb_bonus_lanes(view, bonus), 1.0),
+    "ucb": PolicyRule(lambda view, c, rng: ucb_select(view), ucb_bonus_lanes, 1.0),
     # epsilon_t-greedy, eps_t = min(1, cK/t) (Auer, Cesa-Bianchi & Fischer 2002)
     "egreedy": PolicyRule(egreedy_select, egreedy_bonus_lanes, 1.3,
                           takes_c=True, projects_feedback=True),
     # Gaussian Thompson sampling (Agrawal & Goyal 2013)
-    "thompson": PolicyRule(lambda view, c, rng: thompson_sample(view, rng),
-                           lambda view, c, draws, bonus: thompson_bonus_lanes(view, draws, bonus),
+    "thompson": PolicyRule(lambda view, c, rng: thompson_sample(view, rng), thompson_bonus_lanes,
                            2.4),
     # no-incentive baseline: always the player's own pick
     "greedy": PolicyRule(lambda view, c, rng: greedy_choice(view),
-                         lambda view, c, draws, bonus: None, 0.8),
+                         lambda t, pulls, c, draws, bonus: None, 0.8),
 }
 POLICY_NAMES = tuple(POLICIES)
 

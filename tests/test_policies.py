@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -16,7 +17,14 @@ from driftbandit import (
     ucb_index,
     ucb_select,
 )
-from driftbandit.policies import POLICIES, POLICY_NAMES, _argmax, egreedy_bonus_lanes
+from driftbandit.policies import (
+    POLICIES,
+    POLICY_NAMES,
+    _argmax,
+    egreedy_bonus_lanes,
+    thompson_bonus_lanes,
+    ucb_bonus_lanes,
+)
 
 
 def view(posted, pulls, t):
@@ -65,6 +73,23 @@ def test_ucb_select_tie_breaks_low():
 
 def test_ucb_select_argmax():
     assert ucb_select(view([0.5, 0.8, 0.5], [3, 3, 3], 10)) == 1
+
+
+# rows with tied posted means and tied pulls, so ties decide most picks: a lane's
+# posted + bonus must tie exactly where the scalar rule's scores tie
+TIED_POSTED = np.array([[0.5, 0.5, 0.2], [0.3, 0.7, 0.7], [0.4, 0.4, 0.4], [0.9, 0.1, 0.9],
+                        [0.6, 0.2, 0.6]])
+TIED_PULLS = np.array([[3.0, 3.0, 3.0], [4.0, 2.0, 2.0], [2.0, 2.0, 2.0], [4.0, 1.0, 4.0],
+                       [5.0, 1.0, 2.0]])
+
+
+@pytest.mark.parametrize("t", [6, 40, 20000])
+def test_ucb_bonus_lanes_picks_what_ucb_select_picks(t):
+    bonus = np.full(TIED_POSTED.shape, math.nan)
+    ucb_bonus_lanes(t, TIED_PULLS, None, None, bonus)
+    for posted, pulls, row_bonus in zip(TIED_POSTED, TIED_PULLS, bonus):
+        expected = ucb_select(view(posted.tolist(), pulls.astype(int).tolist(), t))
+        assert int(np.argmax(posted + row_bonus)) == expected
 
 
 # ---------------------------------------------------------------- epsilon schedule
@@ -134,7 +159,7 @@ def test_egreedy_bonus_lanes_picks_what_egreedy_select_picks():
     bonus = np.zeros((4, 3))
     for coins, arms in rounds:
         draws = _ScriptedUniforms(4, coins, *([arms] if arms else []))
-        egreedy_bonus_lanes(PolicyView(t, posted, pulls), c, draws, bonus)
+        egreedy_bonus_lanes(t, pulls, c, draws, bonus)
         script = iter(arms or [])
         for row, coin in enumerate(coins):
             rng = ScriptedRng([coin] + ([next(script)] if coin < 0.5 else []))
@@ -169,6 +194,42 @@ def test_thompson_consumes_one_normal_per_arm_in_order():
     rng = ScriptedRng([0.0, 0.0, 5.0])
     assert thompson_sample(v, rng) == 2
     assert rng.consumed == 3
+
+
+class _ScriptedNormals:
+    """A LaneStreams stand-in: normals(n) returns the next scripted (lanes, n) array."""
+
+    def __init__(self, *draws):
+        self._draws = [np.array(d) for d in draws]
+
+    def normals(self, n):
+        values = self._draws.pop(0)
+        assert values.shape[1] == n
+        return values
+
+
+def test_thompson_bonus_lanes_picks_what_thompson_sample_picks():
+    rounds = [np.zeros(TIED_POSTED.shape),  # ties of posted and pulls stay ties
+              np.array([[0.3, 0.3, -1.0], [2.0, 0.5, 0.5], [-0.2, -0.2, -0.2],
+                        [1.0, -3.0, 1.0], [0.0, 0.5, -0.4]]),
+              np.array([[-1.5, 0.7, 2.2], [0.1, -0.4, 1.3], [0.9, -0.6, 0.9],
+                        [-0.5, 0.0, 0.5], [1.2, 1.2, 1.2]])]
+    draws = _ScriptedNormals(*rounds)
+    bonus = np.full(TIED_POSTED.shape, math.nan)
+    for t, normals in enumerate(rounds, start=10):
+        thompson_bonus_lanes(t, TIED_PULLS, None, draws, bonus)
+        for posted, pulls, row_bonus, z in zip(TIED_POSTED, TIED_PULLS, bonus, normals):
+            rng = ScriptedRng(z)
+            expected = thompson_sample(view(posted.tolist(), pulls.astype(int).tolist(), t), rng)
+            assert rng.consumed == len(z)
+            assert int(np.argmax(posted + row_bonus)) == expected
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_every_lane_form_sees_the_round_and_the_pulls_only(name):
+    # the engine calls every lane form alike, with no view of the posted means
+    parameters = inspect.signature(POLICIES[name].lane_form).parameters
+    assert list(parameters) == ["t", "pulls", "c", "draws", "bonus"]
 
 
 # ---------------------------------------------------------------- greedy
