@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-import numpy as np
-
-from .core import BanditInstance, DiagnosticError, accounting_totals, at_least, posted_mean
-from .mechanism import Trajectory, read_blocks, record_blocks
+from .core import (BanditInstance, DiagnosticError, InputError, accounting_totals, at_least,
+                   posted_mean)
+from .mechanism import RoundRecord, Trajectory, record_blocks
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,8 @@ class BoundInputs:
         at_least("horizon", self.horizon, 2)  # the bounds take ln T
         at_least("lipschitz", self.lipschitz, 0)
         at_least("delta_lower", self.delta_lower, 0, strict=True)
+        if self.delta_lower * self.delta_lower == 0:  # the Thompson bounds divide by it
+            raise InputError("delta_lower", f"must have a square above 0, got {self.delta_lower}")
         at_least("c", self.c, 0, strict=True)
         if not any(g > 0 for g in self.gaps):
             raise ValueError("need at least one suboptimal arm")
@@ -124,13 +126,14 @@ def thompson_pull_log_term(horizon: int, gap: float) -> float:
 
 
 def thompson_pull_drift_term(horizon: int, gap: float, lipschitz: float,
-                             delta_lower: float) -> int:
-    """Drift-inflated pull threshold, rounded up to an integer."""
+                             delta_lower: float) -> float:
+    """Drift-inflated pull threshold, rounded up to an integer; inf when it overflows."""
     log_t = math.log(horizon)
     dl2 = delta_lower * delta_lower
     inner = ((1.0 + 4.0 * gap * lipschitz / (3.0 * dl2)) * log_t
              + math.sqrt(1.0 + 8.0 * gap * lipschitz * log_t / (3.0 * dl2)))
-    return math.ceil(9.0 / (2.0 * gap * gap) * inner)
+    threshold = 9.0 / (2.0 * gap * gap) * inner
+    return threshold if threshold == math.inf else math.ceil(threshold)
 
 
 def thompson_regret_bound(inputs: BoundInputs) -> float:
@@ -167,40 +170,56 @@ def check_c_condition(c: float, delta: float) -> bool:
     return c >= 36.0 / delta
 
 
-def ucb_drift_slack(trajectory: Trajectory, lipschitz: float) -> tuple[float, float]:
-    """The largest slacks of UCB's drift inequalities in a UCB run with records.
+def ucb_drift_check(k: int, lipschitz: float):
+    """check(block) -> (per_round, cumulative): UCB's drift inequalities, fed a K-arm UCB
+    run's blocks of records in round order, as run(..., on_block=) hands them on.
 
-    Each round t > K, with the arm state before its credit (row t-1), has
-    x_t <= sqrt(2 ln t / n_{I_t}) (the UCB1 radius) and B_i <= 2 l sqrt(2 n_i ln t)
-    for every arm.  Raises DiagnosticError at the first bound exceeded by more than
-    1e-9 max(1, bound); else returns (max x_t / radius, max B_i / bound), 0/0 read as 0.
+    Each round t > K, with the arm state before its credit, has x_t <= sqrt(2 ln t / n_{I_t})
+    (the UCB1 radius) and B_i <= 2 l sqrt(2 n_i ln t) for every arm.  Raises DiagnosticError
+    at the first bound exceeded by more than 1e-9 max(1, bound); else returns the largest
+    x_t / radius and B_i / bound so far, 0/0 read as 0 and B_i > 0 over a zero bound as inf.
     """
-    gaps = trajectory.final.gap_vector
-    read = read_blocks(gaps)
+    pulls = [0] * k
+    drift = [0.0] * k
+    unchecked = range(k)  # the arms whose state no bound has seen since it changed
     per_round = cumulative = 0.0
+
+    def check(block: Sequence[RoundRecord]) -> tuple[float, float]:
+        nonlocal unchecked, per_round, cumulative
+        for r in block:
+            t, chosen = r.t, r.chosen
+            if t > k:
+                log_t = math.log(t)
+                x, radius = r.compensation, math.sqrt(2.0 * log_t / pulls[chosen])
+                if x > radius + 1e-9 * max(1.0, radius):
+                    raise DiagnosticError(f"round {t}: compensation {x} exceeds "
+                                          f"per-round drift bound {radius}")
+                per_round = max(per_round, x / radius)
+                # An arm's bound only grows with t while its (n_i, B_i) stands still: 2 n ln t
+                # strictly increases, and every operation after it is monotone.  So only the
+                # arms credited since the last check can newly break it or raise the maximum:
+                # all K at round K+1, then the one arm credited the round before.
+                for i in unchecked:
+                    b, cap = drift[i], 2.0 * lipschitz * math.sqrt(2.0 * pulls[i] * log_t)
+                    if b > cap + 1e-9 * max(1.0, cap):
+                        raise DiagnosticError(f"round {t}: arm {i} cumulative drift {b} "
+                                              f"exceeds bound {cap}")
+                    if b > 0:
+                        cumulative = max(cumulative, b / cap if cap else math.inf)
+                unchecked = (chosen,)
+            pulls[chosen] += 1
+            drift[chosen] += r.drift
+        return per_round, cumulative
+
+    return check
+
+
+def ucb_drift_slack(trajectory: Trajectory, lipschitz: float) -> tuple[float, float]:
+    """ucb_drift_check fed the blocks of a UCB run with records; its last result."""
+    check = ucb_drift_check(len(trajectory.final.arms), lipschitz)
     for block in record_blocks(trajectory):
-        running, _, _ = read(block)
-        late = np.array([r.t for r in block]) > len(gaps)
-        t, chosen, x = np.array([(r.t, r.chosen, r.compensation) for r in block])[late].T
-        pulls, _, drift = running[:-1][late].transpose(1, 0, 2)  # the state before each credit
-        log_t = np.array([math.log(v) for v in t])
-        radius = np.sqrt(2.0 * log_t / pulls[np.arange(len(t)), chosen.astype(np.int64)])
-        cap = 2.0 * lipschitz * np.sqrt(2.0 * pulls * log_t[:, None])
-        over_x = x > radius + 1e-9 * np.maximum(1.0, radius)
-        over_b = drift > cap + 1e-9 * np.maximum(1.0, cap)
-        bad = over_x | over_b.any(axis=1)
-        if bad.any():
-            j = bad.argmax()
-            if over_x[j]:
-                raise DiagnosticError(f"round {t[j]:.0f}: compensation {x[j]} exceeds "
-                                      f"per-round drift bound {radius[j]}")
-            i = over_b[j].argmax()
-            raise DiagnosticError(f"round {t[j]:.0f}: arm {i} cumulative drift {drift[j, i]} "
-                                  f"exceeds bound {cap[j, i]}")
-        per_round = (x / radius).max(initial=per_round)
-        slack = np.divide(drift, cap, out=np.zeros_like(drift), where=drift > 0)
-        cumulative = slack.max(initial=cumulative)
-    return float(per_round), float(cumulative)
+        slack = check(block)
+    return slack
 
 
 @dataclass(frozen=True)

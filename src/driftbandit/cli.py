@@ -245,8 +245,9 @@ def _add_env_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l", type=float, default=0.0, help="drift Lipschitz coefficient")
     p.add_argument("--cap", type=float, default=None, help="clip level for clipped_linear")
     p.add_argument("--c", type=float, default=4.0, help="egreedy exploration constant")
+    projected = ", ".join(name for name, rule in POLICIES.items() if rule.projects_feedback)
     p.add_argument("--project", choices=("auto", "on", "off"), default="auto",
-                   help="project credited feedback onto [0,1] (auto: on for egreedy)")
+                   help=f"project credited feedback onto [0,1] (auto: on for {projected})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,7 +33,7 @@ class NonUniqueOptimumError(BanditError, ValueError):
 
 
 class DiagnosticError(BanditError):
-    """A run breaks an inequality of the analysis (analysis.ucb_drift_slack)."""
+    """A run breaks an inequality of the analysis (analysis.ucb_drift_check)."""
 
 
 class InputError(ValueError):

@@ -162,14 +162,16 @@ class ExperimentConfig:
             horizon=_whole("horizon", _required(data, "horizon")),
             replications=_whole("replications", _required(data, "replications")),
             master_seed=_whole("master_seed", _required(data, "master_seed")),
-            noise_kind=noise.get("kind", "gaussian"),
-            noise_sigma=float(_number("noise.sigma", noise.get("sigma", 1.0))),
-            drift_kind=data.get("drift_kind", "linear"),
+            # an absent key takes the field's default, the class attribute of that name
+            noise_kind=noise.get("kind", cls.noise_kind),
+            noise_sigma=float(_number("noise.sigma", noise.get("sigma", cls.noise_sigma))),
+            drift_kind=data.get("drift_kind", cls.drift_kind),
             drift_cap=None if cap is None else _number("drift_cap", cap),
             project_overrides=dict(overrides),
             capture_trajectories=_flag("capture_trajectories",
-                                       data.get("capture_trajectories", False)),
-            trajectory_stride=_whole("trajectory_stride", data.get("trajectory_stride", 10)),
+                                       data.get("capture_trajectories", cls.capture_trajectories)),
+            trajectory_stride=_whole("trajectory_stride",
+                                     data.get("trajectory_stride", cls.trajectory_stride)),
         )
 
 

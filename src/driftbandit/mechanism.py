@@ -224,29 +224,28 @@ def record_blocks(trajectory: Trajectory):
 
 
 def read_blocks(gap_vector: Sequence[float]):
-    """read(block) -> (running, cum_regret, cum_compensation), called per block in round order.
+    """read(block) -> (cum_regret, cum_compensation), called per block in round order.
 
-    The one reader of a run's per-arm running state, carried from call to call.
-    running[j, :, i] is arm i's (pulls, comp_sum, drift_sum) after the block's
-    first j rounds; row 0 carries the block before.  np.cumsum adds each round's
-    increments in round order, so every value is bit-equal to the ArmState field
-    the run held: adding +0.0 leaves a non-negative sum unchanged.  cum_regret and
-    cum_compensation are accounting_totals over the per-arm columns after each round.
+    The two arrays hold the run's totals after each of the block's rounds, the
+    trajectory.csv columns of the same names.  The reader carries each arm's running
+    (pulls, comp_sum) from call to call: np.cumsum adds each round's increments in round
+    order under that carry, so every value is bit-equal to the ArmState field the run held
+    (adding +0.0 leaves a non-negative sum unchanged), and the totals are accounting_totals
+    over those per-arm columns after each round, however the records are cut into blocks.
     """
     k = len(gap_vector)
-    carry = np.zeros((3, k))
+    carry = np.zeros((2, k))
 
     def read(block: Sequence[RoundRecord]):
-        running = np.zeros((len(block) + 1, 3, k))
+        running = np.zeros((len(block) + 1, 2, k))
         running[0] = carry
-        # flat index of each round's pulls cell; its comp_sum cell is k on, drift_sum 2k on
-        at = np.arange(3 * k, running.size, 3 * k) + [r.chosen for r in block]
+        # flat index of each round's pulls cell; its comp_sum cell is k on
+        at = np.arange(2 * k, running.size, 2 * k) + [r.chosen for r in block]
         running.reshape(-1)[at] = 1.0
         running.reshape(-1)[at + k] = [r.compensation if r.compensated else 0.0 for r in block]
-        running.reshape(-1)[at + 2 * k] = [r.drift for r in block]
         carry[:] = running.cumsum(axis=0, out=running)[-1]
-        columns = [ArmState(pulls=p, comp_sum=c) for p, c, _ in running[1:].transpose(2, 1, 0)]
-        return running, *accounting_totals(gap_vector, columns)
+        return accounting_totals(gap_vector, [ArmState(pulls=p, comp_sum=c)
+                                              for p, c in running[1:].transpose(2, 1, 0)])
 
     return read
 
@@ -258,7 +257,7 @@ def curve_of(trajectory: Trajectory, stride: int) -> Curve:
     cum_compensation columns, the totals after t pulls, warm start included.
     """
     rounds = curve_rounds(len(trajectory.records), stride)
-    _, regret, comp = zip(*map(read_blocks(trajectory.final.gap_vector), record_blocks(trajectory)))
+    regret, comp = zip(*map(read_blocks(trajectory.final.gap_vector), record_blocks(trajectory)))
     rows = np.array(rounds) - 1  # round t is row t of the CSV, index t - 1
     return Curve(rounds, np.concatenate(regret)[rows].tolist(),
                  np.concatenate(comp)[rows].tolist())
@@ -291,7 +290,7 @@ def trajectory_lines(gap_vector: Sequence[float]):
     read = read_blocks(gap_vector)
 
     def lines(block: Sequence[RoundRecord]) -> list[str]:
-        _, regret, comp = read(block)
+        regret, comp = read(block)
         return [TRAJECTORY_ROW % (r.t, r.chosen, r.greedy, r.compensated, r.compensation,
                                   r.drift, r.raw_reward, r.feedback, cum_regret, cum_comp)
                 for r, cum_regret, cum_comp in zip(block, regret.tolist(), comp.tolist())]

@@ -1,7 +1,8 @@
 import math
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from driftbandit import (
     ArmState,
@@ -31,8 +32,10 @@ from driftbandit.analysis import (
     egreedy_arm_slope,
     thompson_pull_drift_term,
     thompson_pull_log_term,
+    ucb_drift_check,
     ucb_drift_slack,
 )
+from driftbandit.mechanism import BLOCK_ROUNDS
 
 NINE_ARM_MEANS = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
 
@@ -226,6 +229,25 @@ def test_bound_inputs_validation():
             inputs(c=bad_c)
 
 
+@pytest.mark.parametrize("delta_lower", [
+    pytest.param(1e-200, id="1e-200"),
+    pytest.param(1e-162, id="1e-162, the square below the least subnormal"),
+])
+def test_bound_inputs_reject_a_delta_lower_whose_square_is_zero(delta_lower):
+    message = f"delta_lower must have a square above 0, got {delta_lower}"
+    with pytest.raises(ValueError, match=message):
+        inputs(delta_lower=delta_lower)
+
+
+@pytest.mark.parametrize("lipschitz, delta_lower", [
+    pytest.param(1e308, 0.5, id="l 1e308"),
+    pytest.param(1.1, 1e-160, id="delta_lower 1e-160"),
+])
+def test_thompson_pull_drift_term_keeps_an_overflowed_threshold_infinite(lipschitz, delta_lower):
+    assert thompson_pull_drift_term(T_E3, 0.5, lipschitz, delta_lower) == math.inf
+    assert thompson_regret_bound(inputs(lipschitz=lipschitz, delta_lower=delta_lower)) == math.inf
+
+
 def test_bound_inputs_read_k_and_delta_min_from_the_gaps():
     b = inputs(gaps=(0.0, 0.5, 0.3, 0.0))
     assert (b.k, b.delta_min) == (4, 0.3)
@@ -328,6 +350,11 @@ def test_ucb_drift_slack_without_drift_reads_zero():
     assert cumulative == 0.0 and 0.0 < per_round <= 1.0
 
 
+def test_ucb_drift_slack_reads_drift_over_a_zero_bound_as_inf():
+    # l = 0 makes every bound 0; a drift within the round-off guard passes, its ratio inf
+    assert ucb_drift_slack(crafted([(1, 0.0, 0.0)], warm_drift=1e-10), 0.0) == (0.0, math.inf)
+
+
 def _scalar_slack(trajectory, lipschitz):
     """The inequalities round by round, on ArmStates replayed from the records."""
     arms = [ArmState() for _ in trajectory.final.arms]
@@ -362,3 +389,87 @@ def test_ucb_drift_slack_requires_records():
                MechanismOptions(), 20, 1, keep_records=False)
     with pytest.raises(ValueError, match="records"):
         ucb_drift_slack(traj, 1.1)
+
+
+def _first_violation(trajectory, lipschitz):
+    """The message of the first bound broken, every arm checked every round; None if none."""
+    arms = [ArmState() for _ in trajectory.final.arms]
+    for rec in trajectory.records:
+        if rec.t > len(arms):
+            log_t = math.log(rec.t)
+            radius = math.sqrt(2.0 * log_t / arms[rec.chosen].pulls)
+            if rec.compensation > radius + 1e-9 * max(1.0, radius):
+                return (f"round {rec.t}: compensation {rec.compensation} exceeds "
+                        f"per-round drift bound {radius}")
+            for i, arm in enumerate(arms):
+                cap = 2.0 * lipschitz * math.sqrt(2.0 * arm.pulls * log_t)
+                if arm.drift_sum > cap + 1e-9 * max(1.0, cap):
+                    return (f"round {rec.t}: arm {i} cumulative drift {arm.drift_sum} "
+                            f"exceeds bound {cap}")
+        arms[rec.chosen].pulls += 1
+        arms[rec.chosen].drift_sum += rec.drift
+    return None
+
+
+# a stretch of rounds that all pull one arm, so the other arms go unpulled for its length
+STRETCHES = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=4),
+              st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+                                 st.floats(-0.5, 1.0)), min_size=1, max_size=60)),
+    max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(min_value=2, max_value=5), lipschitz=st.floats(0.05, 3.0),
+       warm_drift=st.lists(st.floats(-0.5, 1.0), min_size=5, max_size=5),
+       stretches=STRETCHES, cut=st.integers(min_value=1, max_value=50))
+def test_ucb_drift_check_equals_a_check_of_every_arm_every_round(k, lipschitz, warm_drift,
+                                                                 stretches, cut):
+    inst = BanditInstance(tuple(0.9 - 0.1 * i for i in range(k)), NoiseModel("gaussian", 0.0))
+    records = [RoundRecord(t, t - 1, t - 1, False, 0.0, warm_drift[t - 1], 0.5, 0.5, 0.0)
+               for t in range(1, k + 1)]
+    for arm, rounds in stretches:
+        for x, b in rounds:
+            records.append(RoundRecord(len(records) + 1, arm % k, 0, x > 0, x, b, 0.5, 0.5, 0.0))
+    traj = Trajectory(records, SimState.fresh(inst, None))
+    check = ucb_drift_check(k, lipschitz)
+    expected = _first_violation(traj, lipschitz)
+    if expected is None:
+        assert ucb_drift_slack(traj, lipschitz) == _scalar_slack(traj, lipschitz)
+        for start in range(0, len(records), cut):  # any cut into blocks reads the same
+            slack = check(records[start:start + cut])
+        assert slack == _scalar_slack(traj, lipschitz)
+    else:
+        with pytest.raises(DiagnosticError) as err:
+            ucb_drift_slack(traj, lipschitz)
+        assert str(err.value) == expected
+        with pytest.raises(DiagnosticError) as err:
+            for start in range(0, len(records), cut):
+                check(records[start:start + cut])
+        assert str(err.value) == expected
+
+
+def test_streamed_ucb_drift_check_equals_the_check_of_the_kept_run():
+    inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
+    horizon = 2 * BLOCK_ROUNDS + 3
+    check, slacks = ucb_drift_check(inst.k, 1.1), []
+    run(inst, PolicyKind.ucb(), DriftModel("linear", lipschitz=1.1), MechanismOptions(),
+        horizon, 4, keep_records=False, on_block=lambda block: slacks.append(check(block)))
+    kept = run(inst, PolicyKind.ucb(), DriftModel("linear", lipschitz=1.1), MechanismOptions(),
+               horizon, 4)
+    assert len(slacks) == 3
+    assert slacks[-1] == ucb_drift_slack(kept, 1.1)
+
+
+def test_streamed_ucb_drift_check_holds_no_record():
+    inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
+    check = ucb_drift_check(inst.k, 1.1)
+    tracemalloc.start()
+    try:
+        run(inst, PolicyKind.ucb(), DriftModel("linear", lipschitz=1.1), MechanismOptions(),
+            60000, 1, keep_records=False, on_block=check)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block of records at a time; the kept records of this run peak near 12 MB
+    assert peak < 2_000_000

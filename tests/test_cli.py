@@ -207,6 +207,10 @@ def test_bounds_non_positive_c_exits_2_naming_it(tmp_path, capsys, c):
                  "argument --drift: invalid choice: 'zero'", id="run --drift zero"),
     pytest.param(["trace", "--policy", "ucb", "--drift", "zero", "--draws", "0"],
                  "argument --drift: invalid choice: 'zero'", id="trace --drift zero"),
+    # the Thompson bounds divide by delta_lower^2, which underflows to 0 here
+    pytest.param(["bounds", "--delta-lower", "1e-200"],
+                 "--delta-lower must have a square above 0, got 1e-200",
+                 id="bounds --delta-lower 1e-200"),
 ])
 def test_library_rejections_exit_2_naming_the_flag(tmp_path, capsys, args, message):
     with pytest.raises(SystemExit) as err:
@@ -311,6 +315,13 @@ def test_run_ucb_with_drift_lands_in_reported_band(tmp_path):
                     "--out-dir", str(out)]) == 0
     regret = float(read_rows(out / "summary.csv")[0]["regret"])
     assert 0.5 * 854.2 <= regret <= 2 * 854.2
+
+
+def test_project_help_names_the_policies_that_project_by_default(capsys):
+    # built from POLICIES[...].projects_feedback
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    assert "(auto: on for egreedy)" in " ".join(capsys.readouterr().out.split())
 
 
 # ---------------------------------------------------------------- sweep
@@ -505,6 +516,17 @@ def test_bounds_all_non_decreasing_in_l(capsys):
     at_drift = parse_bound_values(capsys.readouterr().out)
     assert len(at_zero) == 7  # six policy bounds + frequency bound
     assert all(hi >= lo for lo, hi in zip(at_zero, at_drift))
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["--l", "1e308"], id="--l 1e308"),
+    pytest.param(["--l", "1.1", "--delta-lower", "1e-160"], id="--l 1.1 --delta-lower 1e-160"),
+])
+def test_bounds_print_an_overflowed_thompson_threshold_as_inf(capsys, args):
+    # as the egreedy rows print inf at --c 1e308
+    assert run_cli(["bounds"] + args) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("thompson regret"))
+    assert line.split("<=")[1] == " inf"
 
 
 def test_bounds_writes_file(tmp_path, capsys):

@@ -120,6 +120,14 @@ def test_config_dict_round_trip():
     assert again == config
 
 
+def test_config_from_dict_takes_absent_keys_from_the_field_defaults():
+    required = {key: SMALL_CONFIG[key] for key in ("arm_means", "policies", "l_values",
+                                                   "horizon", "replications", "master_seed")}
+    data = {key: value for key, value in ExperimentConfig(**required).to_dict().items()
+            if key in required}
+    assert ExperimentConfig.from_dict(data) == ExperimentConfig(**required)
+
+
 def test_config_parses_policy_c():
     config = ExperimentConfig.from_dict({
         "arm_means": [0.9, 0.1],

@@ -397,9 +397,9 @@ def test_trajectory_rows_cumulative_columns():
             traj = run(inst, policy, DriftModel("linear", lipschitz=1.1), MechanismOptions(),
                        horizon, 21)
             blocks = list(map(read_blocks(traj.final.gap_vector), record_blocks(traj)))
-            assert [len(running) - 1 for running, *_ in blocks] == [
+            assert [len(regret) for regret, _ in blocks] == [
                 min(BLOCK_ROUNDS, horizon - start) for start in range(0, horizon, BLOCK_ROUNDS)]
-            totals = [(reg, comp) for _, regret, compensation in blocks
+            totals = [(reg, comp) for regret, compensation in blocks
                       for reg, comp in zip(regret.tolist(), compensation.tolist())]
             expected = _per_row_totals(traj)
             assert totals == expected
@@ -410,33 +410,33 @@ def test_trajectory_rows_cumulative_columns():
 
 
 def test_read_blocks_running_state_equals_the_run():
-    # the row after each round is the ArmState the run held; the last is the final state
+    # the running state carries across blocks: the last block's last totals are the run's
     inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
     for policy in (PolicyKind.ucb(), PolicyKind.egreedy(4.0), PolicyKind.thompson()):
         traj = run(inst, policy, DriftModel("linear", lipschitz=1.1), MechanismOptions(),
                    BLOCK_ROUNDS + 40, 21)
         blocks = list(map(read_blocks(traj.final.gap_vector), record_blocks(traj)))
-        assert [len(running) - 1 for running, *_ in blocks] == [BLOCK_ROUNDS, 40]
-        assert (blocks[1][0][0] == blocks[0][0][-1]).all()  # the carry row
-        final = blocks[-1][0][-1]
-        assert final.T.tolist() == [[a.pulls, a.comp_sum, a.drift_sum] for a in traj.final.arms]
+        assert [len(regret) for regret, _ in blocks] == [BLOCK_ROUNDS, 40]
+        regret, compensation = blocks[-1]
+        assert (regret[-1], compensation[-1]) == (traj.final.cum_regret,
+                                                  traj.final.cum_compensation)
 
 
 @pytest.mark.parametrize("policy", [PolicyKind.ucb(), PolicyKind.egreedy(4.0),
                                     PolicyKind.thompson()])
 def test_read_blocks_gives_the_same_rows_however_the_records_are_cut(policy):
     # the carry row joins the blocks: cut into blocks of 1, 7 or BLOCK_ROUNDS records,
-    # the reader gives the same running rows and cumulative totals, bit for bit
+    # the reader gives the same cumulative totals, bit for bit
     inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
     traj = run(inst, policy, DriftModel("linear", lipschitz=1.1), MechanismOptions(),
                2 * BLOCK_ROUNDS + 3, 21)
 
     def read_cut(size):
         read = read_blocks(traj.final.gap_vector)
-        rows = []  # (running row, cum_regret, cum_compensation) after each round
+        rows = []  # (cum_regret, cum_compensation) after each round
         for start in range(0, len(traj.records), size):
-            running, regret, comp = read(traj.records[start:start + size])
-            rows += zip(running[1:].tolist(), regret.tolist(), comp.tolist())
+            regret, comp = read(traj.records[start:start + size])
+            rows += zip(regret.tolist(), comp.tolist())
         return rows
 
     whole = read_cut(BLOCK_ROUNDS)
