@@ -47,7 +47,6 @@ from .mechanism import (
     Curve,
     MechanismOptions,
     RoundRecord,
-    Trajectory,
     run,
     step,
     trajectory_rows,
@@ -61,7 +60,6 @@ from .policies import (
     greedy_choice,
     select_arm,
     thompson_sample,
-    ucb_index,
     ucb_select,
 )
 from .rng import NumpyRng, RngStream, ScriptedRng, ScriptExhaustedError

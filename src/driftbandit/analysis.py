@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (BanditInstance, DiagnosticError, InputError, accounting_totals, at_least,
-                   posted_mean)
-from .mechanism import RoundRecord, Trajectory, record_blocks
+from .core import (BanditInstance, DiagnosticError, InputError, SimState, accounting_totals,
+                   at_least, posted_mean)
+from .mechanism import RoundRecord, record_blocks
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,11 @@ class BoundInputs:
         at_least("horizon", self.horizon, 2)  # the bounds take ln T
         at_least("lipschitz", self.lipschitz, 0)
         at_least("delta_lower", self.delta_lower, 0, strict=True)
-        if self.delta_lower * self.delta_lower == 0:  # the Thompson bounds divide by it
+        square = self.delta_lower * self.delta_lower  # the Thompson bounds divide by it
+        if square == 0:
             raise InputError("delta_lower", f"must have a square above 0, got {self.delta_lower}")
+        if square == math.inf:
+            raise InputError("delta_lower", f"must have a finite square, got {self.delta_lower}")
         at_least("c", self.c, 0, strict=True)
         if not any(g > 0 for g in self.gaps):
             raise ValueError("need at least one suboptimal arm")
@@ -127,13 +130,14 @@ def thompson_pull_log_term(horizon: int, gap: float) -> float:
 
 def thompson_pull_drift_term(horizon: int, gap: float, lipschitz: float,
                              delta_lower: float) -> float:
-    """Drift-inflated pull threshold, rounded up to an integer; inf when it overflows."""
+    """Drift-inflated pull threshold, rounded up to an integer; inf when it overflows
+    (nan included: inf/inf when both 4 gap l and 3 delta_lower^2 overflow)."""
     log_t = math.log(horizon)
     dl2 = delta_lower * delta_lower
     inner = ((1.0 + 4.0 * gap * lipschitz / (3.0 * dl2)) * log_t
              + math.sqrt(1.0 + 8.0 * gap * lipschitz * log_t / (3.0 * dl2)))
     threshold = 9.0 / (2.0 * gap * gap) * inner
-    return threshold if threshold == math.inf else math.ceil(threshold)
+    return math.ceil(threshold) if math.isfinite(threshold) else math.inf
 
 
 def thompson_regret_bound(inputs: BoundInputs) -> float:
@@ -214,10 +218,10 @@ def ucb_drift_check(k: int, lipschitz: float):
     return check
 
 
-def ucb_drift_slack(trajectory: Trajectory, lipschitz: float) -> tuple[float, float]:
-    """ucb_drift_check fed the blocks of a UCB run with records; its last result."""
-    check = ucb_drift_check(len(trajectory.final.arms), lipschitz)
-    for block in record_blocks(trajectory):
+def ucb_drift_slack(state: SimState, lipschitz: float) -> tuple[float, float]:
+    """ucb_drift_check fed the blocks of a finished UCB run with records; its last result."""
+    check = ucb_drift_check(len(state.arms), lipschitz)
+    for block in record_blocks(state):
         slack = check(block)
     return slack
 
@@ -233,9 +237,8 @@ class SummaryMetrics:
     per_arm: tuple[tuple[int, int, float], ...]  # (pulls, comp_count, drift_sum)
 
 
-def summarize(trajectory: Trajectory, instance: BanditInstance) -> SummaryMetrics:
-    """Reduce a finished run to its summary metrics."""
-    state = trajectory.final
+def summarize(state: SimState, instance: BanditInstance) -> SummaryMetrics:
+    """Reduce a run's final state to its summary metrics."""
     best = instance.best_arm
     mu_best = instance.arm_means[best]
     rel_err = abs(posted_mean(state.arms[best]) - mu_best) / mu_best

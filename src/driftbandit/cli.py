@@ -120,9 +120,9 @@ def _cmd_run(args, parser) -> int:
     # trajectory.csv is written block by block while the rounds are played
     lines = trajectory_lines(instance.gap_vector)
     with csv_file(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS) as write:
-        traj = run(instance, policy, drift, options, args.T, seed, keep_records=False,
-                   on_block=lambda block: write(lines(block)))
-    metrics = summarize(traj, instance)
+        final = run(instance, policy, drift, options, args.T, seed, keep_records=False,
+                    on_block=lambda block: write(lines(block)))
+    metrics = summarize(final, instance)
     summary = SUMMARY_ROW % (policy.name, args.l, args.T, args.seed, metrics.regret,
                              metrics.compensation, metrics.comp_rounds, metrics.arm1_rel_error)
     write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, [[summary]])

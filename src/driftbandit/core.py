@@ -235,7 +235,9 @@ class SimState:
     are the live policy view of `arms`: derived from them whenever `arms` is
     assigned (by the constructor, dataclasses.replace or a plain assignment),
     then kept by credit(), which is how a round changes an arm.  An ArmState
-    edited in place outside credit() is not followed.
+    edited in place outside credit() is not followed.  `records` holds the
+    mechanism.RoundRecords of a run that keeps them (mechanism.run's
+    keep_records), in round order; it is empty otherwise.
     """
 
     round: int  # 1-based
@@ -244,6 +246,7 @@ class SimState:
     rng: RngStream
     posted: list[float] = field(init=False, repr=False, compare=False)  # 0.0 while unpulled
     pulls: list[int] = field(init=False, repr=False, compare=False)
+    records: list = field(default_factory=list, repr=False, compare=False)  # of RoundRecord
 
     @classmethod
     def fresh(cls, instance: BanditInstance, rng: RngStream) -> "SimState":

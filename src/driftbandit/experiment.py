@@ -29,9 +29,9 @@ from typing import Sequence
 
 from . import analysis
 from .analysis import SummaryMetrics
-from .core import BanditInstance, DriftModel, InputError, NoiseModel
+from .core import BanditInstance, DriftModel, InputError, NoiseModel, SimState
 from .lockstep import Lane, LaneError, run_lanes
-from .mechanism import Curve, CurveProbe, MechanismOptions, Trajectory, check_run_args
+from .mechanism import Curve, CurveProbe, MechanismOptions, check_run_args
 from .policies import POLICY_NAMES, PolicyKind
 
 _MASK64 = (1 << 64) - 1
@@ -300,8 +300,8 @@ Chunk = tuple[tuple[int, int, int], ...]  # the (policy index, l index, rep) lan
 
 
 def run(config: ExperimentConfig,
-        chunk: Chunk) -> tuple[list[Trajectory], list[Curve] | list[None]]:
-    """Play every lane of `chunk` in one lockstep: each lane's trajectory, and its
+        chunk: Chunk) -> tuple[list[SimState], list[Curve] | list[None]]:
+    """Play every lane of `chunk` in one lockstep: each lane's final state, and its
     curve when the config captures trajectories."""
     instance = config.instance()
     lanes = [Lane(config.policies[p_idx], config.options_for(config.policies[p_idx]),
@@ -314,11 +314,11 @@ def run(config: ExperimentConfig,
     return run_lanes(instance, lanes, config.horizon, probe=probe), probe.curves()
 
 
-def summarize(config: ExperimentConfig, played: tuple[list[Trajectory], list]
+def summarize(config: ExperimentConfig, played: tuple[list[SimState], list]
               ) -> list[tuple[SummaryMetrics, Curve | None]]:
     """analysis.summarize of every lane of a chunk, beside its curve."""
     instance = config.instance()
-    return [(analysis.summarize(traj, instance), curve) for traj, curve in zip(*played)]
+    return [(analysis.summarize(final, instance), curve) for final, curve in zip(*played)]
 
 
 def _run_chunk(config: ExperimentConfig,

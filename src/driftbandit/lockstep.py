@@ -18,8 +18,9 @@ documented per-round order, so each lane ends with the ArmStates that
 mechanism.run gives for the same inputs, equal under ==; a lane whose sums
 overflow is refused as mechanism.run refuses it.  An optional probe reads the
 live state after each round's credit; mechanism.CurveProbe reads the curves
-that mechanism.curve_of reads from the scalar runs.  mechanism.run stays the
-executable spec; records and scripted streams exist only there.
+that mechanism.curve_of reads from the scalar runs.  run_lanes returns each
+lane's final SimState.  mechanism.run stays the executable spec; records and
+scripted streams exist only there.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .core import (
     lane_drift,
     lane_rewards,
 )
-from .mechanism import MechanismOptions, Trajectory, check_finite, check_run_args, run
+from .mechanism import MechanismOptions, check_finite, check_run_args, run
 from .policies import PolicyKind
 from .rng import LaneStreams
 
@@ -77,15 +78,15 @@ class _Group(NamedTuple):
 
 def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
               *, probe: Callable[[int, list[ArmState]], None] | None = None
-              ) -> list[Trajectory]:
+              ) -> list[SimState]:
     """mechanism.run(instance, lane.policy, lane.drift, lane.options, horizon,
     lane.seed, keep_records=False) for every lane, played in lockstep.
 
     The drift models may differ only in their Lipschitz coefficient.  The
-    returned trajectories, in the order of `lanes`, carry no records, and
-    their final states no stream.  `probe(t, arms)` is called after round
-    t's credit, for t = 1..horizon: arms[i] is an ArmState whose five fields
-    are live (lanes,) views of arm i in every lane, row j being lanes[j].
+    returned final states, in the order of `lanes`, carry no records and no
+    stream.  `probe(t, arms)` is called after round t's credit, for
+    t = 1..horizon: arms[i] is an ArmState whose five fields are live
+    (lanes,) views of arm i in every lane, row j being lanes[j].
     The views change as the lanes play on, so a probe copies what it keeps.
     A lane whose arm sums overflow raises LaneError naming its index and
     seed and the arm that mechanism.run names (check_finite).
@@ -181,4 +182,4 @@ def run_lanes(instance: BanditInstance, lanes: Sequence[Lane], horizon: int,
             check_finite(finals[j].arms)
         except BanditError as exc:  # "run overflowed: arm ..."
             raise LaneError(f"lane {j} (seed {seed}) {str(exc).removeprefix('run ')}", j) from None
-    return [Trajectory(records=[], final=final) for final in finals]
+    return finals

@@ -70,14 +70,6 @@ class Curve(NamedTuple):
     compensation: list[float]
 
 
-@dataclass
-class Trajectory:
-    """A complete run: per-round records plus the final state."""
-
-    records: list[RoundRecord]
-    final: SimState
-
-
 def _play(state: SimState, instance: BanditInstance, chosen: int, greedy: int, x: float,
           b: float, project: bool) -> RoundRecord:
     """The body every round ends in: pull `chosen`, add the drift `b` to its reward,
@@ -160,25 +152,25 @@ def curve_rounds(horizon: int, stride: int) -> list[int]:
 def run(instance: BanditInstance, policy: PolicyKind, drift: DriftModel,
         options: MechanismOptions, horizon: int, seed: int | RngStream,
         *, keep_records: bool = True,
-        on_block: Callable[[list[RoundRecord]], None] | None = None) -> Trajectory:
-    """Warm-start then step until `horizon` rounds have been played.
+        on_block: Callable[[list[RoundRecord]], None] | None = None) -> SimState:
+    """Warm-start then step until `horizon` rounds have been played; the final state.
 
     `seed` is either an integer (seeding the production stream) or an
     RngStream instance (e.g. ScriptedRng for golden traces).  Deterministic:
-    identical inputs give bit-identical trajectories.  `on_block`, if given,
-    is called with each block of records as soon as it is played, in round
-    order: rounds 1..BLOCK_ROUNDS (the warm start first), then the next
+    identical inputs give bit-identical runs.  The final state's `records`
+    holds every round's record with keep_records=True; with keep_records=False
+    it holds none, and the run holds one block at a time.  `on_block`, if
+    given, is called with each block of records as soon as it is played, in
+    round order: rounds 1..BLOCK_ROUNDS (the warm start first), then the next
     BLOCK_ROUNDS, and so on, the blocks record_blocks cuts from the records.
-    With keep_records=False the Trajectory keeps no record, so the run holds
-    one block at a time.  A run whose arm sums overflow raises BanditError
-    (check_finite) after its last block.
+    A run whose arm sums overflow raises BanditError (check_finite) after its
+    last block.
     """
     check_run_args(instance, horizon)
     rng = seed if not isinstance(seed, int) else NumpyRng(seed)
     state = SimState.fresh(instance, rng)
     options = options.resolve(policy)
 
-    records: list[RoundRecord] = []
     pending = warm_start(state, instance, options)
     for start in range(0, horizon, BLOCK_ROUNDS):
         end = min(start + BLOCK_ROUNDS, horizon)
@@ -186,11 +178,11 @@ def run(instance: BanditInstance, policy: PolicyKind, drift: DriftModel,
             pending.append(step(state, policy, drift, instance, options))
         block, pending = pending[:end - start], pending[end - start:]
         if keep_records:
-            records += block
+            state.records += block
         if on_block is not None:
             on_block(block)
     check_finite(state.arms)
-    return Trajectory(records=records, final=state)
+    return state
 
 
 REAL_FORMAT = "%.9g"  # every real in every CSV and printed line: 9 significant digits
@@ -214,12 +206,12 @@ def fmt_real(x: float) -> str:
     return REAL_FORMAT % x
 
 
-def record_blocks(trajectory: Trajectory):
-    """The trajectory's records cut into the blocks run() hands its on_block: BLOCK_ROUNDS
+def record_blocks(state: SimState):
+    """A finished run's records cut into the blocks run() hands its on_block: BLOCK_ROUNDS
     rounds each, the last one shorter."""
-    records = trajectory.records
+    records = state.records
     if not records:
-        raise ValueError("trajectory carries no records (captured with keep_records=False?)")
+        raise ValueError("run carries no records (played with keep_records=False?)")
     return (records[start:start + BLOCK_ROUNDS] for start in range(0, len(records), BLOCK_ROUNDS))
 
 
@@ -250,14 +242,14 @@ def read_blocks(gap_vector: Sequence[float]):
     return read
 
 
-def curve_of(trajectory: Trajectory, stride: int) -> Curve:
+def curve_of(state: SimState, stride: int) -> Curve:
     """The cumulative regret/compensation of a run with records at curve_rounds(T, stride).
 
     The point of round t is row t of trajectory.csv: its cum_regret and
     cum_compensation columns, the totals after t pulls, warm start included.
     """
-    rounds = curve_rounds(len(trajectory.records), stride)
-    regret, comp = zip(*map(read_blocks(trajectory.final.gap_vector), record_blocks(trajectory)))
+    rounds = curve_rounds(len(state.records), stride)
+    regret, comp = zip(*map(read_blocks(state.gap_vector), record_blocks(state)))
     rows = np.array(rounds) - 1  # round t is row t of the CSV, index t - 1
     return Curve(rounds, np.concatenate(regret)[rows].tolist(),
                  np.concatenate(comp)[rows].tolist())
@@ -298,9 +290,9 @@ def trajectory_lines(gap_vector: Sequence[float]):
     return lines
 
 
-def trajectory_rows(trajectory: Trajectory):
-    """Yield CSV rows (tuples of strings) in TRAJECTORY_COLUMNS order."""
-    for lines in map(trajectory_lines(trajectory.final.gap_vector), record_blocks(trajectory)):
+def trajectory_rows(state: SimState):
+    """Yield a finished run's CSV rows (tuples of strings) in TRAJECTORY_COLUMNS order."""
+    for lines in map(trajectory_lines(state.gap_vector), record_blocks(state)):
         for line in lines:
             yield tuple(line.split(","))
 
@@ -333,6 +325,6 @@ def write_csv(path, columns: Sequence[str], blocks) -> None:
             write(lines)
 
 
-def write_trajectory_csv(trajectory: Trajectory, path) -> None:
+def write_trajectory_csv(state: SimState, path) -> None:
     write_csv(path, TRAJECTORY_COLUMNS,
-              map(trajectory_lines(trajectory.final.gap_vector), record_blocks(trajectory)))
+              map(trajectory_lines(state.gap_vector), record_blocks(state)))

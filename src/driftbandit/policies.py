@@ -81,15 +81,6 @@ def _argmax(scores: Sequence[float]) -> int:
     return scores.index(max(scores))
 
 
-def ucb_index(posted: float, pulls: int, t: int) -> float:
-    """Optimism index: posted mean plus sqrt(2 ln t / pulls)."""
-    if pulls < 1:
-        raise ValueError("ucb index needs pulls >= 1")
-    if t < 1:
-        raise ValueError("ucb index needs t >= 1")
-    return posted + math.sqrt(2.0 * math.log(t) / pulls)
-
-
 def ucb_select(view: PolicyView) -> int:
     s = math.sqrt(2.0 * math.log(view.t))
     scores = [p + s / math.sqrt(n) for p, n in zip(view.posted, view.pulls)]

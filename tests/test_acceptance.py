@@ -296,9 +296,9 @@ def test_criterion_9_identity_and_determinism(tmp_path):
             traj = run(instance, policy, DriftModel("linear", lipschitz=1.1),
                        opts, 2000, seed, keep_records=False)
             expected = 0.0
-            for gap, arm in zip(instance.gap_vector, traj.final.arms):
+            for gap, arm in zip(instance.gap_vector, traj.arms):
                 expected += gap * arm.pulls
-            exact = exact and traj.final.cum_regret == expected
+            exact = exact and traj.cum_regret == expected
     checks.append(("regret identity exact on every run", exact))
     _report(9, "identity and determinism suite", checks)
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -15,7 +16,6 @@ from driftbandit import (
     PolicyKind,
     RoundRecord,
     SimState,
-    Trajectory,
     check_c_condition,
     comp_frequency_bound,
     egreedy_comp_bound,
@@ -239,9 +239,21 @@ def test_bound_inputs_reject_a_delta_lower_whose_square_is_zero(delta_lower):
         inputs(delta_lower=delta_lower)
 
 
+@pytest.mark.parametrize("delta_lower", [
+    pytest.param(1e300, id="1e300"),
+    pytest.param(1e155, id="1e155, the square just past the largest float"),
+])
+def test_bound_inputs_reject_a_delta_lower_whose_square_is_not_finite(delta_lower):
+    message = f"delta_lower must have a finite square, got {delta_lower}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        inputs(delta_lower=delta_lower)
+
+
 @pytest.mark.parametrize("lipschitz, delta_lower", [
     pytest.param(1e308, 0.5, id="l 1e308"),
     pytest.param(1.1, 1e-160, id="delta_lower 1e-160"),
+    # 4 gap l and 3 delta_lower^2 both overflow, so the threshold reads inf/inf = nan
+    pytest.param(1e308, 1e154, id="l 1e308, delta_lower 1e154"),
 ])
 def test_thompson_pull_drift_term_keeps_an_overflowed_threshold_infinite(lipschitz, delta_lower):
     assert thompson_pull_drift_term(T_E3, 0.5, lipschitz, delta_lower) == math.inf
@@ -312,7 +324,9 @@ def crafted(rounds, warm_drift=0.0):
     for t, (chosen, x, b) in enumerate(rounds, start=3):
         records.append(RoundRecord(t, chosen, 0, chosen != 0, x, b, 0.8, 0.8 + b,
                                    inst.gap_vector[chosen]))
-    return Trajectory(records, SimState.fresh(inst, None))
+    state = SimState.fresh(inst, None)
+    state.records = records
+    return state
 
 
 RADIUS_3 = math.sqrt(2.0 * math.log(3))  # round 3, one pull of the chosen arm so far
@@ -357,7 +371,7 @@ def test_ucb_drift_slack_reads_drift_over_a_zero_bound_as_inf():
 
 def _scalar_slack(trajectory, lipschitz):
     """The inequalities round by round, on ArmStates replayed from the records."""
-    arms = [ArmState() for _ in trajectory.final.arms]
+    arms = [ArmState() for _ in trajectory.arms]
     per_round = cumulative = 0.0
     for rec in trajectory.records:
         if rec.t > len(arms):
@@ -393,7 +407,7 @@ def test_ucb_drift_slack_requires_records():
 
 def _first_violation(trajectory, lipschitz):
     """The message of the first bound broken, every arm checked every round; None if none."""
-    arms = [ArmState() for _ in trajectory.final.arms]
+    arms = [ArmState() for _ in trajectory.arms]
     for rec in trajectory.records:
         if rec.t > len(arms):
             log_t = math.log(rec.t)
@@ -431,7 +445,8 @@ def test_ucb_drift_check_equals_a_check_of_every_arm_every_round(k, lipschitz, w
     for arm, rounds in stretches:
         for x, b in rounds:
             records.append(RoundRecord(len(records) + 1, arm % k, 0, x > 0, x, b, 0.5, 0.5, 0.0))
-    traj = Trajectory(records, SimState.fresh(inst, None))
+    traj = SimState.fresh(inst, None)
+    traj.records = records
     check = ucb_drift_check(k, lipschitz)
     expected = _first_violation(traj, lipschitz)
     if expected is None:

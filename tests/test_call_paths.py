@@ -6,11 +6,14 @@ around one of them would silently zero its span, so every patched name is
 checked here: a small run and `driftbandit run` must reach it.  A sweep
 must reach the two item names, `experiment.run` and `experiment.summarize`,
 equally often: the benchmark adds their span durations element-wise.  Every
-name the benchmark imports from the package must still exist.
+name the benchmark imports from the package must still exist, and its
+per-layer path must run on each workload it declares.
 """
 
 import ast
 import importlib
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -29,7 +32,9 @@ from driftbandit import (
 from driftbandit.core import SimState
 
 ROUND_NAMES = ("step", "select_arm", "greedy_choice", "sample_reward")
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = ROOT / "benchmarks"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def count_calls(monkeypatch, owner, name, counts):
@@ -109,3 +114,13 @@ def test_benchmark_imports_resolve():
     missing = [(file, f"{module}.{name}") for file, module, name in imports
                if not _resolves(module, name)]
     assert not missing
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_layer_path_runs(monkeypatch, tmp_path, workload):
+    # the per-layer metrics read the objects run() and run_lanes() return
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    layers = importlib.import_module("layers")
+    metrics, attempted, failed, _ = layers.per_layer(ROOT, workload, "tiny", 7, tmp_path)
+    assert attempted > 0 and failed == 0
+    assert all(math.isfinite(value) for value, _ in metrics.values())

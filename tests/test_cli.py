@@ -211,6 +211,13 @@ def test_bounds_non_positive_c_exits_2_naming_it(tmp_path, capsys, c):
     pytest.param(["bounds", "--delta-lower", "1e-200"],
                  "--delta-lower must have a square above 0, got 1e-200",
                  id="bounds --delta-lower 1e-200"),
+    # ... and overflows to inf here, which would print the Thompson compensation rows as 0
+    pytest.param(["bounds", "--delta-lower", "1e300"],
+                 "--delta-lower must have a finite square, got 1e+300",
+                 id="bounds --delta-lower 1e300"),
+    pytest.param(["bounds", "--delta-lower", "1e200", "--l", "1e308"],
+                 "--delta-lower must have a finite square, got 1e+200",
+                 id="bounds --delta-lower 1e200 --l 1e308"),
 ])
 def test_library_rejections_exit_2_naming_the_flag(tmp_path, capsys, args, message):
     with pytest.raises(SystemExit) as err:
@@ -521,6 +528,8 @@ def test_bounds_all_non_decreasing_in_l(capsys):
 @pytest.mark.parametrize("args", [
     pytest.param(["--l", "1e308"], id="--l 1e308"),
     pytest.param(["--l", "1.1", "--delta-lower", "1e-160"], id="--l 1.1 --delta-lower 1e-160"),
+    # a finite delta_lower^2 of 1e308, but 4 gap l and 3 delta_lower^2 overflow: inf/inf
+    pytest.param(["--l", "1e308", "--delta-lower", "1e154"], id="--l 1e308 --delta-lower 1e154"),
 ])
 def test_bounds_print_an_overflowed_thompson_threshold_as_inf(capsys, args):
     # as the egreedy rows print inf at --c 1e308

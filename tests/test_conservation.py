@@ -64,5 +64,5 @@ def test_both_engines_conserve_compensation_and_drift(noise, kind, cap):
     for lane, played in zip(lanes, run_lanes(instance, lanes, HORIZON)):
         scalar = run(instance, lane.policy, lane.drift, lane.options, HORIZON, lane.seed,
                      keep_records=False)
-        assert_conserved(played.final.arms, lane.drift, HORIZON)
-        assert_conserved(scalar.final.arms, lane.drift, HORIZON)
+        assert_conserved(played.arms, lane.drift, HORIZON)
+        assert_conserved(scalar.arms, lane.drift, HORIZON)

@@ -82,7 +82,7 @@ def test_ucb_golden_trace():
     traj = run(INST, PolicyKind.ucb(), DRIFT, MechanismOptions(), 6,
                ScriptedRng([0.0] * 6))
     assert as_tuples(traj.records) == expected
-    state = traj.final
+    state = traj
     assert (state.arms[0].feedback_sum, state.arms[1].feedback_sum) == final["s"]
     assert (state.arms[0].pulls, state.arms[1].pulls) == final["n"]
     assert state.arms[1].comp_count == 2
@@ -122,9 +122,9 @@ def test_egreedy_golden_trace():
     traj = run(INST, PolicyKind.egreedy(1.0), DRIFT, MechanismOptions(), 6,
                ScriptedRng(draws))
     assert as_tuples(traj.records) == expected
-    assert traj.final.arms[0].feedback_sum == s0
-    assert traj.final.arms[1].feedback_sum == s1
-    assert traj.final.arms[1].comp_count == 1
+    assert traj.arms[0].feedback_sum == s0
+    assert traj.arms[1].feedback_sum == s1
+    assert traj.arms[1].comp_count == 1
 
 
 def test_thompson_golden_trace():
@@ -160,8 +160,8 @@ def test_thompson_golden_trace():
     traj = run(INST, PolicyKind.thompson(), DRIFT, MechanismOptions(), 6,
                ScriptedRng(draws))
     assert as_tuples(traj.records) == expected
-    assert traj.final.arms[1].comp_count == 2
-    assert traj.final.arms[1].feedback_sum == s1
+    assert traj.arms[1].comp_count == 2
+    assert traj.arms[1].feedback_sum == s1
 
 
 def test_scripted_stream_exhaustion_reports_supply():

@@ -68,7 +68,8 @@ def _assert_lanes_equal_scalar(instance, lanes, horizon, stride):
         scalar = run(instance, lane.policy, lane.drift, lane.options, horizon, lane.seed)
         assert summarize(got, instance) == summarize(scalar, instance)
         assert curve == (None if stride is None else curve_of(scalar, stride))
-        assert got.final.arms == scalar.final.arms
+        assert got.arms == scalar.arms
+        assert got.records == []  # the lockstep keeps no record
 
 
 @settings(max_examples=80, deadline=None)
@@ -110,7 +111,7 @@ def test_run_lanes_finals_post_the_scalar_final_view(lanes, means, noise, drift,
              for j, (policy, l, project) in enumerate(lanes)]
     for got, lane in zip(run_lanes(instance, lanes, horizon), lanes):
         scalar = run(instance, lane.policy, lane.drift, lane.options, horizon, lane.seed)
-        assert got.final.policy_view() == scalar.final.policy_view()
+        assert got.policy_view() == scalar.policy_view()
 
 
 @pytest.mark.parametrize("noise", [NoiseModel("bernoulli"), NoiseModel("gaussian", 1.0)])
@@ -230,8 +231,8 @@ def test_run_lanes_keeps_lane_order_and_probes_after_the_credit():
     assert rounds == list(range(1, horizon + 1))
     for j, (lane, got, curve) in enumerate(zip(lanes, played, curves.curves())):
         scalar = run(instance, lane.policy, lane.drift, lane.options, horizon, lane.seed)
-        assert [ArmState(*fields) for fields in last[0][:, :, j].tolist()] == scalar.final.arms
-        assert got.final.arms == scalar.final.arms
+        assert [ArmState(*fields) for fields in last[0][:, :, j].tolist()] == scalar.arms
+        assert got.arms == scalar.arms
         assert curve == curve_of(scalar, stride)
 
 

@@ -224,7 +224,7 @@ def test_run_warm_start_only_at_minimal_horizon():
     inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
     traj = run(inst, PolicyKind.ucb(), NO_DRIFT, MechanismOptions(), 9, 1)
     assert len(traj.records) == 9
-    assert traj.final.cum_compensation == 0.0
+    assert traj.cum_compensation == 0.0
 
 
 def test_run_rejects_short_horizon():
@@ -263,15 +263,14 @@ def test_run_deterministic_and_zero_drift_equals_linear_zero(policy):
     # clipped_linear at l = 0 is the other zero drift
     c = run(inst, policy, DriftModel("clipped_linear", lipschitz=0.0, cap=0.2), opts, 300, 7)
     assert a.records == b.records == c.records
-    assert a.final.cum_regret == b.final.cum_regret == c.final.cum_regret
+    assert a.cum_regret == b.cum_regret == c.cum_regret
 
 
 def test_run_trajectory_length_and_round_accounting():
     inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
-    traj = run(inst, PolicyKind.thompson(), NO_DRIFT, MechanismOptions(), 250, 2)
-    assert len(traj.records) == 250
-    assert [r.t for r in traj.records] == list(range(1, 251))
-    state = traj.final
+    state = run(inst, PolicyKind.thompson(), NO_DRIFT, MechanismOptions(), 250, 2)
+    assert len(state.records) == 250
+    assert [r.t for r in state.records] == list(range(1, 251))
     assert state.round - 1 == sum(a.pulls for a in state.arms) == 250
 
 
@@ -281,11 +280,10 @@ def test_run_trajectory_length_and_round_accounting():
 def test_run_invariants(policy, seed):
     inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
     drift = DriftModel("linear", lipschitz=1.1)
-    traj = run(inst, policy, drift, MechanismOptions(project_feedback=False), 600, seed)
-    state = traj.final
+    state = run(inst, policy, drift, MechanismOptions(project_feedback=False), 600, seed)
 
     # compensation nonnegativity and pairing with disagreement
-    for rec in traj.records:
+    for rec in state.records:
         assert rec.compensation >= 0.0
         assert rec.compensated == (rec.chosen != rec.greedy)
         if not rec.compensated:
@@ -294,7 +292,7 @@ def test_run_invariants(policy, seed):
 
     # compensation-frequency accounting
     assert sum(a.comp_count for a in state.arms) == sum(
-        1 for r in traj.records if r.compensated)
+        1 for r in state.records if r.compensated)
 
     # regret identity, exact
     expected = 0.0
@@ -335,7 +333,7 @@ def test_run_with_decomposition_check():
                MechanismOptions(project_feedback=False), 400, 13)
     from driftbandit import posted_mean, true_empirical_mean
 
-    for arm in traj.final.arms:
+    for arm in traj.arms:
         lhs = posted_mean(arm)
         rhs = true_empirical_mean(arm) + arm.drift_sum / arm.pulls
         assert lhs == pytest.approx(rhs, rel=1e-9)
@@ -347,8 +345,8 @@ def test_run_curve_capture():
     curve = curve_of(traj, 10)
     assert curve.rounds == [10, 20, 30, 40, 50, 60, 70, 80, 90, 95]
     assert len(curve.rounds) == math.ceil(95 / 10)
-    assert curve.regret[-1] == traj.final.cum_regret
-    assert curve.compensation[-1] == traj.final.cum_compensation
+    assert curve.regret[-1] == traj.cum_regret
+    assert curve.compensation[-1] == traj.cum_compensation
     # each point is the cumulative columns of trajectory.csv's row t
     rows = {int(row[0]): row for row in trajectory_rows(traj)}
     for t, regret, comp in zip(*curve):
@@ -377,7 +375,7 @@ def test_run_curve_warm_start_points_read_the_pulls_so_far():
 
 def _per_row_totals(trajectory):
     """The per-row accounting the blocked writer replaced: one accounting_totals per round."""
-    gaps = trajectory.final.gap_vector
+    gaps = trajectory.gap_vector
     arms = [ArmState() for _ in gaps]
     totals = []
     for rec in trajectory.records:
@@ -396,14 +394,14 @@ def test_trajectory_rows_cumulative_columns():
                         2 * BLOCK_ROUNDS + 3):
             traj = run(inst, policy, DriftModel("linear", lipschitz=1.1), MechanismOptions(),
                        horizon, 21)
-            blocks = list(map(read_blocks(traj.final.gap_vector), record_blocks(traj)))
+            blocks = list(map(read_blocks(traj.gap_vector), record_blocks(traj)))
             assert [len(regret) for regret, _ in blocks] == [
                 min(BLOCK_ROUNDS, horizon - start) for start in range(0, horizon, BLOCK_ROUNDS)]
             totals = [(reg, comp) for regret, compensation in blocks
                       for reg, comp in zip(regret.tolist(), compensation.tolist())]
             expected = _per_row_totals(traj)
             assert totals == expected
-            assert expected[-1] == (traj.final.cum_regret, traj.final.cum_compensation)
+            assert expected[-1] == (traj.cum_regret, traj.cum_compensation)
             rows = list(trajectory_rows(traj))
             assert [(row[8], row[9]) for row in rows] == [
                 (fmt_real(reg), fmt_real(comp)) for reg, comp in expected]
@@ -415,11 +413,11 @@ def test_read_blocks_running_state_equals_the_run():
     for policy in (PolicyKind.ucb(), PolicyKind.egreedy(4.0), PolicyKind.thompson()):
         traj = run(inst, policy, DriftModel("linear", lipschitz=1.1), MechanismOptions(),
                    BLOCK_ROUNDS + 40, 21)
-        blocks = list(map(read_blocks(traj.final.gap_vector), record_blocks(traj)))
+        blocks = list(map(read_blocks(traj.gap_vector), record_blocks(traj)))
         assert [len(regret) for regret, _ in blocks] == [BLOCK_ROUNDS, 40]
         regret, compensation = blocks[-1]
-        assert (regret[-1], compensation[-1]) == (traj.final.cum_regret,
-                                                  traj.final.cum_compensation)
+        assert (regret[-1], compensation[-1]) == (traj.cum_regret,
+                                                  traj.cum_compensation)
 
 
 @pytest.mark.parametrize("policy", [PolicyKind.ucb(), PolicyKind.egreedy(4.0),
@@ -432,7 +430,7 @@ def test_read_blocks_gives_the_same_rows_however_the_records_are_cut(policy):
                2 * BLOCK_ROUNDS + 3, 21)
 
     def read_cut(size):
-        read = read_blocks(traj.final.gap_vector)
+        read = read_blocks(traj.gap_vector)
         rows = []  # (cum_regret, cum_compensation) after each round
         for start in range(0, len(traj.records), size):
             regret, comp = read(traj.records[start:start + size])
@@ -464,7 +462,7 @@ def test_run_hands_on_block_the_kept_records_cut_at_block_rounds(means, horizon)
         assert [r for block in blocks for r in block] == kept.records
         assert blocks == list(record_blocks(kept))
         assert streamed.records == (kept.records if keep_records else [])
-        assert (streamed.final.round, streamed.final.arms) == (kept.final.round, kept.final.arms)
+        assert (streamed.round, streamed.arms) == (kept.round, kept.arms)
 
 
 def _float_from_bits(bits: int) -> float:

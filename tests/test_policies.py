@@ -14,7 +14,6 @@ from driftbandit import (
     greedy_choice,
     select_arm,
     thompson_sample,
-    ucb_index,
     ucb_select,
 )
 from driftbandit.policies import (
@@ -29,34 +28,6 @@ from driftbandit.policies import (
 
 def view(posted, pulls, t):
     return PolicyView(t, tuple(posted), tuple(pulls))
-
-
-# ---------------------------------------------------------------- ucb_index
-
-def test_ucb_index_values():
-    assert ucb_index(0.5, 4, 100) == pytest.approx(2.0174271293851467, abs=1e-5)
-    assert ucb_index(0.5, 1, 1) == 0.5  # ln 1 = 0
-    # bonus alone at ln t = 1 (t is an integer round count, so check the formula term)
-    assert math.sqrt(2 * 1.0 / 100) == pytest.approx(0.1414213562, abs=1e-5)
-
-
-def test_ucb_index_rejects_zero_pulls():
-    with pytest.raises(ValueError):
-        ucb_index(0.5, 0, 10)
-    with pytest.raises(ValueError, match="t >= 1"):
-        ucb_index(0.5, 1, 0)
-
-
-@given(
-    posted=st.floats(min_value=-5, max_value=5),
-    pulls=st.integers(min_value=1, max_value=10**6),
-    t=st.integers(min_value=1, max_value=10**6),
-)
-def test_ucb_index_monotonicity(posted, pulls, t):
-    base = ucb_index(posted, pulls, t)
-    if t > 1:
-        assert ucb_index(posted, pulls + 1, t) < base  # strictly decreasing in pulls
-    assert ucb_index(posted, pulls, t + 1) >= base  # non-decreasing in t
 
 
 # ---------------------------------------------------------------- ucb_select
