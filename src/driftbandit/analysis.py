@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .core import (BanditInstance, DiagnosticError, InputError, SimState, accounting_totals,
                    at_least, posted_mean)
-from .mechanism import RoundRecord, record_blocks
+from .mechanism import RoundRecord
 
 
 @dataclass(frozen=True)
@@ -216,14 +216,6 @@ def ucb_drift_check(k: int, lipschitz: float):
         return per_round, cumulative
 
     return check
-
-
-def ucb_drift_slack(state: SimState, lipschitz: float) -> tuple[float, float]:
-    """ucb_drift_check fed the blocks of a finished UCB run with records; its last result."""
-    check = ucb_drift_check(len(state.arms), lipschitz)
-    for block in record_blocks(state):
-        slack = check(block)
-    return slack
 
 
 @dataclass(frozen=True)

@@ -101,10 +101,13 @@ def _simulation(args, parser, draws: str | None = None):
     return instance, policy, drift, options, stream
 
 
-def _gnuplot_script(path: Path, data_file: str, xcol: int, ycols: dict) -> None:
-    lines = ["set datafile separator ','", "set key autotitle columnhead", "set xlabel 't'"]
-    plots = ", ".join(f"'{data_file}' using {xcol}:{c} with lines title '{t}'"
-                      for t, c in ycols.items())
+def _gnuplot_script(path: Path, data_file: str, columns: tuple[str, ...], x: str,
+                    ys: tuple[str, ...]) -> None:
+    """Plot each column of `ys` against column `x`, titled by its name; `columns` are the
+    data file's, and gnuplot counts them from 1."""
+    lines = ["set datafile separator ','", "set key autotitle columnhead", f"set xlabel '{x}'"]
+    plots = ", ".join(f"'{data_file}' using {columns.index(x) + 1}:{columns.index(y) + 1} "
+                      f"with lines title '{y}'" for y in ys)
     lines.append("plot " + plots)
     path.write_text("\n".join(lines) + "\n")
 
@@ -126,8 +129,8 @@ def _cmd_run(args, parser) -> int:
     summary = SUMMARY_ROW % (policy.name, args.l, args.T, args.seed, metrics.regret,
                              metrics.compensation, metrics.comp_rounds, metrics.arm1_rel_error)
     write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, [[summary]])
-    _gnuplot_script(out_dir / "trajectory.gp", "trajectory.csv", 1,
-                    {"cum_regret": 9, "cum_compensation": 10})
+    _gnuplot_script(out_dir / "trajectory.gp", "trajectory.csv", TRAJECTORY_COLUMNS, "t",
+                    ("cum_regret", "cum_compensation"))
     config = {
         "policy": policy.name, "c": policy.c, "means": list(instance.arm_means),
         "noise": args.noise, "sigma": args.sigma, "drift": args.drift,
@@ -167,8 +170,8 @@ def _cmd_sweep(args, parser) -> int:
         write_csv(out_dir / "curves.csv", CURVE_COLUMNS, (
             [CURVE_ROW % (c.policy.name, c.l, *point) for point in zip(*c.curve)]
             for c in result.cells))
-        _gnuplot_script(out_dir / "curves.gp", "curves.csv", 3,
-                        {"cum_regret_mean": 4, "cum_compensation_mean": 5})
+        _gnuplot_script(out_dir / "curves.gp", "curves.csv", CURVE_COLUMNS, "t",
+                        ("cum_regret_mean", "cum_compensation_mean"))
     _write_manifest(out_dir, "sweep", config.master_seed, config.to_dict(), outputs)
     print(f"wrote {out_dir / 'sweep.csv'} ({len(result.cells)} cells)")
     return 0

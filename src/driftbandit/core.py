@@ -49,27 +49,28 @@ class InputError(ValueError):
         return f"{self.field} {self.problem}"
 
 
-def at_least(field: str, value: float, low: float, strict: bool = False) -> None:
-    """InputError naming `field` unless `value` is finite and >= low (> low if strict)."""
+def finite(field: str, value: float) -> float:
+    """`value`; InputError naming `field` unless it is finite."""
     if not abs(value) <= sys.float_info.max:  # nan, infinities and ints beyond float range
         raise InputError(field, f"must be finite, got {value}")
-    if value < low or (strict and value == low):
+    return value
+
+
+def at_least(field: str, value: float, low: float, strict: bool = False) -> None:
+    """InputError naming `field` unless `value` is finite and >= low (> low if strict)."""
+    if finite(field, value) < low or (strict and value == low):
         raise InputError(field, f"must be {'>' if strict else '>='} {low}, got {value}")
 
 
-def gaps(arm_means: Sequence[float]) -> tuple[tuple[float, ...], float]:
-    """Per-arm suboptimality gaps and their positive minimum.
-
-    Returns (gap_vector, delta_min) where gap_vector[i] is the distance from
-    the best mean (0 for the best arm) and delta_min is the smallest positive
-    gap.  Raises NonUniqueOptimumError when the maximum mean is attained by
+def gaps(arm_means: Sequence[float]) -> tuple[float, ...]:
+    """Per-arm suboptimality gaps: gap[i] is the distance from the best mean (0 for
+    the best arm).  Raises NonUniqueOptimumError when the maximum mean is attained by
     more than one arm.
     """
     best = max(arm_means)
     if sum(1 for m in arm_means if m == best) != 1:
         raise NonUniqueOptimumError(f"maximum mean {best} attained by more than one arm")
-    vec = tuple(best - m for m in arm_means)
-    return vec, min(g for g in vec if g > 0)
+    return tuple(best - m for m in arm_means)
 
 
 NOISE_KINDS = ("gaussian", "bernoulli")
@@ -101,19 +102,20 @@ class BanditInstance:
     noise: NoiseModel
     best_arm: int = field(init=False)
     gap_vector: tuple[float, ...] = field(init=False)
-    delta_min: float = field(init=False)
 
     def __post_init__(self) -> None:
-        means = tuple(float(m) for m in self.arm_means)
+        try:
+            means = tuple(float(m) for m in self.arm_means)
+        except OverflowError:  # an int beyond float range
+            raise ValueError("arm means must lie in (0, 1]") from None
         object.__setattr__(self, "arm_means", means)
         if len(means) < 2:
             raise ValueError("need at least 2 arms")
         if any(not 0 < m <= 1 for m in means):
             raise ValueError("arm means must lie in (0, 1]")
-        vec, dmin = gaps(means)
+        vec = gaps(means)
         object.__setattr__(self, "best_arm", vec.index(0.0))
         object.__setattr__(self, "gap_vector", vec)
-        object.__setattr__(self, "delta_min", dmin)
 
     @property
     def k(self) -> int:

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from . import analysis
 from .analysis import SummaryMetrics
-from .core import BanditInstance, DriftModel, InputError, NoiseModel, SimState
+from .core import BanditInstance, DriftModel, InputError, NoiseModel, SimState, finite
 from .lockstep import Lane, LaneError, run_lanes
 from .mechanism import Curve, CurveProbe, MechanismOptions, check_run_args
 from .policies import POLICY_NAMES, PolicyKind
@@ -164,7 +164,8 @@ class ExperimentConfig:
             master_seed=_whole("master_seed", _required(data, "master_seed")),
             # an absent key takes the field's default, the class attribute of that name
             noise_kind=noise.get("kind", cls.noise_kind),
-            noise_sigma=float(_number("noise.sigma", noise.get("sigma", cls.noise_sigma))),
+            noise_sigma=float(finite("noise.sigma",
+                                     _number("noise.sigma", noise.get("sigma", cls.noise_sigma)))),
             drift_kind=data.get("drift_kind", cls.drift_kind),
             drift_cap=None if cap is None else _number("drift_cap", cap),
             project_overrides=dict(overrides),

@@ -149,10 +149,6 @@ class ScriptedRng:
             raise ValueError("scripted values must be finite")
         self._pos = 0
 
-    @property
-    def consumed(self) -> int:
-        return self._pos
-
     def _next(self) -> float:
         if self._pos >= len(self._values):
             raise ScriptExhaustedError(f"scripted stream exhausted: draw {self._pos + 1} "

@@ -49,7 +49,7 @@ from driftbandit import (
     ucb_comp_bound,
     ucb_regret_bound,
 )
-from driftbandit.analysis import ucb_drift_slack
+from driftbandit.analysis import ucb_drift_check
 from driftbandit.cli import main as cli_main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -213,11 +213,11 @@ def test_criterion_6_theoretical_bound_compliance(bernoulli_sweep):
     config = result.config
     instance = config.instance()
     c = config.policies[1].c
-    assert check_c_condition(c, instance.delta_min)
     checks = []
     for l in config.l_values:
         inputs = BoundInputs.from_instance(instance, horizon=config.horizon,
                                            lipschitz=l, c=c)
+        assert check_c_condition(c, inputs.delta_min)
         pairs = (
             ("ucb", ucb_regret_bound, ucb_comp_bound),
             ("egreedy", egreedy_regret_bound, egreedy_comp_bound),
@@ -252,7 +252,7 @@ def test_criterion_7_runtime_ucb_diagnostics():
         traj = run(instance, PolicyKind.ucb(), DriftModel("linear", lipschitz=l),
                    MechanismOptions(), 5000, seed)
         try:
-            slack = ucb_drift_slack(traj, l)
+            slack = ucb_drift_check(instance.k, l)(traj.records)
         except DiagnosticError as exc:
             violations.append(f"seed {seed}: {exc}")
             continue

@@ -15,7 +15,6 @@ from driftbandit import (
     NoiseModel,
     PolicyKind,
     RoundRecord,
-    SimState,
     check_c_condition,
     comp_frequency_bound,
     egreedy_comp_bound,
@@ -33,7 +32,6 @@ from driftbandit.analysis import (
     thompson_pull_drift_term,
     thompson_pull_log_term,
     ucb_drift_check,
-    ucb_drift_slack,
 )
 from driftbandit.mechanism import BLOCK_ROUNDS
 
@@ -316,7 +314,7 @@ def test_summarize_regret_identity_from_per_arm():
 # ---------------------------------------------------------------- UCB drift slack
 
 def crafted(rounds, warm_drift=0.0):
-    """A two-arm run: the warm start (arm 0 drifted by `warm_drift`), then round
+    """A two-arm run's records: the warm start (arm 0 drifted by `warm_drift`), then round
     t = 3, 4, ... pulls `chosen` against the player's arm 0, paying x with drift b."""
     inst = BanditInstance((0.9, 0.8), NoiseModel("gaussian", 0.0))
     records = [RoundRecord(1, 0, 0, False, 0.0, warm_drift, 0.9, 0.9 + warm_drift, 0.0),
@@ -324,9 +322,7 @@ def crafted(rounds, warm_drift=0.0):
     for t, (chosen, x, b) in enumerate(rounds, start=3):
         records.append(RoundRecord(t, chosen, 0, chosen != 0, x, b, 0.8, 0.8 + b,
                                    inst.gap_vector[chosen]))
-    state = SimState.fresh(inst, None)
-    state.records = records
-    return state
+    return records
 
 
 RADIUS_3 = math.sqrt(2.0 * math.log(3))  # round 3, one pull of the chosen arm so far
@@ -335,45 +331,45 @@ RADIUS_3 = math.sqrt(2.0 * math.log(3))  # round 3, one pull of the chosen arm s
 def test_ucb_drift_slack_rejects_a_per_round_violation():
     with pytest.raises(DiagnosticError,
                        match=f"round 3: compensation 2.0 exceeds per-round drift bound {RADIUS_3}"):
-        ucb_drift_slack(crafted([(1, 2.0, 0.0)]), 1.0)
+        ucb_drift_check(2, 1.0)(crafted([(1, 2.0, 0.0)]))
 
 
 def test_ucb_drift_slack_rejects_a_cumulative_drift_violation():
     # arm 0 carries far more drift than B_0 <= 2 l sqrt(2 n_0 ln t) allows
     with pytest.raises(DiagnosticError, match="round 3: arm 0 cumulative drift 50.0 exceeds bound"):
-        ucb_drift_slack(crafted([(1, 0.0, 0.0)], warm_drift=50.0), 1.0)
+        ucb_drift_check(2, 1.0)(crafted([(1, 0.0, 0.0)], warm_drift=50.0))
 
 
 def test_ucb_drift_slack_reads_the_state_before_the_credit():
     # x lies between sqrt(2 ln 3 / 2), after round 3's pull, and sqrt(2 ln 3 / 1), before it
     x = 1.25
     assert math.sqrt(2.0 * math.log(3) / 2) < x < RADIUS_3
-    per_round, _ = ucb_drift_slack(crafted([(1, x, 0.0)]), 1.0)
+    per_round, _ = ucb_drift_check(2, 1.0)(crafted([(1, x, 0.0)]))
     assert per_round == x / RADIUS_3
     # the round-off guard 1e-9 max(1, bound) lets a bound's last bits pass
-    per_round, _ = ucb_drift_slack(crafted([(1, RADIUS_3 + 1e-10, 0.0)]), 1.0)
+    per_round, _ = ucb_drift_check(2, 1.0)(crafted([(1, RADIUS_3 + 1e-10, 0.0)]))
     assert per_round > 1.0
 
 
 def test_ucb_drift_slack_without_drift_reads_zero():
-    assert ucb_drift_slack(crafted([(1, 1.0, 0.0), (0, 0.0, 0.0)]), 0.0)[1] == 0.0
+    assert ucb_drift_check(2, 0.0)(crafted([(1, 1.0, 0.0), (0, 0.0, 0.0)]))[1] == 0.0
     inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
     traj = run(inst, PolicyKind.ucb(), DriftModel("linear", lipschitz=0.0),
                MechanismOptions(), 1500, 0)
-    per_round, cumulative = ucb_drift_slack(traj, 0.0)
+    per_round, cumulative = ucb_drift_check(inst.k, 0.0)(traj.records)
     assert cumulative == 0.0 and 0.0 < per_round <= 1.0
 
 
 def test_ucb_drift_slack_reads_drift_over_a_zero_bound_as_inf():
     # l = 0 makes every bound 0; a drift within the round-off guard passes, its ratio inf
-    assert ucb_drift_slack(crafted([(1, 0.0, 0.0)], warm_drift=1e-10), 0.0) == (0.0, math.inf)
+    assert ucb_drift_check(2, 0.0)(crafted([(1, 0.0, 0.0)], warm_drift=1e-10)) == (0.0, math.inf)
 
 
-def _scalar_slack(trajectory, lipschitz):
-    """The inequalities round by round, on ArmStates replayed from the records."""
-    arms = [ArmState() for _ in trajectory.arms]
+def _scalar_slack(records, k, lipschitz):
+    """The inequalities round by round, on K ArmStates replayed from the records."""
+    arms = [ArmState() for _ in range(k)]
     per_round = cumulative = 0.0
-    for rec in trajectory.records:
+    for rec in records:
         if rec.t > len(arms):
             log_t = math.log(rec.t)
             per_round = max(per_round,
@@ -392,23 +388,15 @@ def test_run_ucb_drift_slack_clean():
     for seed in range(5):
         traj = run(inst, PolicyKind.ucb(), DriftModel("linear", lipschitz=1.1),
                    MechanismOptions(), 1500, seed)
-        slack = ucb_drift_slack(traj, 1.1)  # raises DiagnosticError on a violation
-        assert slack == _scalar_slack(traj, 1.1)
+        slack = ucb_drift_check(inst.k, 1.1)(traj.records)  # raises DiagnosticError on a violation
+        assert slack == _scalar_slack(traj.records, inst.k, 1.1)
         assert all(0.0 < s <= 1.0 for s in slack)
 
 
-def test_ucb_drift_slack_requires_records():
-    inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
-    traj = run(inst, PolicyKind.ucb(), DriftModel("linear", lipschitz=1.1),
-               MechanismOptions(), 20, 1, keep_records=False)
-    with pytest.raises(ValueError, match="records"):
-        ucb_drift_slack(traj, 1.1)
-
-
-def _first_violation(trajectory, lipschitz):
+def _first_violation(records, k, lipschitz):
     """The message of the first bound broken, every arm checked every round; None if none."""
-    arms = [ArmState() for _ in trajectory.arms]
-    for rec in trajectory.records:
+    arms = [ArmState() for _ in range(k)]
+    for rec in records:
         if rec.t > len(arms):
             log_t = math.log(rec.t)
             radius = math.sqrt(2.0 * log_t / arms[rec.chosen].pulls)
@@ -439,24 +427,21 @@ STRETCHES = st.lists(
        stretches=STRETCHES, cut=st.integers(min_value=1, max_value=50))
 def test_ucb_drift_check_equals_a_check_of_every_arm_every_round(k, lipschitz, warm_drift,
                                                                  stretches, cut):
-    inst = BanditInstance(tuple(0.9 - 0.1 * i for i in range(k)), NoiseModel("gaussian", 0.0))
     records = [RoundRecord(t, t - 1, t - 1, False, 0.0, warm_drift[t - 1], 0.5, 0.5, 0.0)
                for t in range(1, k + 1)]
     for arm, rounds in stretches:
         for x, b in rounds:
             records.append(RoundRecord(len(records) + 1, arm % k, 0, x > 0, x, b, 0.5, 0.5, 0.0))
-    traj = SimState.fresh(inst, None)
-    traj.records = records
     check = ucb_drift_check(k, lipschitz)
-    expected = _first_violation(traj, lipschitz)
+    expected = _first_violation(records, k, lipschitz)
     if expected is None:
-        assert ucb_drift_slack(traj, lipschitz) == _scalar_slack(traj, lipschitz)
+        assert ucb_drift_check(k, lipschitz)(records) == _scalar_slack(records, k, lipschitz)
         for start in range(0, len(records), cut):  # any cut into blocks reads the same
             slack = check(records[start:start + cut])
-        assert slack == _scalar_slack(traj, lipschitz)
+        assert slack == _scalar_slack(records, k, lipschitz)
     else:
         with pytest.raises(DiagnosticError) as err:
-            ucb_drift_slack(traj, lipschitz)
+            ucb_drift_check(k, lipschitz)(records)
         assert str(err.value) == expected
         with pytest.raises(DiagnosticError) as err:
             for start in range(0, len(records), cut):
@@ -473,7 +458,7 @@ def test_streamed_ucb_drift_check_equals_the_check_of_the_kept_run():
     kept = run(inst, PolicyKind.ucb(), DriftModel("linear", lipschitz=1.1), MechanismOptions(),
                horizon, 4)
     assert len(slacks) == 3
-    assert slacks[-1] == ucb_drift_slack(kept, 1.1)
+    assert slacks[-1] == ucb_drift_check(inst.k, 1.1)(kept.records)
 
 
 def test_streamed_ucb_drift_check_holds_no_record():

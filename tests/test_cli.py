@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,15 @@ def run_cli(args):
 def read_rows(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def plotted_columns(script, data):
+    """The (x, y) column names of each `using a:b` in a gnuplot script, read off the header
+    of its data file (gnuplot counts columns from 1)."""
+    with open(data) as fh:
+        header = next(csv.reader(fh))
+    return [(header[int(a) - 1], header[int(b) - 1])
+            for a, b in re.findall(r"using (\d+):(\d+)", script.read_text())]
 
 
 # ---------------------------------------------------------------- run
@@ -129,15 +139,16 @@ def test_run_rejects_negative_drift_coefficient(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args,flag", [
-    (["run", "--policy", "ucb", "--l", "nan"], "--l"),
-    (["run", "--policy", "ucb", "--l", "inf"], "--l"),
-    (["run", "--policy", "ucb", "--sigma", "nan"], "--sigma"),
-    (["run", "--policy", "ucb", "--drift", "clipped_linear", "--cap", "inf"], "--cap"),
-    (["run", "--policy", "egreedy", "--c", "nan"], "--c"),
-    (["trace", "--policy", "ucb", "--l", "nan", "--draws", "0"], "--l"),
-    (["bounds", "--delta-lower", "nan"], "--delta-lower"),
-    (["bounds", "--c", "inf"], "--c"),
-    (["bounds", "--l", "inf"], "--l"),
+    pytest.param(["run", "--policy", "ucb", "--l", "nan"], "--l", id="args0---l"),
+    pytest.param(["run", "--policy", "ucb", "--l", "inf"], "--l", id="args1---l"),
+    pytest.param(["run", "--policy", "ucb", "--sigma", "nan"], "--sigma", id="args2---sigma"),
+    pytest.param(["run", "--policy", "ucb", "--drift", "clipped_linear", "--cap", "inf"], "--cap",
+                 id="args3---cap"),
+    pytest.param(["run", "--policy", "egreedy", "--c", "nan"], "--c", id="args4---c"),
+    pytest.param(["trace", "--policy", "ucb", "--l", "nan", "--draws", "0"], "--l", id="args5---l"),
+    pytest.param(["bounds", "--delta-lower", "nan"], "--delta-lower", id="args6---delta-lower"),
+    pytest.param(["bounds", "--c", "inf"], "--c", id="args7---c"),
+    pytest.param(["bounds", "--l", "inf"], "--l", id="args8---l"),
 ])
 def test_non_finite_flag_exits_2_naming_it(tmp_path, capsys, args, flag):
     with pytest.raises(SystemExit) as err:
@@ -157,52 +168,85 @@ def test_bounds_non_positive_c_exits_2_naming_it(tmp_path, capsys, c):
 
 
 @pytest.mark.parametrize("args,message", [
-    (["run", "--policy", "ucb", "--drift", "clipped_linear"],
-     "--cap is required by clipped_linear"),
-    (["run", "--policy", "ucb", "--drift", "clipped_linear", "--cap", "-0.5"],
-     "--cap must be >= 0, got -0.5"),
-    (["trace", "--policy", "ucb", "--drift", "clipped_linear", "--draws", "0"],
-     "--cap is required by clipped_linear"),
-    (["run", "--policy", "ucb", "--drift", "linear", "--cap", "0.1"],
-     "--cap applies to clipped_linear only, not linear"),
-    (["trace", "--policy", "ucb", "--drift", "linear", "--cap", "0.1", "--draws", "0"],
-     "--cap applies to clipped_linear only, not linear"),
-    (["run", "--policy", "egreedy", "--c", "0"], "--c must be > 0, got 0.0"),
-    (["trace", "--policy", "egreedy", "--c", "-1", "--draws", "0"], "--c must be > 0, got -1.0"),
-    (["bounds", "--T", "1"], "--T must be >= 2"),
+    pytest.param(["run", "--policy", "ucb", "--drift", "clipped_linear"],
+                 "--cap is required by clipped_linear",
+                 id="args0---cap is required by clipped_linear"),
+    pytest.param(["run", "--policy", "ucb", "--drift", "clipped_linear", "--cap", "-0.5"],
+                 "--cap must be >= 0, got -0.5",
+                 id="args1---cap must be >= 0, got -0.5"),
+    pytest.param(["trace", "--policy", "ucb", "--drift", "clipped_linear", "--draws", "0"],
+                 "--cap is required by clipped_linear",
+                 id="args2---cap is required by clipped_linear"),
+    pytest.param(["run", "--policy", "ucb", "--drift", "linear", "--cap", "0.1"],
+                 "--cap applies to clipped_linear only, not linear",
+                 id="args3---cap applies to clipped_linear only, not linear"),
+    pytest.param(["trace", "--policy", "ucb", "--drift", "linear", "--cap", "0.1", "--draws", "0"],
+                 "--cap applies to clipped_linear only, not linear",
+                 id="args4---cap applies to clipped_linear only, not linear"),
+    pytest.param(["run", "--policy", "egreedy", "--c", "0"], "--c must be > 0, got 0.0",
+                 id="args5---c must be > 0, got 0.0"),
+    pytest.param(["trace", "--policy", "egreedy", "--c", "-1", "--draws", "0"],
+                 "--c must be > 0, got -1.0",
+                 id="args6---c must be > 0, got -1.0"),
+    pytest.param(["bounds", "--T", "1"], "--T must be >= 2", id="args7---T must be >= 2"),
     # derive_seed reads the master seed mod 2^64, so -1 would replay 2^64 - 1
-    (["sweep", "--config", str(REPO / "configs" / "nine_arm_sweep.json"), "--seed", "-1"],
-     "--seed must be in [0, 2**64), got -1"),
-    (["sweep", "--config", str(REPO / "configs" / "nine_arm_sweep.json"), "--seed", str(2 ** 64)],
-     "--seed must be in [0, 2**64), got 18446744073709551616"),
-    (["run", "--policy", "ucb", "--means", "0.5,0.5"],
-     "--means 0.5,0.5: maximum mean 0.5 attained by more than one arm"),
-    (["trace", "--policy", "ucb", "--means", "0.5,0.5", "--draws", "0"],
-     "--means 0.5,0.5: maximum mean 0.5 attained by more than one arm"),
-    (["bounds", "--means", "0.5,0.5"],
-     "--means 0.5,0.5: maximum mean 0.5 attained by more than one arm"),
-    (["run", "--policy", "ucb", "--means", "1.5,0.2"],
-     "--means 1.5,0.2: arm means must lie in (0, 1]"),
-    (["bounds", "--means", "0.9"], "--means 0.9: need at least 2 arms"),
-    (["run", "--policy", "ucb", "--means", "0.9,abc"],
-     "--means 0.9,abc: could not convert string to float: 'abc'"),
-    (["bounds", "--delta-lower", "0"], "--delta-lower must be > 0"),
-    (["trace", "--policy", "ucb", "--draws", "0,abc"],
-     "--draws 0,abc: could not convert string to float: 'abc'"),
-    (TRACE_ARGS + ["--draws", "0,0,nan,0"], "--draws 0,0,nan,0: scripted values must be finite"),
-    (TRACE_ARGS + ["--draws", "0,0,inf,0"], "--draws 0,0,inf,0: scripted values must be finite"),
+    pytest.param(["sweep", "--config", str(REPO / "configs" / "nine_arm_sweep.json"),
+                  "--seed", "-1"],
+                 "--seed must be in [0, 2**64), got -1",
+                 id="args8---seed must be in [0, 2**64), got -1"),
+    pytest.param(["sweep", "--config", str(REPO / "configs" / "nine_arm_sweep.json"),
+                  "--seed", str(2 ** 64)],
+                 "--seed must be in [0, 2**64), got 18446744073709551616",
+                 id="args9---seed must be in [0, 2**64), got 18446744073709551616"),
+    pytest.param(["run", "--policy", "ucb", "--means", "0.5,0.5"],
+                 "--means 0.5,0.5: maximum mean 0.5 attained by more than one arm",
+                 id="args10---means 0.5,0.5: maximum mean 0.5 attained by more than one arm"),
+    pytest.param(["trace", "--policy", "ucb", "--means", "0.5,0.5", "--draws", "0"],
+                 "--means 0.5,0.5: maximum mean 0.5 attained by more than one arm",
+                 id="args11---means 0.5,0.5: maximum mean 0.5 attained by more than one arm"),
+    pytest.param(["bounds", "--means", "0.5,0.5"],
+                 "--means 0.5,0.5: maximum mean 0.5 attained by more than one arm",
+                 id="args12---means 0.5,0.5: maximum mean 0.5 attained by more than one arm"),
+    pytest.param(["run", "--policy", "ucb", "--means", "1.5,0.2"],
+                 "--means 1.5,0.2: arm means must lie in (0, 1]",
+                 id="args13---means 1.5,0.2: arm means must lie in (0, 1]"),
+    pytest.param(["bounds", "--means", "0.9"], "--means 0.9: need at least 2 arms",
+                 id="args14---means 0.9: need at least 2 arms"),
+    pytest.param(["run", "--policy", "ucb", "--means", "0.9,abc"],
+                 "--means 0.9,abc: could not convert string to float: 'abc'",
+                 id="args15---means 0.9,abc: could not convert string to float: 'abc'"),
+    pytest.param(["bounds", "--delta-lower", "0"], "--delta-lower must be > 0",
+                 id="args16---delta-lower must be > 0"),
+    pytest.param(["trace", "--policy", "ucb", "--draws", "0,abc"],
+                 "--draws 0,abc: could not convert string to float: 'abc'",
+                 id="args17---draws 0,abc: could not convert string to float: 'abc'"),
+    pytest.param(TRACE_ARGS + ["--draws", "0,0,nan,0"],
+                 "--draws 0,0,nan,0: scripted values must be finite",
+                 id="args18---draws 0,0,nan,0: scripted values must be finite"),
+    pytest.param(TRACE_ARGS + ["--draws", "0,0,inf,0"],
+                 "--draws 0,0,inf,0: scripted values must be finite",
+                 id="args19---draws 0,0,inf,0: scripted values must be finite"),
     # the egreedy coin of round 3 reads 1.5, after two Bernoulli warm-start rewards
-    (["trace", "--policy", "egreedy", "--noise", "bernoulli", "--means", "0.6,0.5",
-      "--draws", "0.1,0.1,1.5,0.1,0.1,0.1"],
-     "--draws 0.1,0.1,1.5,0.1,0.1,0.1: scripted uniform draw 1.5 outside [0, 1)"),
-    (TRACE_ARGS + ["--draws", "0,0,0"],
-     "--draws 0,0,0: scripted stream exhausted: draw 4 requested but only 3 values"),
-    (["trace", "--policy", "ucb", "--T", "21", "--draws", "0"], "--T 21: trace supports T <= 20"),
-    (["bounds", "--l", "-1"], "--l must be >= 0, got -1.0"),
-    (["trace", "--policy", "ucb", "--sigma", "-1", "--draws", "0"], "--sigma must be >= 0, got -1.0"),
+    pytest.param(["trace", "--policy", "egreedy", "--noise", "bernoulli", "--means", "0.6,0.5",
+                  "--draws", "0.1,0.1,1.5,0.1,0.1,0.1"],
+                 "--draws 0.1,0.1,1.5,0.1,0.1,0.1: scripted uniform draw 1.5 outside [0, 1)",
+                 id="args20---draws 0.1,0.1,1.5,0.1,0.1,0.1: scripted uniform draw 1.5 outside [0, 1)"),
+    pytest.param(TRACE_ARGS + ["--draws", "0,0,0"],
+                 "--draws 0,0,0: scripted stream exhausted: draw 4 requested but only 3 values",
+                 id="args21---draws 0,0,0: scripted stream exhausted: draw 4 requested but only 3 values"),
+    pytest.param(["trace", "--policy", "ucb", "--T", "21", "--draws", "0"],
+                 "--T 21: trace supports T <= 20",
+                 id="args22---T 21: trace supports T <= 20"),
+    pytest.param(["bounds", "--l", "-1"], "--l must be >= 0, got -1.0",
+                 id="args23---l must be >= 0, got -1.0"),
+    pytest.param(["trace", "--policy", "ucb", "--sigma", "-1", "--draws", "0"],
+                 "--sigma must be >= 0, got -1.0",
+                 id="args24---sigma must be >= 0, got -1.0"),
     # beyond float range, so ln T would overflow; never a run or trace, which would not end
-    (["bounds", "--T", "1" + "0" * 400], "--T must be finite"),
-    # new cases take an id that names their input, so rewording a message keeps the id
+    pytest.param(["bounds", "--T", "1" + "0" * 400], "--T must be finite",
+                 id="args25---T must be finite"),
+    # the ids above keep the form pytest once generated from the arguments; new cases
+    # take an id that names their input
     pytest.param(["run", "--policy", "ucb", "--drift", "zero"],
                  "argument --drift: invalid choice: 'zero'", id="run --drift zero"),
     pytest.param(["trace", "--policy", "ucb", "--drift", "zero", "--draws", "0"],
@@ -247,8 +291,10 @@ def test_run_into_a_file_exits_1_naming_the_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args, play", [
-    (["run", "--policy", "ucb", "--T", "200000"], "run"),
-    (["sweep", "--config", str(REPO / "configs" / "nine_arm_sweep.json")], "run_experiment"),
+    pytest.param(["run", "--policy", "ucb", "--T", "200000"], "run", id="args0-run"),
+    pytest.param(["sweep", "--config", str(REPO / "configs" / "nine_arm_sweep.json")],
+                 "run_experiment",
+                 id="args1-run_experiment"),
 ])
 def test_out_dir_that_is_a_file_exits_1_before_playing(tmp_path, capsys, monkeypatch, args, play):
     calls = []
@@ -292,7 +338,8 @@ def test_run_outputs_and_summary_schema(tmp_path):
     assert float(row["regret"]) >= 0.0
     traj_rows = read_rows(out / "trajectory.csv")
     assert len(traj_rows) == 200
-    assert (out / "trajectory.gp").exists()
+    assert plotted_columns(out / "trajectory.gp", out / "trajectory.csv") == [
+        ("t", "cum_regret"), ("t", "cum_compensation")]
 
 
 def test_run_manifest_round_trip(tmp_path):
@@ -404,51 +451,80 @@ def test_sweep_rejects_empty_l_values(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("change,key", [
-    ({"l_values": [float("nan")]}, "l_values"),
-    ({"policies": [{"name": "ucb", "cc": 3}]}, "cc"),
-    ({"horizn": 60}, "horizn"),
-    ({"project_feedback": {"ucbb": True}}, "ucbb"),
-    ({"horizon": 100.7}, "horizon"),
-    ({"replications": 2.9}, "replications"),
-    ({"trajectory_stride": 2.5}, "trajectory_stride"),
-    ({"drift_kind": "clipped_linear"}, "drift_cap"),
-    ({"drift_cap": 1.0}, "drift_cap"),
-    ({"drift_kind": "clipped_linear", "drift_cap": "2"}, "drift_cap"),
-    ({"drift_kind": "sinusoid"}, "drift_kind"),
-    ({"policies": [{"name": "ucb"}, {"name": "egreedy", "c": 0}]}, "policies[1].c"),
-    ({"policies": [{"name": "ucb"}, {"name": "egreedy", "c": "4"}]}, "policies[1].c"),
-    ({"policies": [{"name": "ucb"}, {"name": "ucbb"}]}, "policies[1].name"),
-    ({"noise": {"kind": "poisson"}}, "noise.kind"),
-    ({"noise": {"kind": "gaussian", "sigma": "1"}}, "noise.sigma"),
-    ({"l_values": [0.0, "1"]}, "l_values[1]"),
-    ({"arm_means": [0.9, "0.6", 0.3]}, "arm_means[1]"),
-    ({"capture_trajectories": "false"}, "capture_trajectories"),
-    ({"capture_trajectories": 2}, "capture_trajectories"),
-    ({"master_seed": -1}, "master_seed"),
-    ({"master_seed": 2 ** 64}, "master_seed"),
+    pytest.param({"l_values": [float("nan")]}, "l_values", id="change0-l_values"),
+    pytest.param({"policies": [{"name": "ucb", "cc": 3}]}, "cc", id="change1-cc"),
+    pytest.param({"horizn": 60}, "horizn", id="change2-horizn"),
+    pytest.param({"project_feedback": {"ucbb": True}}, "ucbb", id="change3-ucbb"),
+    pytest.param({"horizon": 100.7}, "horizon", id="change4-horizon"),
+    pytest.param({"replications": 2.9}, "replications", id="change5-replications"),
+    pytest.param({"trajectory_stride": 2.5}, "trajectory_stride", id="change6-trajectory_stride"),
+    pytest.param({"drift_kind": "clipped_linear"}, "drift_cap", id="change7-drift_cap"),
+    pytest.param({"drift_cap": 1.0}, "drift_cap", id="change8-drift_cap"),
+    pytest.param({"drift_kind": "clipped_linear", "drift_cap": "2"}, "drift_cap",
+                 id="change9-drift_cap"),
+    pytest.param({"drift_kind": "sinusoid"}, "drift_kind", id="change10-drift_kind"),
+    pytest.param({"policies": [{"name": "ucb"}, {"name": "egreedy", "c": 0}]}, "policies[1].c",
+                 id="change11-policies[1].c"),
+    pytest.param({"policies": [{"name": "ucb"}, {"name": "egreedy", "c": "4"}]}, "policies[1].c",
+                 id="change12-policies[1].c"),
+    pytest.param({"policies": [{"name": "ucb"}, {"name": "ucbb"}]}, "policies[1].name",
+                 id="change13-policies[1].name"),
+    pytest.param({"noise": {"kind": "poisson"}}, "noise.kind", id="change14-noise.kind"),
+    pytest.param({"noise": {"kind": "gaussian", "sigma": "1"}}, "noise.sigma",
+                 id="change15-noise.sigma"),
+    pytest.param({"l_values": [0.0, "1"]}, "l_values[1]", id="change16-l_values[1]"),
+    pytest.param({"arm_means": [0.9, "0.6", 0.3]}, "arm_means[1]", id="change17-arm_means[1]"),
+    pytest.param({"capture_trajectories": "false"}, "capture_trajectories",
+                 id="change18-capture_trajectories"),
+    pytest.param({"capture_trajectories": 2}, "capture_trajectories",
+                 id="change19-capture_trajectories"),
+    pytest.param({"master_seed": -1}, "master_seed", id="change20-master_seed"),
+    pytest.param({"master_seed": 2 ** 64}, "master_seed", id="change21-master_seed"),
     # a value of the wrong JSON type, named by its key rather than by an entry
-    ({"l_values": 1.0}, "l_values must be a JSON array"),
-    ({"arm_means": 0.9}, "arm_means must be a JSON array"),
-    ({"policies": {"name": "ucb"}}, "policies must be a JSON array"),
-    ({"policies": "ucb"}, "policies must be a JSON array"),
-    ({"project_feedback": [1]}, "project_feedback must be a JSON object"),
+    pytest.param({"l_values": 1.0}, "l_values must be a JSON array",
+                 id="change22-l_values must be a JSON array"),
+    pytest.param({"arm_means": 0.9}, "arm_means must be a JSON array",
+                 id="change23-arm_means must be a JSON array"),
+    pytest.param({"policies": {"name": "ucb"}}, "policies must be a JSON array",
+                 id="change24-policies must be a JSON array"),
+    pytest.param({"policies": "ucb"}, "policies must be a JSON array",
+                 id="change25-policies must be a JSON array"),
+    pytest.param({"project_feedback": [1]}, "project_feedback must be a JSON object",
+                 id="change26-project_feedback must be a JSON object"),
     # a required key left out, named with its path
-    ({"horizon": DROP}, "missing config key horizon"),
-    ({"arm_means": DROP}, "missing config key arm_means"),
-    ({"policies": DROP}, "missing config key policies"),
-    ({"l_values": DROP}, "missing config key l_values"),
-    ({"replications": DROP}, "missing config key replications"),
-    ({"master_seed": DROP}, "missing config key master_seed"),
-    ({"policies": [{"c": 3}]}, "missing config key policies[0].name"),
+    pytest.param({"horizon": DROP}, "missing config key horizon",
+                 id="change27-missing config key horizon"),
+    pytest.param({"arm_means": DROP}, "missing config key arm_means",
+                 id="change28-missing config key arm_means"),
+    pytest.param({"policies": DROP}, "missing config key policies",
+                 id="change29-missing config key policies"),
+    pytest.param({"l_values": DROP}, "missing config key l_values",
+                 id="change30-missing config key l_values"),
+    pytest.param({"replications": DROP}, "missing config key replications",
+                 id="change31-missing config key replications"),
+    pytest.param({"master_seed": DROP}, "missing config key master_seed",
+                 id="change32-missing config key master_seed"),
+    pytest.param({"policies": [{"c": 3}]}, "missing config key policies[0].name",
+                 id="change33-missing config key policies[0].name"),
     # a policy name that is not a string
-    ({"policies": [{"name": ["ucb"]}]}, "policies[0].name"),
-    ({"policies": [{"name": {"kind": "ucb"}}]}, "policies[0].name"),
+    pytest.param({"policies": [{"name": ["ucb"]}]}, "policies[0].name",
+                 id="change34-policies[0].name"),
+    pytest.param({"policies": [{"name": {"kind": "ucb"}}]}, "policies[0].name",
+                 id="change35-policies[0].name"),
     # json.dumps writes Infinity, which json.load reads back
-    ({"l_values": [0.0, float("inf")]}, "l_values[1]"),
-    # an empty policy list (kept last so the earlier case ids hold)
-    ({"policies": []}, "policies must be non-empty"),
-    # new cases take an id that names their input, so rewording a message keeps the id
+    pytest.param({"l_values": [0.0, float("inf")]}, "l_values[1]", id="change36-l_values[1]"),
+    # an empty policy list
+    pytest.param({"policies": []}, "policies must be non-empty",
+                 id="change37-policies must be non-empty"),
+    # the ids above keep the form pytest once generated from the arguments; new cases
+    # take an id that names their input
     pytest.param({"drift_kind": "zero"}, "drift_kind must be one of", id="drift_kind zero"),
+    # a JSON integer of 401 digits, beyond float range
+    pytest.param({"arm_means": [10 ** 400, 0.5]}, "arm_means: arm means must lie in (0, 1]",
+                 id="arm_means beyond float range"),
+    pytest.param({"noise": {"kind": "gaussian", "sigma": 10 ** 400}},
+                 "noise.sigma must be finite, got 1" + "0" * 400,
+                 id="noise.sigma beyond float range"),
 ])
 def test_sweep_rejects_bad_config_naming_the_key(tmp_path, capsys, change, key):
     path = write_config(tmp_path, small_config(**change))
@@ -475,7 +551,8 @@ def test_sweep_curves_output(tmp_path):
     assert run_cli(["sweep", "--config", str(path), "--out-dir", str(out)]) == 0
     rows = read_rows(out / "curves.csv")
     assert len(rows) == 4 * 2  # cells x ceil(60/30) points
-    assert (out / "curves.gp").exists()
+    assert plotted_columns(out / "curves.gp", out / "curves.csv") == [
+        ("t", "cum_regret_mean"), ("t", "cum_compensation_mean")]
 
 
 def test_sweep_manifest_round_trip(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from driftbandit import (
     ArmState,
     BanditInstance,
+    BoundInputs,
     DriftModel,
     NoiseModel,
     NonUniqueOptimumError,
@@ -129,16 +130,22 @@ def test_decomposition_identity(pulls, feedback_sum, drift_sum):
 
 # ---------------------------------------------------------------- environment
 
+def bound_inputs(gap_vector):
+    """BoundInputs on these gaps; its delta_min is the one place that computes the smallest
+    positive gap."""
+    return BoundInputs(horizon=2, lipschitz=0.0, gaps=gap_vector, delta_lower=1.0, c=1.0)
+
+
 def test_gaps_nine_arm_ladder():
-    vec, delta = gaps(NINE_ARM_MEANS)
+    vec = gaps(NINE_ARM_MEANS)
     assert vec == pytest.approx(tuple(0.1 * i for i in range(9)), abs=1e-12)
-    assert delta == pytest.approx(0.1)
+    assert bound_inputs(vec).delta_min == pytest.approx(0.1)
 
 
 def test_gaps_two_arms():
-    vec, delta = gaps((1.0, 0.0))
+    vec = gaps((1.0, 0.0))
     assert vec == (0.0, 1.0)
-    assert delta == 1.0
+    assert bound_inputs(vec).delta_min == 1.0
 
 
 def test_gaps_rejects_tied_optimum():
@@ -152,7 +159,7 @@ def test_gaps_best_arm_any_index():
     inst = BanditInstance((0.2, 0.9, 0.4), NoiseModel("bernoulli"))
     assert inst.best_arm == 1
     assert inst.gap_vector[1] == 0.0
-    assert inst.delta_min == pytest.approx(0.5)
+    assert bound_inputs(inst.gap_vector).delta_min == pytest.approx(0.5)
 
 
 def test_instance_validation():

@@ -142,54 +142,78 @@ def test_config_parses_policy_c():
 
 
 @pytest.mark.parametrize("change,key", [
-    ({"policies": [{"name": "ucb", "cc": 3}]}, "cc"),
-    ({"horizn": 100}, "horizn"),
-    ({"noise": {"kind": "gaussian", "sigm": 2.0}}, "sigm"),
-    ({"project_feedback": {"ucbb": True}}, "ucbb"),
-    ({"project_feedback": {"ucb": "off"}}, "project_feedback"),
-    ({"horizon": 100.7}, "horizon"),
-    ({"replications": 2.9}, "replications"),
-    ({"trajectory_stride": 2.5}, "trajectory_stride"),
-    ({"master_seed": 3.5}, "master_seed"),
-    ({"horizon": "100"}, "horizon"),
-    ({"drift_kind": "clipped_linear"}, "drift_cap"),
-    ({"drift_cap": 1.0}, "drift_cap"),
-    ({"drift_kind": "clipped_linear", "drift_cap": "2"}, "drift_cap"),
-    ({"drift_kind": "sinusoid"}, "drift_kind"),
-    ({"policies": [{"name": "ucb"}, {"name": "egreedy", "c": 0}]}, "policies[1].c"),
-    ({"policies": [{"name": "ucb"}, {"name": "egreedy", "c": "4"}]}, "policies[1].c"),
-    ({"policies": [{"name": "ucb"}, {"name": "ucbb"}]}, "policies[1].name"),
-    ({"noise": {"kind": "poisson"}}, "noise.kind"),
-    ({"noise": {"kind": "gaussian", "sigma": "1"}}, "noise.sigma"),
-    ({"noise": {"kind": "gaussian", "sigma": -1.0}}, "noise.sigma"),
-    ({"l_values": [0.0, "1"]}, "l_values[1]"),
-    ({"l_values": [0.0, -1.0]}, "l_values"),
-    ({"arm_means": [0.9, "0.6", 0.3]}, "arm_means[1]"),
-    ({"arm_means": [0.9, 0.9, 0.3]}, "arm_means"),
-    ({"capture_trajectories": "false"}, "capture_trajectories"),
-    ({"capture_trajectories": 1}, "capture_trajectories"),
-    ({"master_seed": -1}, "master_seed"),
-    ({"master_seed": 2 ** 64}, "master_seed"),
+    pytest.param({"policies": [{"name": "ucb", "cc": 3}]}, "cc", id="change0-cc"),
+    pytest.param({"horizn": 100}, "horizn", id="change1-horizn"),
+    pytest.param({"noise": {"kind": "gaussian", "sigm": 2.0}}, "sigm", id="change2-sigm"),
+    pytest.param({"project_feedback": {"ucbb": True}}, "ucbb", id="change3-ucbb"),
+    pytest.param({"project_feedback": {"ucb": "off"}}, "project_feedback",
+                 id="change4-project_feedback"),
+    pytest.param({"horizon": 100.7}, "horizon", id="change5-horizon"),
+    pytest.param({"replications": 2.9}, "replications", id="change6-replications"),
+    pytest.param({"trajectory_stride": 2.5}, "trajectory_stride", id="change7-trajectory_stride"),
+    pytest.param({"master_seed": 3.5}, "master_seed", id="change8-master_seed"),
+    pytest.param({"horizon": "100"}, "horizon", id="change9-horizon"),
+    pytest.param({"drift_kind": "clipped_linear"}, "drift_cap", id="change10-drift_cap"),
+    pytest.param({"drift_cap": 1.0}, "drift_cap", id="change11-drift_cap"),
+    pytest.param({"drift_kind": "clipped_linear", "drift_cap": "2"}, "drift_cap",
+                 id="change12-drift_cap"),
+    pytest.param({"drift_kind": "sinusoid"}, "drift_kind", id="change13-drift_kind"),
+    pytest.param({"policies": [{"name": "ucb"}, {"name": "egreedy", "c": 0}]}, "policies[1].c",
+                 id="change14-policies[1].c"),
+    pytest.param({"policies": [{"name": "ucb"}, {"name": "egreedy", "c": "4"}]}, "policies[1].c",
+                 id="change15-policies[1].c"),
+    pytest.param({"policies": [{"name": "ucb"}, {"name": "ucbb"}]}, "policies[1].name",
+                 id="change16-policies[1].name"),
+    pytest.param({"noise": {"kind": "poisson"}}, "noise.kind", id="change17-noise.kind"),
+    pytest.param({"noise": {"kind": "gaussian", "sigma": "1"}}, "noise.sigma",
+                 id="change18-noise.sigma"),
+    pytest.param({"noise": {"kind": "gaussian", "sigma": -1.0}}, "noise.sigma",
+                 id="change19-noise.sigma"),
+    pytest.param({"l_values": [0.0, "1"]}, "l_values[1]", id="change20-l_values[1]"),
+    pytest.param({"l_values": [0.0, -1.0]}, "l_values", id="change21-l_values"),
+    pytest.param({"arm_means": [0.9, "0.6", 0.3]}, "arm_means[1]", id="change22-arm_means[1]"),
+    pytest.param({"arm_means": [0.9, 0.9, 0.3]}, "arm_means", id="change23-arm_means"),
+    pytest.param({"capture_trajectories": "false"}, "capture_trajectories",
+                 id="change24-capture_trajectories"),
+    pytest.param({"capture_trajectories": 1}, "capture_trajectories",
+                 id="change25-capture_trajectories"),
+    pytest.param({"master_seed": -1}, "master_seed", id="change26-master_seed"),
+    pytest.param({"master_seed": 2 ** 64}, "master_seed", id="change27-master_seed"),
     # a value of the wrong JSON type, named by its key rather than by an entry
-    ({"l_values": 1.0}, "l_values must be a JSON array"),
-    ({"arm_means": 0.9}, "arm_means must be a JSON array"),
-    ({"policies": {"name": "ucb"}}, "policies must be a JSON array"),
-    ({"policies": "ucb"}, "policies must be a JSON array"),
-    ({"project_feedback": [1]}, "project_feedback must be a JSON object"),
+    pytest.param({"l_values": 1.0}, "l_values must be a JSON array",
+                 id="change28-l_values must be a JSON array"),
+    pytest.param({"arm_means": 0.9}, "arm_means must be a JSON array",
+                 id="change29-arm_means must be a JSON array"),
+    pytest.param({"policies": {"name": "ucb"}}, "policies must be a JSON array",
+                 id="change30-policies must be a JSON array"),
+    pytest.param({"policies": "ucb"}, "policies must be a JSON array",
+                 id="change31-policies must be a JSON array"),
+    pytest.param({"project_feedback": [1]}, "project_feedback must be a JSON object",
+                 id="change32-project_feedback must be a JSON object"),
     # a required key left out, named with its path
-    ({"arm_means": DROP}, "missing config key arm_means"),
-    ({"policies": DROP}, "missing config key policies"),
-    ({"l_values": DROP}, "missing config key l_values"),
-    ({"horizon": DROP}, "missing config key horizon"),
-    ({"replications": DROP}, "missing config key replications"),
-    ({"master_seed": DROP}, "missing config key master_seed"),
-    ({"policies": [{"name": "ucb"}, {"c": 3}]}, "missing config key policies[1].name"),
+    pytest.param({"arm_means": DROP}, "missing config key arm_means",
+                 id="change33-missing config key arm_means"),
+    pytest.param({"policies": DROP}, "missing config key policies",
+                 id="change34-missing config key policies"),
+    pytest.param({"l_values": DROP}, "missing config key l_values",
+                 id="change35-missing config key l_values"),
+    pytest.param({"horizon": DROP}, "missing config key horizon",
+                 id="change36-missing config key horizon"),
+    pytest.param({"replications": DROP}, "missing config key replications",
+                 id="change37-missing config key replications"),
+    pytest.param({"master_seed": DROP}, "missing config key master_seed",
+                 id="change38-missing config key master_seed"),
+    pytest.param({"policies": [{"name": "ucb"}, {"c": 3}]}, "missing config key policies[1].name",
+                 id="change39-missing config key policies[1].name"),
     # a policy name that is not a string
-    ({"policies": [{"name": ["ucb"]}]}, "policies[0].name"),
-    ({"policies": [{"name": {"kind": "ucb"}}]}, "policies[0].name"),
-    ({"l_values": [0.0, math.inf]}, "l_values[1]"),
-    # an empty policy list (kept last so the earlier case ids hold)
-    ({"policies": []}, "policies must be non-empty"),
+    pytest.param({"policies": [{"name": ["ucb"]}]}, "policies[0].name",
+                 id="change40-policies[0].name"),
+    pytest.param({"policies": [{"name": {"kind": "ucb"}}]}, "policies[0].name",
+                 id="change41-policies[0].name"),
+    pytest.param({"l_values": [0.0, math.inf]}, "l_values[1]", id="change42-l_values[1]"),
+    # an empty policy list
+    pytest.param({"policies": []}, "policies must be non-empty",
+                 id="change43-policies must be non-empty"),
 ])
 def test_config_from_dict_rejects_naming_the_key(change, key):
     data = {**ExperimentConfig(**SMALL_CONFIG).to_dict(), **change}

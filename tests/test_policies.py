@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 from driftbandit import (
     PolicyKind,
     PolicyView,
+    ScriptExhaustedError,
     ScriptedRng,
     egreedy_select,
     epsilon_schedule,
@@ -103,7 +104,8 @@ def test_egreedy_draw_order_coin_then_arm():
     v = view([0.2, 0.8], [5, 5], 1)  # eps = 1, always explores
     rng = ScriptedRng([0.3, 0.0])
     assert egreedy_select(v, 4.0, rng) == 0
-    assert rng.consumed == 2
+    with pytest.raises(ScriptExhaustedError):  # both values drawn
+        rng.uniform()
 
 
 class _ScriptedUniforms:
@@ -164,7 +166,8 @@ def test_thompson_consumes_one_normal_per_arm_in_order():
     v = view([0.5, 0.5, 0.5], [1, 1, 1], 4)
     rng = ScriptedRng([0.0, 0.0, 5.0])
     assert thompson_sample(v, rng) == 2
-    assert rng.consumed == 3
+    with pytest.raises(ScriptExhaustedError):  # all three values drawn
+        rng.normal()
 
 
 class _ScriptedNormals:
@@ -192,7 +195,8 @@ def test_thompson_bonus_lanes_picks_what_thompson_sample_picks():
         for posted, pulls, row_bonus, z in zip(TIED_POSTED, TIED_PULLS, bonus, normals):
             rng = ScriptedRng(z)
             expected = thompson_sample(view(posted.tolist(), pulls.astype(int).tolist(), t), rng)
-            assert rng.consumed == len(z)
+            with pytest.raises(ScriptExhaustedError):  # one normal per arm, all drawn
+                rng.normal()
             assert int(np.argmax(posted + row_bonus)) == expected
 
 
