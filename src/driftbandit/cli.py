@@ -101,12 +101,12 @@ def _simulation(args, parser, draws: str | None = None):
     return instance, policy, drift, options, stream
 
 
-def _gnuplot_script(path: Path, data_file: str, columns: tuple[str, ...], x: str,
+def _gnuplot_script(path: Path, data_file: str, columns: tuple[str, ...],
                     ys: tuple[str, ...]) -> None:
-    """Plot each column of `ys` against column `x`, titled by its name; `columns` are the
-    data file's, and gnuplot counts them from 1."""
-    lines = ["set datafile separator ','", "set key autotitle columnhead", f"set xlabel '{x}'"]
-    plots = ", ".join(f"'{data_file}' using {columns.index(x) + 1}:{columns.index(y) + 1} "
+    """Plot each column of `ys` against the round column t, titled by its name; `columns`
+    are the data file's, and gnuplot counts them from 1."""
+    lines = ["set datafile separator ','", "set key autotitle columnhead", "set xlabel 't'"]
+    plots = ", ".join(f"'{data_file}' using {columns.index('t') + 1}:{columns.index(y) + 1} "
                       f"with lines title '{y}'" for y in ys)
     lines.append("plot " + plots)
     path.write_text("\n".join(lines) + "\n")
@@ -129,7 +129,7 @@ def _cmd_run(args, parser) -> int:
     summary = SUMMARY_ROW % (policy.name, args.l, args.T, args.seed, metrics.regret,
                              metrics.compensation, metrics.comp_rounds, metrics.arm1_rel_error)
     write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, [[summary]])
-    _gnuplot_script(out_dir / "trajectory.gp", "trajectory.csv", TRAJECTORY_COLUMNS, "t",
+    _gnuplot_script(out_dir / "trajectory.gp", "trajectory.csv", TRAJECTORY_COLUMNS,
                     ("cum_regret", "cum_compensation"))
     config = {
         "policy": policy.name, "c": policy.c, "means": list(instance.arm_means),
@@ -154,7 +154,7 @@ def _cmd_sweep(args, parser) -> int:
         if args.seed is not None and isinstance(data, dict):  # from_dict rejects a non-object
             data["master_seed"] = args.seed
         config = ExperimentConfig.from_dict(data)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         if isinstance(exc, InputError) and exc.field == "master_seed" and args.seed is not None:
             parser.error(f"--seed {exc.problem}")  # the seed came from the flag
         parser.error(f"invalid config {args.config}: {exc}")
@@ -170,7 +170,7 @@ def _cmd_sweep(args, parser) -> int:
         write_csv(out_dir / "curves.csv", CURVE_COLUMNS, (
             [CURVE_ROW % (c.policy.name, c.l, *point) for point in zip(*c.curve)]
             for c in result.cells))
-        _gnuplot_script(out_dir / "curves.gp", "curves.csv", CURVE_COLUMNS, "t",
+        _gnuplot_script(out_dir / "curves.gp", "curves.csv", CURVE_COLUMNS,
                         ("cum_regret_mean", "cum_compensation_mean"))
     _write_manifest(out_dir, "sweep", config.master_seed, config.to_dict(), outputs)
     print(f"wrote {out_dir / 'sweep.csv'} ({len(result.cells)} cells)")
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (BanditError, ExperimentError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (BanditError, ExperimentError, ValueError, OSError) as exc:
         print(f"error in {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -22,8 +22,9 @@ concurrent.futures and multiprocessing.
 
 from __future__ import annotations
 
+import numbers
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from statistics import fmean, median, stdev
 from typing import Sequence
 
@@ -77,7 +78,12 @@ def aggregate(values: Sequence[float]) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: an environment, a policy list, and a drift-coefficient grid."""
+    """One sweep: an environment, a policy list, and a drift-coefficient grid.
+
+    The constructor checks every value, so a config built in Python passes the
+    same rules as one read by from_dict; a ValueError names the key as the
+    README schema spells it (noise.sigma, l_values[1], project_feedback).
+    """
 
     arm_means: tuple[float, ...]
     policies: tuple[PolicyKind, ...]
@@ -94,6 +100,21 @@ class ExperimentConfig:
     trajectory_stride: int = 10
 
     def __post_init__(self) -> None:
+        def store(name: str, value) -> None:  # the checked value in place of the given one
+            object.__setattr__(self, name, value)
+
+        _known_keys("project_feedback", self.project_overrides, POLICY_NAMES)
+        for name, project in self.project_overrides.items():
+            _flag(f"project_feedback[{name!r}]", project)
+        store("project_overrides", dict(self.project_overrides))
+        store("arm_means", _entries("arm_means", self.arm_means, _number))
+        store("l_values", _entries("l_values", self.l_values, _number))
+        for name in ("horizon", "replications", "master_seed", "trajectory_stride"):
+            store(name, _whole(name, getattr(self, name)))
+        store("noise_sigma", float(finite("noise.sigma", _number("noise.sigma", self.noise_sigma))))
+        if self.drift_cap is not None:
+            _number("drift_cap", self.drift_cap)
+        _flag("capture_trajectories", self.capture_trajectories)
         if not self.l_values:
             raise ValueError("l_values must be non-empty")
         if not self.policies:
@@ -113,7 +134,7 @@ class ExperimentConfig:
                    self.drift_model, l)
 
     def instance(self) -> BanditInstance:
-        return BanditInstance(tuple(self.arm_means), NoiseModel(self.noise_kind, self.noise_sigma))
+        return BanditInstance(self.arm_means, NoiseModel(self.noise_kind, self.noise_sigma))
 
     def drift_model(self, lipschitz: float) -> DriftModel:
         return DriftModel(self.drift_kind, lipschitz=lipschitz, cap=self.drift_cap)
@@ -122,58 +143,33 @@ class ExperimentConfig:
         return MechanismOptions(project_feedback=self.project_overrides.get(policy.name))
 
     def to_dict(self) -> dict:
-        return {
-            "arm_means": list(self.arm_means),
-            "noise": {"kind": self.noise_kind, "sigma": self.noise_sigma},
-            "policies": [
-                {"name": p.name} if p.c is None else {"name": p.name, "c": p.c}
-                for p in self.policies
-            ],
-            "drift_kind": self.drift_kind,
-            "drift_cap": self.drift_cap,
-            "l_values": list(self.l_values),
-            "horizon": self.horizon,
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "project_feedback": dict(self.project_overrides),
-            "capture_trajectories": self.capture_trajectories,
-            "trajectory_stride": self.trajectory_stride,
-        }
+        """The config as a JSON object in the README schema: every field under its
+        own name, but noise.kind, noise.sigma, project_feedback and the policy objects."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["noise"] = {"kind": data.pop("noise_kind"), "sigma": data.pop("noise_sigma")}
+        data["project_feedback"] = dict(data.pop("project_overrides"))
+        data["policies"] = [{"name": p.name} if p.c is None else {"name": p.name, "c": p.c}
+                            for p in self.policies]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The config of a JSON object in the README schema (to_dict() round-trips).
 
         Raises ValueError naming the key (with its path, as policies[1].c) on
-        any key, type or value outside that schema.
+        any key, type or value outside that schema.  It checks the shape (known
+        keys, required keys, the policy objects) and the constructor every value;
+        an absent optional key takes its field's default.
         """
         _known_keys("config", data, _CONFIG_KEYS)
         noise = data.get("noise", {})
         _known_keys("noise", noise, ("kind", "sigma"))
-        overrides = data.get("project_feedback", {})
-        _known_keys("project_feedback", overrides, POLICY_NAMES)
-        for name, project in overrides.items():
-            _flag(f"project_feedback[{name!r}]", project)
-        cap = data.get("drift_cap")
-        return cls(
-            arm_means=_entries("arm_means", _required(data, "arm_means"), _number),
-            policies=_entries("policies", _required(data, "policies"), _policy),
-            l_values=_entries("l_values", _required(data, "l_values"), _number),
-            horizon=_whole("horizon", _required(data, "horizon")),
-            replications=_whole("replications", _required(data, "replications")),
-            master_seed=_whole("master_seed", _required(data, "master_seed")),
-            # an absent key takes the field's default, the class attribute of that name
-            noise_kind=noise.get("kind", cls.noise_kind),
-            noise_sigma=float(finite("noise.sigma",
-                                     _number("noise.sigma", noise.get("sigma", cls.noise_sigma)))),
-            drift_kind=data.get("drift_kind", cls.drift_kind),
-            drift_cap=None if cap is None else _number("drift_cap", cap),
-            project_overrides=dict(overrides),
-            capture_trajectories=_flag("capture_trajectories",
-                                       data.get("capture_trajectories", cls.capture_trajectories)),
-            trajectory_stride=_whole("trajectory_stride",
-                                     data.get("trajectory_stride", cls.trajectory_stride)),
-        )
+        for key in ("arm_means", "policies", "l_values", "horizon", "replications", "master_seed"):
+            _required(data, key)
+        values = {"project_overrides" if key == "project_feedback" else key: value
+                  for key, value in data.items() if key != "noise"}
+        values["policies"] = _entries("policies", data["policies"], _policy)
+        return cls(**values, **{f"noise_{key}": value for key, value in noise.items()})
 
 
 _CONFIG_KEYS = ("arm_means", "noise", "policies", "drift_kind", "drift_cap", "l_values",
@@ -220,21 +216,20 @@ def _policy(key: str, entry: dict) -> PolicyKind:
     return _named({"name": f"{key}.name", "c": f"{key}.c"}, PolicyKind, name, c)
 
 
-def _flag(key: str, value) -> bool:
+def _flag(key: str, value) -> None:
     if not isinstance(value, bool):
         raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
 
 
 def _number(key: str, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return value
 
 
 def _whole(key: str, value) -> int:
     """`value` as an int; ValueError naming `key` unless it is a whole number."""
-    if isinstance(_number(key, value), float) and not value.is_integer():
+    if not isinstance(_number(key, value), numbers.Integral) and not float(value).is_integer():
         raise ValueError(f"{key} must be a whole number, got {value!r}")
     return int(value)
 

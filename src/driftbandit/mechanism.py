@@ -10,6 +10,7 @@ posted means at the start of the round, before the new pull lands.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -167,7 +168,7 @@ def run(instance: BanditInstance, policy: PolicyKind, drift: DriftModel,
     last block.
     """
     check_run_args(instance, horizon)
-    rng = seed if not isinstance(seed, int) else NumpyRng(seed)
+    rng = NumpyRng(seed) if isinstance(seed, numbers.Integral) else seed
     state = SimState.fresh(instance, rng)
     options = options.resolve(policy)
 

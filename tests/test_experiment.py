@@ -7,6 +7,7 @@ import statistics
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from driftbandit import (
@@ -21,7 +22,7 @@ from driftbandit import (
     run_experiment,
     summarize,
 )
-from driftbandit.experiment import _chunks
+from driftbandit.experiment import _CONFIG_KEYS, _chunks
 
 SMALL_CONFIG = dict(
     arm_means=(0.9, 0.6, 0.3),
@@ -220,6 +221,48 @@ def test_config_from_dict_rejects_naming_the_key(change, key):
     data = {k: v for k, v in data.items() if v is not DROP}
     with pytest.raises(ValueError, match=re.escape(key)):
         ExperimentConfig.from_dict(data)
+
+
+# the direct-construction twin: the constructor holds every value rule, so a
+# config built in Python is refused as the same JSON value would be
+@pytest.mark.parametrize("change,key", [
+    pytest.param({"project_overrides": {"ucb": "no"}}, "project_feedback['ucb']",
+                 id="project_overrides-value-not-a-flag"),
+    pytest.param({"project_overrides": {"ucbb": True}}, "ucbb", id="project_overrides-unknown-name"),
+    pytest.param({"project_overrides": [("ucb", True)]}, "project_feedback must be a JSON object",
+                 id="project_overrides-not-a-dict"),
+    pytest.param({"capture_trajectories": "yes"}, "capture_trajectories",
+                 id="capture_trajectories-string"),
+    pytest.param({"capture_trajectories": 1}, "capture_trajectories", id="capture_trajectories-int"),
+    pytest.param({"trajectory_stride": 2.5}, "trajectory_stride", id="trajectory_stride-fraction"),
+    pytest.param({"horizon": 10.5}, "horizon", id="horizon-fraction"),
+    pytest.param({"horizon": "120"}, "horizon", id="horizon-string"),
+    pytest.param({"replications": 2.9}, "replications", id="replications-fraction"),
+    pytest.param({"master_seed": 3.5}, "master_seed", id="master_seed-fraction"),
+    pytest.param({"master_seed": True}, "master_seed", id="master_seed-bool"),
+    pytest.param({"arm_means": ("0.9", "0.5")}, "arm_means[0]", id="arm_means-strings"),
+    pytest.param({"arm_means": 0.9}, "arm_means must be a JSON array", id="arm_means-scalar"),
+    pytest.param({"l_values": (0.0, "1")}, "l_values[1]", id="l_values-string"),
+    pytest.param({"l_values": (0.0, True)}, "l_values[1]", id="l_values-bool"),
+    pytest.param({"noise_sigma": "1"}, "noise.sigma", id="noise_sigma-string"),
+    pytest.param({"noise_sigma": math.inf}, "noise.sigma must be finite", id="noise_sigma-inf"),
+    pytest.param({"drift_kind": "clipped_linear", "drift_cap": "2"}, "drift_cap",
+                 id="drift_cap-string"),
+])
+def test_config_rejects_at_construction_naming_the_key(change, key):
+    with pytest.raises(ValueError, match=re.escape(key)):
+        ExperimentConfig(**{**SMALL_CONFIG, **change})
+
+
+def test_config_to_dict_has_every_config_key():
+    assert set(ExperimentConfig(**SMALL_CONFIG).to_dict()) == set(_CONFIG_KEYS)
+
+
+def test_config_stores_numpy_integer_counts_as_int():
+    counts = {"horizon": 120, "replications": 4, "master_seed": 20260809, "trajectory_stride": 7}
+    config = ExperimentConfig(**{**SMALL_CONFIG, **{k: np.int64(v) for k, v in counts.items()}})
+    assert config == ExperimentConfig(**{**SMALL_CONFIG, **counts})
+    assert [type(getattr(config, key)) for key in counts] == [int] * len(counts)
 
 
 def test_config_from_dict_rejects_a_config_that_is_not_an_object():

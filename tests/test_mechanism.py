@@ -7,6 +7,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -264,6 +265,14 @@ def test_run_deterministic_and_zero_drift_equals_linear_zero(policy):
     c = run(inst, policy, DriftModel("clipped_linear", lipschitz=0.0, cap=0.2), opts, 300, 7)
     assert a.records == b.records == c.records
     assert a.cum_regret == b.cum_regret == c.cum_regret
+
+
+def test_run_seeds_the_stream_from_a_numpy_integer():
+    inst = BanditInstance(NINE_ARM_MEANS, NoiseModel("gaussian", 1.0))
+    drift = DriftModel("linear", lipschitz=1.1)
+    a = run(inst, PolicyKind.thompson(), drift, MechanismOptions(), 300, 7)
+    b = run(inst, PolicyKind.thompson(), drift, MechanismOptions(), 300, np.int64(7))
+    assert a.arms == b.arms and a.records == b.records
 
 
 def test_run_trajectory_length_and_round_accounting():

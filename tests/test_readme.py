@@ -3,7 +3,8 @@
 The "Library example" block must run as printed, and the column lists of
 "CSV schemas" must be the column tuples that `mechanism.write_csv` writes,
 in the same order: the README calls that order part of the contract.  The
-config schema's `drift_kind` comment lists `core.DRIFT_KINDS` in order.
+config schema lists the keys of `experiment._CONFIG_KEYS` in order, and its
+`drift_kind` comment lists `core.DRIFT_KINDS` in order.
 Every backticked name of a package module (`mechanism.run`,
 `core.SimState.credit`) names an attribute of that module.
 """
@@ -16,6 +17,7 @@ import pytest
 
 from driftbandit import mechanism
 from driftbandit.core import DRIFT_KINDS
+from driftbandit.experiment import _CONFIG_KEYS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -43,6 +45,12 @@ def test_csv_schema_lists_the_column_tuple(name, columns):
     # a bullet "- `<name>` (note): `col, col,\n  col` ...", the list wrapped over lines
     found = re.search(rf"^- `{re.escape(name)}`[^:]*: `([^`]+)`", _section("CSV schemas"), re.M)
     assert tuple(col.strip() for col in found.group(1).split(",")) == columns
+
+
+def test_config_schema_lists_the_config_keys():
+    # each top-level key opens a line of the block, indented by two spaces
+    keys = re.findall(r'^  "(\w+)":', _section("Sweep config schema (JSON)"), re.M)
+    assert tuple(keys) == _CONFIG_KEYS
 
 
 def test_config_schema_lists_the_drift_kinds():
