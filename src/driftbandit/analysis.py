@@ -33,6 +33,10 @@ class BoundInputs:
     c: float
 
     def __post_init__(self) -> None:
+        if not any(g > 0 for g in self.gaps):
+            raise ValueError("need at least one suboptimal arm")
+        if (delta := self.delta_min) * delta == 0:  # the bounds divide by every gap's square
+            raise InputError("gaps", f"must have a smallest gap with a square above 0, got {delta}")
         at_least("horizon", self.horizon, 2)  # the bounds take ln T
         at_least("lipschitz", self.lipschitz, 0)
         at_least("delta_lower", self.delta_lower, 0, strict=True)
@@ -42,8 +46,6 @@ class BoundInputs:
         if square == math.inf:
             raise InputError("delta_lower", f"must have a finite square, got {self.delta_lower}")
         at_least("c", self.c, 0, strict=True)
-        if not any(g > 0 for g in self.gaps):
-            raise ValueError("need at least one suboptimal arm")
 
     @property
     def k(self) -> int:
@@ -96,8 +98,9 @@ def ucb_comp_bound(inputs: BoundInputs) -> float:
 
 
 def egreedy_arm_slope(c: float, lipschitz: float, gap: float) -> float:
-    """Per-arm log coefficient 1.5 + 3(1+sqrt(3/c)) l + 18 c / gap^2."""
-    return 1.5 + 3.0 * (1.0 + math.sqrt(3.0 / c)) * lipschitz + 18.0 * c / (gap * gap)
+    """Per-arm log coefficient 1.5 + 3(1+sqrt(3/c)) l + 18 c / gap^2, with 0 for l = 0."""
+    drift = 3.0 * (1.0 + math.sqrt(3.0 / c)) * lipschitz if lipschitz else 0.0
+    return 1.5 + drift + 18.0 * c / (gap * gap)
 
 
 def egreedy_regret_bound(inputs: BoundInputs) -> float:

@@ -32,7 +32,7 @@ from .analysis import (
     ucb_regret_bound,
 )
 from .core import (DRIFT_KINDS, NOISE_KINDS, BanditError, BanditInstance, DriftModel, InputError,
-                   NoiseModel)
+                   NoiseModel, named)
 from .experiment import ExperimentConfig, ExperimentError, run_experiment
 from .mechanism import (CURVE_COLUMNS, CURVE_ROW, SUMMARY_COLUMNS, SUMMARY_ROW, SWEEP_COLUMNS,
                         SWEEP_ROW, TRAJECTORY_COLUMNS, MechanismOptions, check_run_args, csv_file,
@@ -45,20 +45,12 @@ DEFAULT_MEANS = "0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2,0.1"
 
 # the flag of each field that a domain type names in an InputError
 FLAGS = {"sigma": "--sigma", "lipschitz": "--l", "cap": "--cap", "c": "--c",
-         "delta_lower": "--delta-lower", "horizon": "--T"}
+         "delta_lower": "--delta-lower", "horizon": "--T", "gaps": "--means"}
 
 
 def _reject(parser: argparse.ArgumentParser, exc: ValueError) -> NoReturn:
     """Exit 2 with the message of `exc`, an InputError's field read as its flag."""
     parser.error(f"{FLAGS[exc.field]} {exc.problem}" if isinstance(exc, InputError) else str(exc))
-
-
-def _parsed(flag: str, text: str, make):
-    """make(text), with a ValueError it raises prefixed by `flag` and `text`."""
-    try:
-        return make(text)
-    except ValueError as exc:
-        raise ValueError(f"{flag} {text}: {exc}") from exc
 
 
 def _write_manifest(out_dir: Path, command: str, seed: int, config: dict,
@@ -88,11 +80,12 @@ def _simulation(args, parser, draws: str | None = None):
     """
     try:
         noise = NoiseModel(args.noise, args.sigma)
-        instance = _parsed("--means", args.means, lambda s: BanditInstance(s.split(","), noise))
+        instance = named({None: f"--means {args.means}"}, BanditInstance, args.means.split(","),
+                         noise)
         drift = DriftModel(args.drift, lipschitz=args.l, cap=args.cap)
         policy = PolicyKind(args.policy, args.c if POLICIES[args.policy].takes_c else None)
-        stream = args.seed if draws is None else _parsed(
-            "--draws", draws, lambda s: ScriptedRng(s.split(",") if s else []))
+        stream = args.seed if draws is None else named(
+            {None: f"--draws {draws}"}, ScriptedRng, draws.split(",") if draws else [])
         check_run_args(instance, args.T)
     except ValueError as exc:
         _reject(parser, exc)
@@ -165,7 +158,7 @@ def _cmd_sweep(args, parser) -> int:
     write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, [[SWEEP_ROW % (
         c.policy.name, c.l, c.regret_mean, c.regret_std, c.comp_mean, c.comp_std,
         c.comp_rounds_mean, c.arm1_err_mean) for c in result.cells]])
-    if config.capture_trajectories:
+    if config.trajectory_stride is not None:
         outputs["curves_csv"] = "curves.csv"
         write_csv(out_dir / "curves.csv", CURVE_COLUMNS, (
             [CURVE_ROW % (c.policy.name, c.l, *point) for point in zip(*c.curve)]
@@ -182,7 +175,8 @@ def _cmd_sweep(args, parser) -> int:
 def _cmd_bounds(args, parser) -> int:
     try:
         noise = NoiseModel("bernoulli")
-        instance = _parsed("--means", args.means, lambda s: BanditInstance(s.split(","), noise))
+        instance = named({None: f"--means {args.means}"}, BanditInstance, args.means.split(","),
+                         noise)
         inputs = BoundInputs.from_instance(instance, horizon=args.T, lipschitz=args.l,
                                            c=args.c, delta_lower=args.delta_lower)
     except ValueError as exc:

@@ -62,6 +62,17 @@ def at_least(field: str, value: float, low: float, strict: bool = False) -> None
         raise InputError(field, f"must be {'>' if strict else '>='} {low}, got {value}")
 
 
+def named(keys: dict, make, *args):
+    """make(*args), with a ValueError it raises named by a front end's flag or key:
+    keys[field] in place of an InputError's field, keys[None] before any other message."""
+    try:
+        return make(*args)
+    except InputError as exc:
+        raise ValueError(f"{keys[exc.field]} {exc.problem}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{keys[None]}: {exc}") from exc
+
+
 def gaps(arm_means: Sequence[float]) -> tuple[float, ...]:
     """Per-arm suboptimality gaps: gap[i] is the distance from the best mean (0 for
     the best arm).  Raises NonUniqueOptimumError when the maximum mean is attained by

@@ -30,7 +30,7 @@ from typing import Sequence
 
 from . import analysis
 from .analysis import SummaryMetrics
-from .core import BanditInstance, DriftModel, InputError, NoiseModel, SimState, finite
+from .core import BanditInstance, DriftModel, InputError, NoiseModel, SimState, finite, named
 from .lockstep import Lane, LaneError, run_lanes
 from .mechanism import Curve, CurveProbe, MechanismOptions, check_run_args
 from .policies import POLICY_NAMES, PolicyKind
@@ -96,42 +96,44 @@ class ExperimentConfig:
     drift_kind: str = "linear"
     drift_cap: float | None = None  # clipped_linear only
     project_overrides: dict = field(default_factory=dict)  # policy name -> bool
-    capture_trajectories: bool = False
-    trajectory_stride: int = 10
+    trajectory_stride: int | None = None  # when set, curves sample every so many rounds
 
     def __post_init__(self) -> None:
         def store(name: str, value) -> None:  # the checked value in place of the given one
             object.__setattr__(self, name, value)
 
         _known_keys("project_feedback", self.project_overrides, POLICY_NAMES)
-        for name, project in self.project_overrides.items():
-            _flag(f"project_feedback[{name!r}]", project)
+        for name, flag in self.project_overrides.items():
+            if not isinstance(flag, bool):
+                raise ValueError(f"project_feedback[{name!r}] must be true or false, got {flag!r}")
         store("project_overrides", dict(self.project_overrides))
         store("arm_means", _entries("arm_means", self.arm_means, _number))
         store("l_values", _entries("l_values", self.l_values, _number))
-        for name in ("horizon", "replications", "master_seed", "trajectory_stride"):
+        store("policies", _entries("policies", self.policies, _policy_kind))
+        for name in ("horizon", "replications", "master_seed"):
             store(name, _whole(name, getattr(self, name)))
+        if self.trajectory_stride is not None:
+            store("trajectory_stride", _whole("trajectory_stride", self.trajectory_stride))
+            if self.trajectory_stride < 1:
+                raise ValueError("trajectory_stride must be >= 1")
         store("noise_sigma", float(finite("noise.sigma", _number("noise.sigma", self.noise_sigma))))
         if self.drift_cap is not None:
             _number("drift_cap", self.drift_cap)
-        _flag("capture_trajectories", self.capture_trajectories)
         if not self.l_values:
             raise ValueError("l_values must be non-empty")
         if not self.policies:
             raise ValueError("policies must be non-empty")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.trajectory_stride < 1:
-            raise ValueError("trajectory_stride must be >= 1")
         if not 0 <= self.master_seed <= _MASK64:
             raise InputError("master_seed", f"must be in [0, 2**64), got {self.master_seed}")
         # fail early on the rules of the domain types, naming the key
-        instance = _named({"kind": "noise.kind", "sigma": "noise.sigma", None: "arm_means"},
-                          self.instance)
-        _named({"horizon": "horizon"}, check_run_args, instance, self.horizon)
+        instance = named({"kind": "noise.kind", "sigma": "noise.sigma", None: "arm_means"},
+                         self.instance)
+        named({"horizon": "horizon"}, check_run_args, instance, self.horizon)
         for i, l in enumerate(self.l_values):
-            _named({"kind": "drift_kind", "cap": "drift_cap", "lipschitz": f"l_values[{i}]"},
-                   self.drift_model, l)
+            named({"kind": "drift_kind", "cap": "drift_cap", "lipschitz": f"l_values[{i}]"},
+                  self.drift_model, l)
 
     def instance(self) -> BanditInstance:
         return BanditInstance(self.arm_means, NoiseModel(self.noise_kind, self.noise_sigma))
@@ -173,8 +175,7 @@ class ExperimentConfig:
 
 
 _CONFIG_KEYS = ("arm_means", "noise", "policies", "drift_kind", "drift_cap", "l_values",
-                "horizon", "replications", "master_seed", "project_feedback",
-                "capture_trajectories", "trajectory_stride")
+                "horizon", "replications", "master_seed", "project_feedback", "trajectory_stride")
 
 
 def _known_keys(where: str, data: dict, keys: tuple[str, ...]) -> None:
@@ -198,27 +199,17 @@ def _entries(key: str, value, parse) -> tuple:
     return tuple(parse(f"{key}[{i}]", entry) for i, entry in enumerate(value))
 
 
-def _named(keys: dict, make, *args):
-    """make(*args), with a ValueError it raises named by its config key: keys[field]
-    in place of an InputError's field, keys[None] before any other message."""
-    try:
-        return make(*args)
-    except InputError as exc:
-        raise ValueError(f"{keys[exc.field]} {exc.problem}") from exc
-    except ValueError as exc:
-        raise ValueError(f"{keys[None]}: {exc}") from exc
-
-
 def _policy(key: str, entry: dict) -> PolicyKind:
     _known_keys(key, entry, ("name", "c"))
     name, c = _required(entry, "name", f"{key}.name"), entry.get("c")
     c = None if c is None else _number(f"{key}.c", c)
-    return _named({"name": f"{key}.name", "c": f"{key}.c"}, PolicyKind, name, c)
+    return named({"name": f"{key}.name", "c": f"{key}.c"}, PolicyKind, name, c)
 
 
-def _flag(key: str, value) -> None:
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
+def _policy_kind(key: str, entry) -> PolicyKind:
+    if not isinstance(entry, PolicyKind):
+        raise ValueError(f"{key} must be a PolicyKind, got {entry!r}")
+    return entry
 
 
 def _number(key: str, value):
@@ -253,7 +244,7 @@ class CellResult:
     describe the middle replication, which is what a single-run reference
     value should be compared with; the means are the expectation estimates.
     `curve` is the mean of the replications' curves, point by point (None
-    unless the config captures trajectories).
+    unless the config sets trajectory_stride).
     """
 
     policy: PolicyKind
@@ -298,13 +289,13 @@ Chunk = tuple[tuple[int, int, int], ...]  # the (policy index, l index, rep) lan
 def run(config: ExperimentConfig,
         chunk: Chunk) -> tuple[list[SimState], list[Curve] | list[None]]:
     """Play every lane of `chunk` in one lockstep: each lane's final state, and its
-    curve when the config captures trajectories."""
+    curve when the config sets trajectory_stride."""
     instance = config.instance()
     lanes = [Lane(config.policies[p_idx], config.options_for(config.policies[p_idx]),
                   config.drift_model(config.l_values[l_idx]),
                   derive_seed(config.master_seed, p_idx, l_idx, rep))
              for p_idx, l_idx, rep in chunk]
-    if not config.capture_trajectories:
+    if config.trajectory_stride is None:
         return run_lanes(instance, lanes, config.horizon), [None] * len(lanes)
     probe = CurveProbe(instance.gap_vector, config.horizon, config.trajectory_stride)
     return run_lanes(instance, lanes, config.horizon, probe=probe), probe.curves()

@@ -81,7 +81,6 @@ def _report(num, title, checks):
 def gauss_sweep():
     data = json.loads((REPO / "configs" / "nine_arm_sweep.json").read_text())
     data["l_values"] = [0.0, 1.1]
-    data["capture_trajectories"] = True
     data["trajectory_stride"] = 10
     config = ExperimentConfig.from_dict(data)
     assert config.replications == 50 and config.horizon == 20000

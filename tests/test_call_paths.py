@@ -63,8 +63,8 @@ def test_run_reaches_each_patched_round_name(monkeypatch, policy):
                       "sample_reward": 20, "policy_view": steps}
 
 
-@pytest.mark.parametrize("capture_trajectories", [False, True])
-def test_sweep_reaches_each_patched_item_and_round_name(monkeypatch, capture_trajectories):
+@pytest.mark.parametrize("stride", [None, 3])
+def test_sweep_reaches_each_patched_item_and_round_name(monkeypatch, stride):
     # a sweep plays its lanes in lockstep, one chunk per worker (so one at
     # jobs=1, whatever the number of policies): experiment.run and
     # experiment.summarize once per chunk, equally often, and never the
@@ -78,11 +78,10 @@ def test_sweep_reaches_each_patched_item_and_round_name(monkeypatch, capture_tra
     config = ExperimentConfig(arm_means=(0.9, 0.5),
                               policies=(PolicyKind.ucb(), PolicyKind.thompson()),
                               l_values=(0.0, 1.0), horizon=10, replications=2,
-                              master_seed=1, capture_trajectories=capture_trajectories,
-                              trajectory_stride=3)
+                              master_seed=1, trajectory_stride=stride)
     result = experiment.run_experiment(config, jobs=1)
     assert counts == {**dict.fromkeys(ROUND_NAMES + ("policy_view",), 0), "run": 1, "summarize": 1}
-    assert [cell.curve is not None for cell in result.cells] == [capture_trajectories] * 4
+    assert [cell.curve is not None for cell in result.cells] == [stride is not None] * 4
 
 
 def test_cli_run_reaches_run_and_summarize(monkeypatch, tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -262,6 +263,14 @@ def test_bounds_non_positive_c_exits_2_naming_it(tmp_path, capsys, c):
     pytest.param(["bounds", "--delta-lower", "1e200", "--l", "1e308"],
                  "--delta-lower must have a finite square, got 1e+200",
                  id="bounds --delta-lower 1e200 --l 1e308"),
+    # every bound divides by the smallest gap's square, which underflows to 0 here;
+    # a --means rule, so it is named before the default --delta-lower is read
+    pytest.param(["bounds", "--means", "2e-170,1e-170", "--delta-lower", "0.1"],
+                 "--means must have a smallest gap with a square above 0, got 1e-170",
+                 id="bounds --means 2e-170,1e-170 --delta-lower 0.1"),
+    pytest.param(["bounds", "--means", "2e-170,1e-170"],
+                 "--means must have a smallest gap with a square above 0, got 1e-170",
+                 id="bounds --means 2e-170,1e-170"),
 ])
 def test_library_rejections_exit_2_naming_the_flag(tmp_path, capsys, args, message):
     with pytest.raises(SystemExit) as err:
@@ -474,9 +483,10 @@ def test_sweep_rejects_empty_l_values(tmp_path, capsys):
                  id="change15-noise.sigma"),
     pytest.param({"l_values": [0.0, "1"]}, "l_values[1]", id="change16-l_values[1]"),
     pytest.param({"arm_means": [0.9, "0.6", 0.3]}, "arm_means[1]", id="change17-arm_means[1]"),
-    pytest.param({"capture_trajectories": "false"}, "capture_trajectories",
+    # a key that trajectory_stride replaced, refused with either value it took
+    pytest.param({"capture_trajectories": True}, "unknown config key(s) ['capture_trajectories']",
                  id="change18-capture_trajectories"),
-    pytest.param({"capture_trajectories": 2}, "capture_trajectories",
+    pytest.param({"capture_trajectories": False}, "unknown config key(s) ['capture_trajectories']",
                  id="change19-capture_trajectories"),
     pytest.param({"master_seed": -1}, "master_seed", id="change20-master_seed"),
     pytest.param({"master_seed": 2 ** 64}, "master_seed", id="change21-master_seed"),
@@ -545,14 +555,23 @@ def test_sweep_seed_on_a_config_that_is_not_an_object_exits_2(tmp_path, capsys):
 
 
 def test_sweep_curves_output(tmp_path):
-    path = write_config(tmp_path, small_config(
-        capture_trajectories=True, trajectory_stride=30))
+    path = write_config(tmp_path, small_config(trajectory_stride=30))
     out = tmp_path / "out"
     assert run_cli(["sweep", "--config", str(path), "--out-dir", str(out)]) == 0
     rows = read_rows(out / "curves.csv")
     assert len(rows) == 4 * 2  # cells x ceil(60/30) points
     assert plotted_columns(out / "curves.gp", out / "curves.csv") == [
         ("t", "cum_regret_mean"), ("t", "cum_compensation_mean")]
+
+
+def test_sweep_with_a_null_stride_writes_no_curves(tmp_path):
+    path = write_config(tmp_path, small_config(trajectory_stride=None))
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--config", str(path), "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "sweep.csv"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["trajectory_stride"] is None
+    assert manifest["outputs"] == {"summary_csv": "sweep.csv"}
 
 
 def test_sweep_manifest_round_trip(tmp_path):
@@ -613,6 +632,15 @@ def test_bounds_print_an_overflowed_thompson_threshold_as_inf(capsys, args):
     assert run_cli(["bounds"] + args) == 0
     line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("thompson regret"))
     assert line.split("<=")[1] == " inf"
+
+
+def test_bounds_print_no_nan_when_sqrt_3_over_c_overflows(capsys):
+    # sqrt(3/c) overflows to inf, and l = 0 drops the drift term that multiplies it
+    assert run_cli(["bounds", "--means", "0.9,0.5", "--c", "1e-320"]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    values = parse_bound_values(out)
+    assert len(values) == 7 and all(math.isfinite(v) for v in values)
 
 
 def test_bounds_writes_file(tmp_path, capsys):

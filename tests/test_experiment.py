@@ -38,7 +38,8 @@ SMALL_CONFIG = dict(
 DROP = object()  # a config change that leaves the key out
 
 NINE_ARMS = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
-CANONICAL = Path(__file__).resolve().parents[1] / "configs" / "nine_arm_sweep.json"
+REPO = Path(__file__).resolve().parents[1]
+CANONICAL = REPO / "configs" / "nine_arm_sweep.json"
 # every rule once, greedy the cheapest, and nine egreedy entries that differ only in c
 FOUR_RULES = (PolicyKind.ucb(), PolicyKind.egreedy(4.0), PolicyKind.thompson(),
               PolicyKind.greedy())
@@ -121,6 +122,13 @@ def test_config_dict_round_trip():
     assert again == config
 
 
+def test_config_dict_round_trip_of_a_policy_list():
+    # a list of policies is stored as a tuple, so the config equals its round trip
+    config = ExperimentConfig(**{**SMALL_CONFIG, "policies": list(SMALL_CONFIG["policies"])})
+    assert config.policies == SMALL_CONFIG["policies"]
+    assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+
 def test_config_from_dict_takes_absent_keys_from_the_field_defaults():
     required = {key: SMALL_CONFIG[key] for key in ("arm_means", "policies", "l_values",
                                                    "horizon", "replications", "master_seed")}
@@ -174,9 +182,10 @@ def test_config_parses_policy_c():
     pytest.param({"l_values": [0.0, -1.0]}, "l_values", id="change21-l_values"),
     pytest.param({"arm_means": [0.9, "0.6", 0.3]}, "arm_means[1]", id="change22-arm_means[1]"),
     pytest.param({"arm_means": [0.9, 0.9, 0.3]}, "arm_means", id="change23-arm_means"),
-    pytest.param({"capture_trajectories": "false"}, "capture_trajectories",
+    # a key that trajectory_stride replaced, refused with either value it took
+    pytest.param({"capture_trajectories": True}, "unknown config key(s) ['capture_trajectories']",
                  id="change24-capture_trajectories"),
-    pytest.param({"capture_trajectories": 1}, "capture_trajectories",
+    pytest.param({"capture_trajectories": False}, "unknown config key(s) ['capture_trajectories']",
                  id="change25-capture_trajectories"),
     pytest.param({"master_seed": -1}, "master_seed", id="change26-master_seed"),
     pytest.param({"master_seed": 2 ** 64}, "master_seed", id="change27-master_seed"),
@@ -231,10 +240,13 @@ def test_config_from_dict_rejects_naming_the_key(change, key):
     pytest.param({"project_overrides": {"ucbb": True}}, "ucbb", id="project_overrides-unknown-name"),
     pytest.param({"project_overrides": [("ucb", True)]}, "project_feedback must be a JSON object",
                  id="project_overrides-not-a-dict"),
-    pytest.param({"capture_trajectories": "yes"}, "capture_trajectories",
-                 id="capture_trajectories-string"),
-    pytest.param({"capture_trajectories": 1}, "capture_trajectories", id="capture_trajectories-int"),
+    pytest.param({"trajectory_stride": "7"}, "trajectory_stride", id="trajectory_stride-string"),
+    pytest.param({"trajectory_stride": 0}, "trajectory_stride", id="trajectory_stride-zero"),
     pytest.param({"trajectory_stride": 2.5}, "trajectory_stride", id="trajectory_stride-fraction"),
+    pytest.param({"policies": ("ucb",)}, "policies[0] must be a PolicyKind",
+                 id="policies-string"),
+    pytest.param({"policies": (PolicyKind.ucb(), {"name": "thompson"})},
+                 "policies[1] must be a PolicyKind", id="policies-dict"),
     pytest.param({"horizon": 10.5}, "horizon", id="horizon-fraction"),
     pytest.param({"horizon": "120"}, "horizon", id="horizon-string"),
     pytest.param({"replications": 2.9}, "replications", id="replications-fraction"),
@@ -256,6 +268,19 @@ def test_config_rejects_at_construction_naming_the_key(change, key):
 
 def test_config_to_dict_has_every_config_key():
     assert set(ExperimentConfig(**SMALL_CONFIG).to_dict()) == set(_CONFIG_KEYS)
+
+
+# every sweep config the repository ships, beside the digests file that shares the prefix
+SHIPPED_CONFIGS = sorted([*(REPO / "configs").glob("*.json"),
+                          *(p for p in (REPO / "tests" / "data").glob("sweep_*.json")
+                            if p.name != "sweep_digests.json")])
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+def test_shipped_config_parses_and_round_trips(path):
+    config = ExperimentConfig.from_dict(json.loads(path.read_text()))
+    assert ExperimentConfig.from_dict(config.to_dict()) == config
+    assert set(config.to_dict()) == set(_CONFIG_KEYS)
 
 
 def test_config_stores_numpy_integer_counts_as_int():
@@ -350,8 +375,7 @@ def test_cell_refuses_a_lookup_that_matches_two_cells():
 
 
 def test_run_experiment_curves():
-    config = ExperimentConfig(**{**SMALL_CONFIG, "capture_trajectories": True,
-                                 "trajectory_stride": 25})
+    config = ExperimentConfig(**{**SMALL_CONFIG, "trajectory_stride": 25})
     result = run_experiment(config)
     for cell in result.cells:
         assert cell.curve.rounds == [25, 50, 75, 100, 120]
@@ -524,7 +548,6 @@ def test_sublinear_growth_bernoulli_drift():
         master_seed=20260809,
         noise_kind="bernoulli",
         noise_sigma=0.0,
-        capture_trajectories=True,
         trajectory_stride=5000,
     )
     result = run_experiment(config, jobs=2)

@@ -271,8 +271,7 @@ def test_run_experiment_equals_scalar_items(policies, means, noise, drift, ls, r
         arm_means=means, policies=tuple(policies), l_values=tuple(ls),
         horizon=len(means) + horizon_extra, replications=replications, master_seed=master,
         noise_kind=noise.kind, noise_sigma=noise.sigma, drift_kind=kind, drift_cap=cap,
-        project_overrides=overrides, capture_trajectories=stride is not None,
-        trajectory_stride=stride or 10)
+        project_overrides=overrides, trajectory_stride=stride)
     result = run_experiment(config)
     instance = config.instance()
     for p_idx, policy in enumerate(config.policies):
