@@ -244,21 +244,16 @@ class SimState:
     Owns the rng stream, so independent replications can run in parallel.
     Cumulative regret and compensation are derived from the per-arm counters
     in arm-index order, which makes the accounting identities exact rather
-    than subject to per-round float accumulation order.  `posted` and `pulls`
-    are the live policy view of `arms`: derived from them whenever `arms` is
-    assigned (by the constructor, dataclasses.replace or a plain assignment),
-    then kept by credit(), which is how a round changes an arm.  An ArmState
-    edited in place outside credit() is not followed.  `records` holds the
-    mechanism.RoundRecords of a run that keeps them (mechanism.run's
-    keep_records), in round order; it is empty otherwise.
+    than subject to per-round float accumulation order; policy_view() is
+    derived from `arms` on every call, so it follows any change to them.
+    `records` holds the mechanism.RoundRecords of a run that keeps them
+    (mechanism.run's keep_records), in round order; it is empty otherwise.
     """
 
     round: int  # 1-based
     arms: list[ArmState]
     gap_vector: tuple[float, ...]  # environment-side, for regret accounting
     rng: RngStream
-    posted: list[float] = field(init=False, repr=False, compare=False)  # 0.0 while unpulled
-    pulls: list[int] = field(init=False, repr=False, compare=False)
     records: list = field(default_factory=list, repr=False, compare=False)  # of RoundRecord
 
     @classmethod
@@ -274,33 +269,11 @@ class SimState:
     def cum_compensation(self) -> float:
         return accounting_totals(self.gap_vector, self.arms)[1]
 
-    def credit(self, i: int, feedback: float, drift: float, paid: bool, x: float) -> None:
-        """Credit one pull of arm i: its feedback and drift, and x if it was paid for;
-        then its entries of the live view."""
-        arm = self._arms[i]
-        arm.pulls += 1
-        arm.feedback_sum += feedback
-        arm.drift_sum += drift
-        if paid:
-            arm.comp_count += 1
-            arm.comp_sum += x
-        self.pulls[i] = arm.pulls
-        self.posted[i] = arm.feedback_sum / arm.pulls
-
     def policy_view(self) -> PolicyView:
-        if 0 in self.pulls:
+        pulls = tuple([a.pulls for a in self.arms])
+        if 0 in pulls:
             raise WarmStartError("warm start incomplete: an arm has zero pulls")
-        return PolicyView(self.round, tuple(self.posted), tuple(self.pulls))
-
-
-def _set_arms(state: SimState, arms: list[ArmState]) -> None:
-    state._arms = arms
-    state.posted = [a.feedback_sum / a.pulls if a.pulls else 0.0 for a in arms]
-    state.pulls = [a.pulls for a in arms]
-
-
-# set after the class body, where a property would read as the field's default
-SimState.arms = property(lambda state: state._arms, _set_arms)
+        return PolicyView(self.round, tuple([a.feedback_sum / a.pulls for a in self.arms]), pulls)
 
 
 def sample_reward(instance: BanditInstance, arm: int, rng: RngStream) -> float:

@@ -25,6 +25,7 @@ from .core import (
     BanditInstance,
     DriftModel,
     InputError,
+    PolicyView,
     SimState,
     WarmStartError,
     accounting_totals,
@@ -52,8 +53,8 @@ class RoundRecord:
 @dataclass(frozen=True)
 class MechanismOptions:
     """The loop's option: project_feedback=None means "policy default"
-    (policy.rule.projects_feedback).  resolve() pins it; warm_start() and
-    step() take resolved options only."""
+    (policy.rule.projects_feedback).  resolve() pins it; warm_start(),
+    round_player() and step() take resolved options only."""
 
     project_feedback: bool | None = None
 
@@ -74,13 +75,19 @@ class Curve(NamedTuple):
 def _play(state: SimState, instance: BanditInstance, chosen: int, greedy: int, x: float,
           b: float, project: bool) -> RoundRecord:
     """The body every round ends in: pull `chosen`, add the drift `b` to its reward,
-    project if `project`, credit the pull (paid `x` if chosen != greedy), advance."""
+    project if `project`, credit the pull to the arm (paid `x` if chosen != greedy), advance."""
     r = sample_reward(instance, chosen, state.rng)
     fb = r + b
     if project:
         fb = min(1.0, max(0.0, fb))
     compensated = chosen != greedy
-    state.credit(chosen, fb, b, compensated, x)
+    arm = state.arms[chosen]
+    arm.pulls += 1
+    arm.feedback_sum += fb
+    arm.drift_sum += b
+    if compensated:
+        arm.comp_count += 1
+        arm.comp_sum += x
     # positional: RoundRecord's field order (t, chosen, greedy, compensated, compensation,
     # drift, raw_reward, feedback, regret_increment)
     rec = RoundRecord(state.round, chosen, greedy, compensated, x, b, r, fb,
@@ -106,20 +113,37 @@ def warm_start(state: SimState, instance: BanditInstance,
     return [_play(state, instance, arm, arm, 0.0, 0.0, project) for arm in range(instance.k)]
 
 
-def step(state: SimState, policy: PolicyKind, drift: DriftModel,
-         instance: BanditInstance, options: MechanismOptions) -> RoundRecord:
-    """Play one incentivized round and update the state in place; `options` must be resolved."""
+def round_player(state: SimState, policy: PolicyKind, drift: DriftModel,
+                 instance: BanditInstance, options: MechanismOptions) -> Callable[[], RoundRecord]:
+    """play(): one incentivized round on `state`, in place, and its record; `options` must be
+    resolved.  The player keeps its own copy of the view, updated with one division a round,
+    so `state` may change only through play() while the player is in use."""
     view = state.policy_view()
     project = options.project_feedback
     if project is None:
         raise ValueError("step needs options.resolve(policy): project_feedback is None")
-    chosen = select_arm(policy, view, state.rng)
-    greedy = greedy_choice(view)
-    x = b = 0.0
-    if chosen != greedy:
-        x = view.posted[greedy] - view.posted[chosen]
-        b = drift_apply(drift, x)
-    return _play(state, instance, chosen, greedy, x, b, project)
+    posted, pulls = list(view.posted), list(view.pulls)
+
+    def play() -> RoundRecord:
+        view = PolicyView(state.round, tuple(posted), tuple(pulls))
+        chosen = select_arm(policy, view, state.rng)
+        greedy = greedy_choice(view)
+        x = b = 0.0
+        if chosen != greedy:
+            x = posted[greedy] - posted[chosen]
+            b = drift_apply(drift, x)
+        rec = _play(state, instance, chosen, greedy, x, b, project)
+        arm = state.arms[chosen]
+        pulls[chosen], posted[chosen] = arm.pulls, arm.feedback_sum / arm.pulls
+        return rec
+
+    return play
+
+
+def step(state: SimState, policy: PolicyKind, drift: DriftModel,
+         instance: BanditInstance, options: MechanismOptions) -> RoundRecord:
+    """One round of a fresh round_player: play it on `state`; `options` must be resolved."""
+    return round_player(state, policy, drift, instance, options)()
 
 
 BLOCK_ROUNDS = 1024  # rounds a run hands on, and a trajectory reader reads, together
@@ -154,7 +178,7 @@ def run(instance: BanditInstance, policy: PolicyKind, drift: DriftModel,
         options: MechanismOptions, horizon: int, seed: int | RngStream,
         *, keep_records: bool = True,
         on_block: Callable[[list[RoundRecord]], None] | None = None) -> SimState:
-    """Warm-start then step until `horizon` rounds have been played; the final state.
+    """Warm-start, then play one round_player until `horizon` rounds are played; the final state.
 
     `seed` is either an integer (seeding the production stream) or an
     RngStream instance (e.g. ScriptedRng for golden traces).  Deterministic:
@@ -173,10 +197,11 @@ def run(instance: BanditInstance, policy: PolicyKind, drift: DriftModel,
     options = options.resolve(policy)
 
     pending = warm_start(state, instance, options)
+    play = round_player(state, policy, drift, instance, options)
     for start in range(0, horizon, BLOCK_ROUNDS):
         end = min(start + BLOCK_ROUNDS, horizon)
         while state.round <= end:
-            pending.append(step(state, policy, drift, instance, options))
+            pending.append(play())
         block, pending = pending[:end - start], pending[end - start:]
         if keep_records:
             state.records += block
@@ -235,7 +260,7 @@ def read_blocks(gap_vector: Sequence[float]):
         # flat index of each round's pulls cell; its comp_sum cell is k on
         at = np.arange(2 * k, running.size, 2 * k) + [r.chosen for r in block]
         running.reshape(-1)[at] = 1.0
-        running.reshape(-1)[at + k] = [r.compensation if r.compensated else 0.0 for r in block]
+        running.reshape(-1)[at + k] = [r.compensation for r in block]
         carry[:] = running.cumsum(axis=0, out=running)[-1]
         return accounting_totals(gap_vector, [ArmState(pulls=p, comp_sum=c)
                                               for p, c in running[1:].transpose(2, 1, 0)])

@@ -51,16 +51,17 @@ def count_calls(monkeypatch, owner, name, counts):
     PolicyKind.ucb(), PolicyKind.egreedy(4.0), PolicyKind.thompson(), PolicyKind.greedy(),
 ])
 def test_run_reaches_each_patched_round_name(monkeypatch, policy):
-    counts = dict.fromkeys(ROUND_NAMES + ("policy_view",), 0)
-    for name in ROUND_NAMES:
+    # a run plays through one round_player, built after the warm start from one view
+    counts = dict.fromkeys(ROUND_NAMES + ("round_player", "policy_view"), 0)
+    for name in ROUND_NAMES + ("round_player",):
         count_calls(monkeypatch, mechanism, name, counts)
     count_calls(monkeypatch, SimState, "policy_view", counts)
     inst = BanditInstance((0.9, 0.5, 0.2), NoiseModel("gaussian", 1.0))
     mechanism.run(inst, policy, DriftModel("linear", lipschitz=1.0), MechanismOptions(),
                   20, 3, keep_records=False)
     steps = 20 - inst.k
-    assert counts == {"step": steps, "select_arm": steps, "greedy_choice": steps,
-                      "sample_reward": 20, "policy_view": steps}
+    assert counts == {"round_player": 1, "step": 0, "select_arm": steps, "greedy_choice": steps,
+                      "sample_reward": 20, "policy_view": 1}
 
 
 @pytest.mark.parametrize("stride", [None, 3])

@@ -63,22 +63,22 @@ def test_run_streams_the_bytes_of_write_trajectory_csv(tmp_path, horizon):
 
 def test_run_that_fails_mid_play_leaves_no_trajectory_csv(tmp_path, capsys, monkeypatch):
     args = ["run", "--policy", "ucb", "--T", "3000", "--out-dir", str(tmp_path)]
-    inner = mechanism.step
+    inner = mechanism.greedy_choice
 
-    def failing(state, *rest):
-        if state.round == 2000:
+    def failing(view):
+        if view.t == 2000:
             raise ValueError("step failed")
-        return inner(state, *rest)
+        return inner(view)
 
     with monkeypatch.context() as patch:
-        patch.setattr(mechanism, "step", failing)
+        patch.setattr(mechanism, "greedy_choice", failing)
         assert run_cli(args) == 1
     assert "error in run: step failed" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # no trajectory.csv, partial or whole
     # a reused out-dir keeps the earlier run's complete trajectory.csv beside its summary
     assert run_cli(args + ["--seed", "2"]) == 0
     earlier = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    monkeypatch.setattr(mechanism, "step", failing)
+    monkeypatch.setattr(mechanism, "greedy_choice", failing)
     assert run_cli(args) == 1
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == earlier
 

@@ -25,6 +25,7 @@ from driftbandit import (
     ScriptedRng,
     SimState,
     WarmStartError,
+    mechanism,
     posted_mean,
     run,
     step,
@@ -217,6 +218,52 @@ def test_assigning_arms_rebuilds_the_live_view():
     replaced = dataclasses.replace(state, arms=[ArmState(pulls=1, feedback_sum=0.5)] * 3)
     assert replaced.policy_view() == PolicyView(8, (0.5, 0.5, 0.5), (1, 1, 1))
     assert state.policy_view() == PolicyView(8, (0.75, 0.25, 0.75), (2, 1, 4))
+
+
+def test_an_arm_edited_in_place_is_followed_by_the_view():
+    inst = BanditInstance((0.9, 0.8, 0.7), NoiseModel("gaussian", 0.0))
+    arms = [ArmState(pulls=2, feedback_sum=1.5), ArmState(pulls=1, feedback_sum=0.25),
+            ArmState(pulls=4, feedback_sum=3.0)]
+    state = make_state(inst, arms)
+    arms[1].pulls = 2
+    arms[1].feedback_sum = 1.0
+    assert state.policy_view() == PolicyView(8, (0.75, 0.5, 0.75), (2, 2, 4))
+    arms[2].pulls = 0
+    with pytest.raises(WarmStartError):
+        state.policy_view()
+
+
+@settings(max_examples=60, deadline=None)
+@given(policy=st.sampled_from([PolicyKind.ucb(), PolicyKind.egreedy(4.0),
+                               PolicyKind.thompson(), PolicyKind.greedy()]),
+       project=st.booleans(),
+       noise=st.sampled_from([NoiseModel("bernoulli"), NoiseModel("gaussian", 1.0)]),
+       drift=st.sampled_from([DriftModel("linear", lipschitz=1.1),
+                              DriftModel("clipped_linear", lipschitz=3.0, cap=0.2)]),
+       means=st.lists(st.integers(1, 100), min_size=2, max_size=6, unique=True).map(
+           lambda xs: tuple(x / 100 for x in xs)),
+       rounds=st.integers(0, 300), seed=st.integers(0, 2**64 - 1))
+def test_round_player_view_equals_the_view_derived_from_the_arms(policy, project, noise, drift,
+                                                                 means, rounds, seed):
+    # the player's own copy of the view is what select_arm sees each round
+    inst = BanditInstance(means, noise)
+    state = SimState.fresh(inst, NumpyRng(seed))
+    options = MechanismOptions(project_feedback=project)
+    seen = []
+    inner = mechanism.select_arm
+
+    def select(policy, view, rng):
+        seen.append(view == state.policy_view())
+        return inner(policy, view, rng)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mechanism, "select_arm", select)
+        records = warm_start(state, inst, options)
+        play = mechanism.round_player(state, policy, drift, inst, options)
+        records += [play() for _ in range(rounds)]
+    assert seen == [True] * rounds
+    # read_blocks reads a record's compensation as it stands: 0.0 on every unpaid round
+    assert all(r.compensated or r.compensation == 0.0 for r in records)
 
 
 # ---------------------------------------------------------------- run
