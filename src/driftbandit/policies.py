@@ -104,13 +104,17 @@ def egreedy_select(view: PolicyView, c: float, rng: RngStream) -> int:
     """Explore a uniform arm with probability eps_t, else exploit the posted argmax.
 
     Consumes one uniform for the coin (explore iff coin < eps_t) and, only
-    when exploring, a second uniform for the arm.
+    when exploring, a second uniform u for the arm int(u * K).  That arm is at
+    most K - 1, here and in the lane form, for every K < 2^53: a stream's
+    uniforms lie in [0, 1) (ScriptedRng refuses 1.0), so u <= 1 - 2^-53 and
+    the exact product is at most K - K * 2^-53.  That is exact when K is a
+    power of two, and otherwise more than half an ulp of K below K, so the
+    double u * K rounds to a value below K either way.
     """
     k = len(view.posted)
     eps = epsilon_schedule(c, k, view.t)
     if rng.uniform() < eps:
-        arm = int(rng.uniform() * k)
-        return k - 1 if arm >= k else arm
+        return int(rng.uniform() * k)
     return _argmax(view.posted)
 
 
@@ -120,8 +124,7 @@ def egreedy_bonus_lanes(t: int, pulls: np.ndarray, c: float, draws: LaneStreams,
     bonus.fill(0.0)
     explore = (draws.uniform() < epsilon_schedule(c, k, t)).nonzero()[0]
     if explore.size:
-        arm = (draws.uniform(explore) * k).astype(np.int64)
-        bonus[explore, np.minimum(arm, k - 1)] = math.inf
+        bonus[explore, (draws.uniform(explore) * k).astype(np.int64)] = math.inf
 
 
 def thompson_sample(view: PolicyView, rng: RngStream) -> int:

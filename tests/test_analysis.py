@@ -85,6 +85,11 @@ def test_egreedy_arm_slope_no_drift():
     assert egreedy_arm_slope(72.0, 0.0, 0.5) == pytest.approx(1.5 + 18 * 72 / 0.25)
 
 
+def test_egreedy_arm_slope_with_drift():
+    # c = 3 makes sqrt(3/c) = 1: 1.5 + 3 (1 + 1) l + 18 c / gap^2 at l = 1
+    assert egreedy_arm_slope(3.0, 1.0, 0.5) == pytest.approx(1.5 + 6.0 + 18 * 3 / 0.25)
+
+
 def test_egreedy_regret_bound_oracle():
     # 72 * (1.5 + 5184) * 2 + 72 * (2 + pi^2/6) at ln T = 1
     assert egreedy_regret_bound(inputs(c=72.0, horizon=T_E)) == pytest.approx(746974.435252813, abs=1.0)
@@ -139,6 +144,9 @@ def test_thompson_regret_bound_combines_terms():
     expected = ((4 * math.e ** 11 + 21) * 116.18680599936788 + 5 / 0.25 + 273
                 + math.pi ** 2 / 6)
     assert thompson_regret_bound(b) == pytest.approx(expected, rel=1e-6)
+    # T gap^2 = 1 zeroes the log term, which leaves the small terms to be seen
+    assert thompson_regret_bound(inputs(horizon=4)) == pytest.approx(5 / 0.25 + 43
+                                                                     + math.pi ** 2 / 6)
 
 
 def test_thompson_comp_bound_oracle():
@@ -275,6 +283,7 @@ def test_bound_inputs_from_instance_defaults_delta_lower():
 
 def test_min_pairwise_gap():
     assert min_pairwise_gap((0.9, 0.5, 0.45)) == pytest.approx(0.05)
+    assert min_pairwise_gap((0.9, 0.5, 0.88, 0.1)) == pytest.approx(0.02)  # arms 0 and 2
     with pytest.raises(ValueError):
         min_pairwise_gap((0.5, 0.5))
 
@@ -349,6 +358,20 @@ def test_ucb_drift_slack_reads_the_state_before_the_credit():
     # the round-off guard 1e-9 max(1, bound) lets a bound's last bits pass
     per_round, _ = ucb_drift_check(2, 1.0)(crafted([(1, RADIUS_3 + 1e-10, 0.0)]))
     assert per_round > 1.0
+    per_round, _ = ucb_drift_check(2, 1.0)(crafted([(1, RADIUS_3 + 1e-9, 0.0)]))  # bound > 1
+    assert per_round > 1.0
+    with pytest.raises(DiagnosticError, match="round 3: compensation .* exceeds per-round"):
+        ucb_drift_check(2, 1.0)(crafted([(1, RADIUS_3 + 1e-8, 0.0)]))
+
+
+def test_ucb_drift_slack_lets_a_cumulative_bound_keep_its_last_bits():
+    # arm 0's bound at round 3 is 2 l sqrt(2 n_0 ln 3) with l = 1, n_0 = 1; the round-off guard
+    # 1e-9 max(1, bound) lets a drift above it by less pass, and a drift above it by more fail
+    cap = 2.0 * math.sqrt(2.0 * math.log(3))
+    _, cumulative = ucb_drift_check(2, 1.0)(crafted([(1, 0.0, 0.0)], warm_drift=cap + 1e-9))
+    assert cumulative > 1.0
+    with pytest.raises(DiagnosticError, match="round 3: arm 0 cumulative drift .* exceeds bound"):
+        ucb_drift_check(2, 1.0)(crafted([(1, 0.0, 0.0)], warm_drift=cap + 1e-8))
 
 
 def test_ucb_drift_slack_without_drift_reads_zero():

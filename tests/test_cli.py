@@ -648,7 +648,11 @@ def test_bounds_writes_file(tmp_path, capsys):
     assert run_cli(["bounds", "--out-dir", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert (out / "bounds.txt").read_text() == stdout
-    assert (out / "manifest.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "bounds" and manifest["seed"] == 0
+    assert manifest["config"] == {"means": [float(m) for m in DEFAULT_MEANS.split(",")],
+                                  "l": 0.0, "c": 4.0, "delta_lower": 0.9 - 0.8, "T": 20000}
+    assert manifest["outputs"] == {"bounds_txt": "bounds.txt"}
 
 
 # ---------------------------------------------------------------- trace

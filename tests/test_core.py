@@ -196,6 +196,14 @@ def test_gaussian_scripted_draw():
     assert sample_reward(inst, 0, ScriptedRng([-0.5])) == pytest.approx(0.4)
 
 
+def test_scripted_uniform_refuses_one():
+    # what lets egreedy's arm int(u * K) go unclamped: every uniform is below 1
+    rng = ScriptedRng([math.nextafter(1.0, 0.0), 1.0])
+    assert rng.uniform() < 1.0
+    with pytest.raises(ValueError, match=r"scripted uniform draw 1.0 outside \[0, 1\)"):
+        rng.uniform()
+
+
 def test_bernoulli_support_and_mean():
     inst = BanditInstance((0.9, 0.3), NoiseModel("bernoulli"))
     rng = NumpyRng(42)

@@ -109,6 +109,7 @@ def test_config_validation():
         ExperimentConfig(**{**SMALL_CONFIG, "replications": 0})
     with pytest.raises(ValueError):
         ExperimentConfig(**{**SMALL_CONFIG, "trajectory_stride": 0})
+    assert ExperimentConfig(**{**SMALL_CONFIG, "trajectory_stride": 1}).trajectory_stride == 1
     with pytest.raises(ValueError):
         ExperimentConfig(**{**SMALL_CONFIG, "arm_means": (0.5, 0.5)})
     for bad in (math.nan, math.inf):

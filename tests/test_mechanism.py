@@ -26,7 +26,6 @@ from driftbandit import (
     SimState,
     WarmStartError,
     mechanism,
-    posted_mean,
     run,
     step,
     trajectory_rows,
@@ -82,8 +81,12 @@ def test_warm_start_rejects_used_state():
     inst = BanditInstance((0.9, 0.8), NoiseModel("gaussian", 0.0))
     state = SimState.fresh(inst, NumpyRng(0))
     warm_start(state, inst, MechanismOptions(project_feedback=False))
-    with pytest.raises(WarmStartError):
-        warm_start(state, inst, MechanismOptions(project_feedback=False))
+    later, pulled = SimState.fresh(inst, NumpyRng(0)), SimState.fresh(inst, NumpyRng(0))
+    later.round = 2
+    pulled.arms[1].pulls = 1
+    for used in (state, later, pulled):  # a later round or a pulled arm, alone, is refused
+        with pytest.raises(WarmStartError):
+            warm_start(used, inst, MechanismOptions(project_feedback=False))
 
 
 def test_warm_start_zero_drift_accumulates_none():
@@ -164,48 +167,6 @@ def test_step_compensation_zero_on_posted_tie():
     assert rec.chosen == 0 and not rec.compensated and rec.compensation == 0.0
 
 
-def rebuilt_view(state):
-    """The policy view read afresh from state.arms: each arm's posted_mean and pulls."""
-    return PolicyView(state.round, tuple(posted_mean(a) for a in state.arms),
-                      tuple(a.pulls for a in state.arms))
-
-
-@settings(max_examples=60, deadline=None)
-@given(policy=st.sampled_from([PolicyKind.ucb(), PolicyKind.egreedy(4.0),
-                               PolicyKind.thompson(), PolicyKind.greedy()]),
-       project=st.booleans(),
-       noise=st.sampled_from([NoiseModel("bernoulli"), NoiseModel("gaussian", 1.0)]),
-       drift=st.sampled_from([DriftModel("linear", lipschitz=1.1),
-                              DriftModel("clipped_linear", lipschitz=3.0, cap=0.2)]),
-       means=st.lists(st.integers(1, 100), min_size=2, max_size=6, unique=True).map(
-           lambda xs: tuple(x / 100 for x in xs)),
-       rounds=st.integers(0, 300), seed=st.integers(0, 2**64 - 1))
-def test_live_view_equals_the_view_rebuilt_from_the_arms(policy, project, noise, drift,
-                                                         means, rounds, seed):
-    inst = BanditInstance(means, noise)
-    state = SimState.fresh(inst, NumpyRng(seed))
-    with pytest.raises(WarmStartError):
-        state.policy_view()
-    options = MechanismOptions(project_feedback=project)
-    warm_start(state, inst, options)
-    assert state.policy_view() == rebuilt_view(state)
-    for _ in range(rounds):
-        step(state, policy, drift, inst, options)
-        assert state.policy_view() == rebuilt_view(state)
-
-
-def test_constructor_derives_the_live_view_from_the_arms():
-    inst = BanditInstance((0.9, 0.8, 0.7), NoiseModel("gaussian", 0.0))
-    arms = [ArmState(pulls=2, feedback_sum=1.5), ArmState(pulls=1, feedback_sum=0.25),
-            ArmState(pulls=4, feedback_sum=3.0)]
-    state = make_state(inst, arms)
-    assert state.policy_view() == rebuilt_view(state) == PolicyView(8, (0.75, 0.25, 0.75),
-                                                                     (2, 1, 4))
-    arms[1].pulls = 0
-    with pytest.raises(WarmStartError):
-        make_state(inst, arms).policy_view()
-
-
 def test_assigning_arms_rebuilds_the_live_view():
     inst = BanditInstance((0.9, 0.8, 0.7), NoiseModel("gaussian", 0.0))
     arms = [ArmState(pulls=2, feedback_sum=1.5), ArmState(pulls=1, feedback_sum=0.25),
@@ -214,7 +175,8 @@ def test_assigning_arms_rebuilds_the_live_view():
     state.arms = arms
     state.round = 8
     assert state.arms is arms
-    assert state.policy_view() == make_state(inst, arms).policy_view() == rebuilt_view(state)
+    assert state.policy_view() == make_state(inst, arms).policy_view() == PolicyView(
+        8, (0.75, 0.25, 0.75), (2, 1, 4))
     replaced = dataclasses.replace(state, arms=[ArmState(pulls=1, feedback_sum=0.5)] * 3)
     assert replaced.policy_view() == PolicyView(8, (0.5, 0.5, 0.5), (1, 1, 1))
     assert state.policy_view() == PolicyView(8, (0.75, 0.25, 0.75), (2, 1, 4))
@@ -248,6 +210,8 @@ def test_round_player_view_equals_the_view_derived_from_the_arms(policy, project
     # the player's own copy of the view is what select_arm sees each round
     inst = BanditInstance(means, noise)
     state = SimState.fresh(inst, NumpyRng(seed))
+    with pytest.raises(WarmStartError):
+        state.policy_view()
     options = MechanismOptions(project_feedback=project)
     seen = []
     inner = mechanism.select_arm
@@ -262,6 +226,8 @@ def test_round_player_view_equals_the_view_derived_from_the_arms(policy, project
         play = mechanism.round_player(state, policy, drift, inst, options)
         records += [play() for _ in range(rounds)]
     assert seen == [True] * rounds
+    with pytest.raises(WarmStartError):  # a state built with a zero-pull arm has no view
+        dataclasses.replace(state, arms=[ArmState(), *state.arms[1:]]).policy_view()
     # read_blocks reads a record's compensation as it stands: 0.0 on every unpaid round
     assert all(r.compensated or r.compensation == 0.0 for r in records)
 

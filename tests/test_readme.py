@@ -6,7 +6,7 @@ in the same order: the README calls that order part of the contract.  The
 config schema lists the keys of `experiment._CONFIG_KEYS` in order, and its
 `drift_kind` comment lists `core.DRIFT_KINDS` in order.
 Every backticked name of a package module (`mechanism.run`,
-`core.SimState.credit`) names an attribute of that module.
+`core.SimState.policy_view`) names an attribute of that module.
 """
 
 import importlib
