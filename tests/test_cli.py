@@ -389,11 +389,8 @@ def test_project_help_names_the_policies_that_project_by_default(capsys):
 
 # ---------------------------------------------------------------- sweep
 
-DROP = object()  # a small_config override that leaves the key out
-
-
 def small_config(**overrides):
-    data = {
+    return {
         "arm_means": [0.9, 0.6, 0.3],
         "noise": {"kind": "bernoulli", "sigma": 0.0},
         "policies": [{"name": "ucb"}, {"name": "thompson"}],
@@ -402,9 +399,8 @@ def small_config(**overrides):
         "horizon": 60,
         "replications": 2,
         "master_seed": 5,
+        **overrides,
     }
-    data.update(overrides)
-    return {key: value for key, value in data.items() if value is not DROP}
 
 
 def write_config(tmp_path, data):
@@ -449,100 +445,6 @@ def test_sweep_shipped_config_grid(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["sweep", "--config", str(path), "--out-dir", str(out)]) == 0
     assert len(read_rows(out / "sweep.csv")) == 21
-
-
-def test_sweep_rejects_empty_l_values(tmp_path, capsys):
-    path = write_config(tmp_path, small_config(l_values=[]))
-    with pytest.raises(SystemExit) as err:
-        run_cli(["sweep", "--config", str(path), "--out-dir", str(tmp_path / "o")])
-    assert err.value.code == 2
-    assert "l_values" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("change,key", [
-    pytest.param({"l_values": [float("nan")]}, "l_values", id="change0-l_values"),
-    pytest.param({"policies": [{"name": "ucb", "cc": 3}]}, "cc", id="change1-cc"),
-    pytest.param({"horizn": 60}, "horizn", id="change2-horizn"),
-    pytest.param({"project_feedback": {"ucbb": True}}, "ucbb", id="change3-ucbb"),
-    pytest.param({"horizon": 100.7}, "horizon", id="change4-horizon"),
-    pytest.param({"replications": 2.9}, "replications", id="change5-replications"),
-    pytest.param({"trajectory_stride": 2.5}, "trajectory_stride", id="change6-trajectory_stride"),
-    pytest.param({"drift_kind": "clipped_linear"}, "drift_cap", id="change7-drift_cap"),
-    pytest.param({"drift_cap": 1.0}, "drift_cap", id="change8-drift_cap"),
-    pytest.param({"drift_kind": "clipped_linear", "drift_cap": "2"}, "drift_cap",
-                 id="change9-drift_cap"),
-    pytest.param({"drift_kind": "sinusoid"}, "drift_kind", id="change10-drift_kind"),
-    pytest.param({"policies": [{"name": "ucb"}, {"name": "egreedy", "c": 0}]}, "policies[1].c",
-                 id="change11-policies[1].c"),
-    pytest.param({"policies": [{"name": "ucb"}, {"name": "egreedy", "c": "4"}]}, "policies[1].c",
-                 id="change12-policies[1].c"),
-    pytest.param({"policies": [{"name": "ucb"}, {"name": "ucbb"}]}, "policies[1].name",
-                 id="change13-policies[1].name"),
-    pytest.param({"noise": {"kind": "poisson"}}, "noise.kind", id="change14-noise.kind"),
-    pytest.param({"noise": {"kind": "gaussian", "sigma": "1"}}, "noise.sigma",
-                 id="change15-noise.sigma"),
-    pytest.param({"l_values": [0.0, "1"]}, "l_values[1]", id="change16-l_values[1]"),
-    pytest.param({"arm_means": [0.9, "0.6", 0.3]}, "arm_means[1]", id="change17-arm_means[1]"),
-    # a key that trajectory_stride replaced, refused with either value it took
-    pytest.param({"capture_trajectories": True}, "unknown config key(s) ['capture_trajectories']",
-                 id="change18-capture_trajectories"),
-    pytest.param({"capture_trajectories": False}, "unknown config key(s) ['capture_trajectories']",
-                 id="change19-capture_trajectories"),
-    pytest.param({"master_seed": -1}, "master_seed", id="change20-master_seed"),
-    pytest.param({"master_seed": 2 ** 64}, "master_seed", id="change21-master_seed"),
-    # a value of the wrong JSON type, named by its key rather than by an entry
-    pytest.param({"l_values": 1.0}, "l_values must be a JSON array",
-                 id="change22-l_values must be a JSON array"),
-    pytest.param({"arm_means": 0.9}, "arm_means must be a JSON array",
-                 id="change23-arm_means must be a JSON array"),
-    pytest.param({"policies": {"name": "ucb"}}, "policies must be a JSON array",
-                 id="change24-policies must be a JSON array"),
-    pytest.param({"policies": "ucb"}, "policies must be a JSON array",
-                 id="change25-policies must be a JSON array"),
-    pytest.param({"project_feedback": [1]}, "project_feedback must be a JSON object",
-                 id="change26-project_feedback must be a JSON object"),
-    # a required key left out, named with its path
-    pytest.param({"horizon": DROP}, "missing config key horizon",
-                 id="change27-missing config key horizon"),
-    pytest.param({"arm_means": DROP}, "missing config key arm_means",
-                 id="change28-missing config key arm_means"),
-    pytest.param({"policies": DROP}, "missing config key policies",
-                 id="change29-missing config key policies"),
-    pytest.param({"l_values": DROP}, "missing config key l_values",
-                 id="change30-missing config key l_values"),
-    pytest.param({"replications": DROP}, "missing config key replications",
-                 id="change31-missing config key replications"),
-    pytest.param({"master_seed": DROP}, "missing config key master_seed",
-                 id="change32-missing config key master_seed"),
-    pytest.param({"policies": [{"c": 3}]}, "missing config key policies[0].name",
-                 id="change33-missing config key policies[0].name"),
-    # a policy name that is not a string
-    pytest.param({"policies": [{"name": ["ucb"]}]}, "policies[0].name",
-                 id="change34-policies[0].name"),
-    pytest.param({"policies": [{"name": {"kind": "ucb"}}]}, "policies[0].name",
-                 id="change35-policies[0].name"),
-    # json.dumps writes Infinity, which json.load reads back
-    pytest.param({"l_values": [0.0, float("inf")]}, "l_values[1]", id="change36-l_values[1]"),
-    # an empty policy list
-    pytest.param({"policies": []}, "policies must be non-empty",
-                 id="change37-policies must be non-empty"),
-    # the ids above keep the form pytest once generated from the arguments; new cases
-    # take an id that names their input
-    pytest.param({"drift_kind": "zero"}, "drift_kind must be one of", id="drift_kind zero"),
-    # a JSON integer of 401 digits, beyond float range
-    pytest.param({"arm_means": [10 ** 400, 0.5]}, "arm_means: arm means must lie in (0, 1]",
-                 id="arm_means beyond float range"),
-    pytest.param({"noise": {"kind": "gaussian", "sigma": 10 ** 400}},
-                 "noise.sigma must be finite, got 1" + "0" * 400,
-                 id="noise.sigma beyond float range"),
-])
-def test_sweep_rejects_bad_config_naming_the_key(tmp_path, capsys, change, key):
-    path = write_config(tmp_path, small_config(**change))
-    with pytest.raises(SystemExit) as err:
-        run_cli(["sweep", "--config", str(path), "--out-dir", str(tmp_path / "o")])
-    assert err.value.code == 2
-    assert key in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_seed_on_a_config_that_is_not_an_object_exits_2(tmp_path, capsys):
@@ -660,21 +562,6 @@ def test_bounds_writes_file(tmp_path, capsys):
 def test_trace_matches_golden_file(capsys):
     assert run_cli(TRACE_ARGS + ["--draws", "0,0,0,0,0,0"]) == 0
     assert capsys.readouterr().out == GOLDEN_TRACE.read_text()
-
-
-def test_trace_short_script_exits_2_naming_deficit(capsys):
-    with pytest.raises(SystemExit) as err:
-        run_cli(TRACE_ARGS + ["--draws", "0,0,0"])
-    assert err.value.code == 2
-    msg = capsys.readouterr().err
-    assert "draw 4" in msg and "3 values" in msg
-
-
-def test_trace_rejects_long_horizon(capsys):
-    with pytest.raises(SystemExit) as err:
-        run_cli(["trace", "--policy", "ucb", "--T", "21", "--draws", "0"])
-    assert err.value.code == 2
-    assert "T <= 20" in capsys.readouterr().err
 
 
 def test_trace_whose_sums_overflow_exits_1_and_prints_no_row(capsys):

@@ -22,6 +22,7 @@ from driftbandit import (
     run_experiment,
     summarize,
 )
+from driftbandit.cli import main
 from driftbandit.experiment import _CONFIG_KEYS, _chunks
 
 SMALL_CONFIG = dict(
@@ -225,12 +226,33 @@ def test_config_parses_policy_c():
     # an empty policy list
     pytest.param({"policies": []}, "policies must be non-empty",
                  id="change43-policies must be non-empty"),
+    # the ids above keep the form pytest once generated from the arguments; new cases
+    # take an id that names their input
+    pytest.param({"l_values": []}, "l_values", id="l_values empty"),
+    pytest.param({"l_values": [math.nan]}, "l_values", id="l_values nan"),
+    pytest.param({"drift_kind": "zero"}, "drift_kind must be one of", id="drift_kind zero"),
+    # a JSON integer of 401 digits, beyond float range
+    pytest.param({"arm_means": [10 ** 400, 0.5]}, "arm_means: arm means must lie in (0, 1]",
+                 id="arm_means beyond float range"),
+    pytest.param({"noise": {"kind": "gaussian", "sigma": 10 ** 400}},
+                 "noise.sigma must be finite, got 1" + "0" * 400,
+                 id="noise.sigma beyond float range"),
+    pytest.param({"policies": [{"c": 3}]}, "missing config key policies[0].name",
+                 id="policies[0] without a name"),
 ])
-def test_config_from_dict_rejects_naming_the_key(change, key):
+def test_config_from_dict_rejects_naming_the_key(tmp_path, capsys, change, key):
+    # the library refuses the JSON, and `driftbandit sweep` on it exits 2 before writing
     data = {**ExperimentConfig(**SMALL_CONFIG).to_dict(), **change}
     data = {k: v for k, v in data.items() if v is not DROP}
     with pytest.raises(ValueError, match=re.escape(key)):
         ExperimentConfig.from_dict(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))  # nan is written as NaN, which json.load reads back
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # the direct-construction twin: the constructor holds every value rule, so a
@@ -248,6 +270,8 @@ def test_config_from_dict_rejects_naming_the_key(change, key):
                  id="policies-string"),
     pytest.param({"policies": (PolicyKind.ucb(), {"name": "thompson"})},
                  "policies[1] must be a PolicyKind", id="policies-dict"),
+    pytest.param({"horizon": 2}, "horizon 2 is shorter than the warm start",
+                 id="horizon-below-warm-start"),
     pytest.param({"horizon": 10.5}, "horizon", id="horizon-fraction"),
     pytest.param({"horizon": "120"}, "horizon", id="horizon-string"),
     pytest.param({"replications": 2.9}, "replications", id="replications-fraction"),
@@ -316,16 +340,12 @@ def test_single_replication_mean_is_value_std_zero():
         assert cell.comp_std == 0.0
 
 
-def test_run_experiment_deterministic():
-    config = ExperimentConfig(**SMALL_CONFIG)
-    assert run_experiment(config) == run_experiment(config)
-
-
 def test_run_experiment_jobs_do_not_change_results():
     config = ExperimentConfig(**SMALL_CONFIG)
     serial = run_experiment(config, jobs=1)
     assert serial == run_experiment(config, jobs=2)
-    assert serial == run_experiment(config, jobs=0)  # below 1: serial, as jobs=1
+    # below 1: serial, as jobs=1, so this is also a rerun in the same process
+    assert serial == run_experiment(config, jobs=0)
 
 
 @pytest.mark.parametrize("replications", [3, 4])
@@ -465,11 +485,6 @@ def test_run_experiment_opens_one_worker_per_chunk(monkeypatch, l_values, pools)
                                  "l_values": l_values, "replications": 1})
     assert run_experiment(config, jobs=8) == run_experiment(config, jobs=1)
     assert sizes == pools
-
-
-def test_run_experiment_rejects_short_horizon():
-    with pytest.raises(ValueError):
-        ExperimentConfig(**{**SMALL_CONFIG, "horizon": 2})
 
 
 def test_run_experiment_names_failing_triple():

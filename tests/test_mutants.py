@@ -8,7 +8,10 @@ import ast
 import importlib.util
 import random
 import sys
+import types
 from pathlib import Path
+
+from hypothesis import Phase
 
 REPO = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("mutants", REPO / "tools" / "mutants.py")
@@ -53,3 +56,17 @@ def test_no_edit_is_a_no_op():
         tree = ast.parse(EVERY_OPERATOR)
         mutants.mutate(tree, index)
         assert ast.dump(ast.parse(ast.unparse(tree))) != null
+
+
+def test_the_copy_loads_a_profile_without_shrink_or_explain(monkeypatch):
+    # the copy's conftest.py run against a stand-in hypothesis, so this process keeps its profile
+    profiles, loaded = {}, []
+    stand_in = types.ModuleType("hypothesis")
+    stand_in.Phase = Phase
+    stand_in.settings = types.SimpleNamespace(
+        register_profile=lambda name, **kw: profiles.__setitem__(name, kw),
+        load_profile=loaded.append)
+    monkeypatch.setitem(sys.modules, "hypothesis", stand_in)
+    exec(mutants.CONFTEST, {})
+    assert loaded == list(profiles) and len(loaded) == 1
+    assert set(profiles[loaded[0]]["phases"]) == set(Phase) - {Phase.shrink, Phase.explain}
