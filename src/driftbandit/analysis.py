@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (BanditInstance, DiagnosticError, InputError, SimState, accounting_totals,
                    at_least, posted_mean)
@@ -33,7 +33,7 @@ class BoundInputs:
     c: float
 
     def __post_init__(self) -> None:
-        if not any(g > 0 for g in self.gaps):
+        if not self.suboptimal:
             raise ValueError("need at least one suboptimal arm")
         if (delta := self.delta_min) * delta == 0:  # the bounds divide by every gap's square
             raise InputError("gaps", f"must have a smallest gap with a square above 0, got {delta}")
@@ -52,8 +52,13 @@ class BoundInputs:
         return len(self.gaps)
 
     @property
+    def suboptimal(self) -> tuple[float, ...]:
+        """The gaps above 0, in arm order: the arms that the bounds sum over."""
+        return tuple(g for g in self.gaps if g > 0)
+
+    @property
     def delta_min(self) -> float:
-        return min(g for g in self.gaps if g > 0)
+        return min(self.suboptimal)
 
     @classmethod
     def from_instance(cls, instance: BanditInstance, *, horizon: int,
@@ -79,9 +84,8 @@ def ucb_regret_bound(inputs: BoundInputs) -> float:
     log_t = math.log(inputs.horizon)
     lp1 = inputs.lipschitz + 1.0
     total = 0.0
-    for g in inputs.gaps:
-        if g > 0:
-            total += 8.0 * lp1 * lp1 * log_t / g + g * (inputs.k - 1) * math.pi ** 2 / 3.0
+    for g in inputs.suboptimal:
+        total += 8.0 * lp1 * lp1 * log_t / g + g * (inputs.k - 1) * math.pi ** 2 / 3.0
     return total
 
 
@@ -91,9 +95,8 @@ def ucb_comp_bound(inputs: BoundInputs) -> float:
     lp1 = inputs.lipschitz + 1.0
     total = 16.0 * lp1 * log_t / inputs.delta_min
     total += 2.0 * math.pi * inputs.k * math.sqrt(2.0 * log_t / 3.0)
-    for g in inputs.gaps:
-        if g > 0:
-            total += 16.0 * lp1 * log_t / g
+    for g in inputs.suboptimal:
+        total += 16.0 * lp1 * log_t / g
     return total
 
 
@@ -108,9 +111,8 @@ def egreedy_regret_bound(inputs: BoundInputs) -> float:
     schedule condition c >= 36/delta is advisory, see check_c_condition)."""
     log_t = math.log(inputs.horizon)
     total = inputs.c * (inputs.k - 1) * (inputs.k + math.pi ** 2 / 6.0)
-    for g in inputs.gaps:
-        if g > 0:
-            total += inputs.c * egreedy_arm_slope(inputs.c, inputs.lipschitz, g) * (log_t + 1.0)
+    for g in inputs.suboptimal:
+        total += inputs.c * egreedy_arm_slope(inputs.c, inputs.lipschitz, g) * (log_t + 1.0)
     return total
 
 
@@ -147,13 +149,12 @@ def thompson_regret_bound(inputs: BoundInputs) -> float:
     """Regret bound for incentivized Thompson sampling."""
     total = 0.0
     big = 4.0 * math.e ** 11 + 21.0
-    for g in inputs.gaps:
-        if g > 0:
-            total += (big * thompson_pull_log_term(inputs.horizon, g)
-                      + 5.0 / (g * g)
-                      + thompson_pull_drift_term(inputs.horizon, g, inputs.lipschitz,
-                                                 inputs.delta_lower)
-                      + math.pi ** 2 / 6.0)
+    for g in inputs.suboptimal:
+        total += (big * thompson_pull_log_term(inputs.horizon, g)
+                  + 5.0 / (g * g)
+                  + thompson_pull_drift_term(inputs.horizon, g, inputs.lipschitz,
+                                             inputs.delta_lower)
+                  + math.pi ** 2 / 6.0)
     return total
 
 
@@ -161,6 +162,15 @@ def thompson_comp_bound(inputs: BoundInputs) -> float:
     """Compensation bound 2 max(l,1) K ln T / delta_lower^2."""
     return (2.0 * max(inputs.lipschitz, 1.0) * inputs.k * math.log(inputs.horizon)
             / (inputs.delta_lower * inputs.delta_lower))
+
+
+Bound = Callable[[BoundInputs], float]
+# each policy's (regret, compensation) bound, in the order that `bounds` prints them
+BOUNDS: dict[str, tuple[Bound, Bound]] = {
+    "ucb": (ucb_regret_bound, ucb_comp_bound),
+    "egreedy": (egreedy_regret_bound, egreedy_comp_bound),
+    "thompson": (thompson_regret_bound, thompson_comp_bound),
+}
 
 
 def comp_frequency_bound(delta_lower: float, horizon: int) -> float:

@@ -19,18 +19,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    BoundInputs,
-    check_c_condition,
-    comp_frequency_bound,
-    egreedy_comp_bound,
-    egreedy_regret_bound,
-    summarize,
-    thompson_comp_bound,
-    thompson_regret_bound,
-    ucb_comp_bound,
-    ucb_regret_bound,
-)
+from .analysis import BOUNDS, BoundInputs, check_c_condition, comp_frequency_bound, summarize
 from .core import (DRIFT_KINDS, NOISE_KINDS, BanditError, BanditInstance, DriftModel, InputError,
                    NoiseModel, named)
 from .experiment import ExperimentConfig, ExperimentError, run_experiment
@@ -189,15 +178,10 @@ def _cmd_bounds(args, parser) -> int:
     if not check_c_condition(inputs.c, inputs.delta_min):
         lines.append(f"warning: c={fmt_real(inputs.c)} fails the exploration-schedule "
                      f"condition c >= 36/delta = {fmt_real(36.0 / inputs.delta_min)}")
-    rows = (
-        ("ucb regret", ucb_regret_bound(inputs)),
-        ("ucb compensation", ucb_comp_bound(inputs)),
-        ("egreedy regret", egreedy_regret_bound(inputs)),
-        ("egreedy compensation", egreedy_comp_bound(inputs)),
-        ("thompson regret", thompson_regret_bound(inputs)),
-        ("thompson compensation", thompson_comp_bound(inputs)),
-        ("thompson per-arm compensated pulls", comp_frequency_bound(inputs.delta_lower, inputs.horizon)),
-    )
+    rows = [(f"{name} {kind}", bound(inputs)) for name, pair in BOUNDS.items()
+            for kind, bound in zip(("regret", "compensation"), pair)]
+    rows.append(("thompson per-arm compensated pulls",
+                 comp_frequency_bound(inputs.delta_lower, inputs.horizon)))
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         lines.append(f"{name:<{width}}  <= {fmt_real(value)}")

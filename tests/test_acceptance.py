@@ -29,27 +29,10 @@ from pathlib import Path
 import pytest
 
 import test_golden_traces as golden
-from driftbandit import (
-    BanditInstance,
-    BoundInputs,
-    DiagnosticError,
-    DriftModel,
-    ExperimentConfig,
-    MechanismOptions,
-    NoiseModel,
-    PolicyKind,
-    check_c_condition,
-    comp_frequency_bound,
-    egreedy_comp_bound,
-    egreedy_regret_bound,
-    run,
-    run_experiment,
-    thompson_comp_bound,
-    thompson_regret_bound,
-    ucb_comp_bound,
-    ucb_regret_bound,
-)
-from driftbandit.analysis import ucb_drift_check
+from driftbandit import (BanditInstance, BoundInputs, DiagnosticError, DriftModel, ExperimentConfig,
+                         MechanismOptions, NoiseModel, PolicyKind, check_c_condition,
+                         comp_frequency_bound, run, run_experiment)
+from driftbandit.analysis import BOUNDS, ucb_drift_check
 from driftbandit.cli import main as cli_main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -217,12 +200,7 @@ def test_criterion_6_theoretical_bound_compliance(bernoulli_sweep):
         inputs = BoundInputs.from_instance(instance, horizon=config.horizon,
                                            lipschitz=l, c=c)
         assert check_c_condition(c, inputs.delta_min)
-        pairs = (
-            ("ucb", ucb_regret_bound, ucb_comp_bound),
-            ("egreedy", egreedy_regret_bound, egreedy_comp_bound),
-            ("thompson", thompson_regret_bound, thompson_comp_bound),
-        )
-        for name, regret_bound, comp_bound in pairs:
+        for name, (regret_bound, comp_bound) in BOUNDS.items():
             cell = result.cell(name, l)
             rb, cb = regret_bound(inputs), comp_bound(inputs)
             checks.append((

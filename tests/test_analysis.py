@@ -28,6 +28,7 @@ from driftbandit import (
     ucb_regret_bound,
 )
 from driftbandit.analysis import (
+    BOUNDS,
     egreedy_arm_slope,
     thompson_pull_drift_term,
     thompson_pull_log_term,
@@ -126,6 +127,7 @@ def test_thompson_pull_log_term_oracle():
 def test_thompson_pull_log_term_clamps():
     assert thompson_pull_log_term(4, 0.5) == 0.0  # T gap^2 = 1 -> log 1 = 0
     assert thompson_pull_log_term(2, 0.1) == 0.0  # T gap^2 < 1 clamps at 0
+    assert 0 < thompson_pull_log_term(4.05, 0.5) < 1  # a log term below 1 is kept
 
 
 def test_thompson_pull_drift_term_oracle():
@@ -200,10 +202,6 @@ def bound_inputs(draw):
                        delta_lower=delta_lower, c=c)
 
 
-ALL_BOUNDS = (ucb_regret_bound, ucb_comp_bound, egreedy_regret_bound,
-              egreedy_comp_bound, thompson_regret_bound, thompson_comp_bound)
-
-
 @given(b=bound_inputs(), dt=st.integers(min_value=1, max_value=10**5),
        dl=st.floats(min_value=0.0, max_value=3.0))
 def test_bounds_monotone_in_horizon_and_lipschitz(b, dt, dl):
@@ -211,7 +209,7 @@ def test_bounds_monotone_in_horizon_and_lipschitz(b, dt, dl):
 
     later = replace(b, horizon=b.horizon + dt)
     drifted = replace(b, lipschitz=b.lipschitz + dl)
-    for bound in ALL_BOUNDS:
+    for bound in (bound for pair in BOUNDS.values() for bound in pair):
         assert bound(later) >= bound(b) * (1 - 1e-12)
         assert bound(drifted) >= bound(b) * (1 - 1e-12)
 
@@ -358,8 +356,8 @@ def test_ucb_drift_slack_reads_the_state_before_the_credit():
     # the round-off guard 1e-9 max(1, bound) lets a bound's last bits pass
     per_round, _ = ucb_drift_check(2, 1.0)(crafted([(1, RADIUS_3 + 1e-10, 0.0)]))
     assert per_round > 1.0
-    per_round, _ = ucb_drift_check(2, 1.0)(crafted([(1, RADIUS_3 + 1e-9, 0.0)]))  # bound > 1
-    assert per_round > 1.0
+    edge = RADIUS_3 + 1e-9 * RADIUS_3  # the guard's own edge passes, above 1e-9 as bound > 1
+    assert ucb_drift_check(2, 1.0)(crafted([(1, edge, 0.0)]))[0] == edge / RADIUS_3
     with pytest.raises(DiagnosticError, match="round 3: compensation .* exceeds per-round"):
         ucb_drift_check(2, 1.0)(crafted([(1, RADIUS_3 + 1e-8, 0.0)]))
 
@@ -368,8 +366,8 @@ def test_ucb_drift_slack_lets_a_cumulative_bound_keep_its_last_bits():
     # arm 0's bound at round 3 is 2 l sqrt(2 n_0 ln 3) with l = 1, n_0 = 1; the round-off guard
     # 1e-9 max(1, bound) lets a drift above it by less pass, and a drift above it by more fail
     cap = 2.0 * math.sqrt(2.0 * math.log(3))
-    _, cumulative = ucb_drift_check(2, 1.0)(crafted([(1, 0.0, 0.0)], warm_drift=cap + 1e-9))
-    assert cumulative > 1.0
+    edge = cap + 1e-9 * cap  # the guard's own edge passes
+    assert ucb_drift_check(2, 1.0)(crafted([(1, 0.0, 0.0)], warm_drift=edge))[1] == edge / cap
     with pytest.raises(DiagnosticError, match="round 3: arm 0 cumulative drift .* exceeds bound"):
         ucb_drift_check(2, 1.0)(crafted([(1, 0.0, 0.0)], warm_drift=cap + 1e-8))
 
@@ -388,22 +386,29 @@ def test_ucb_drift_slack_reads_drift_over_a_zero_bound_as_inf():
     assert ucb_drift_check(2, 0.0)(crafted([(1, 0.0, 0.0)], warm_drift=1e-10)) == (0.0, math.inf)
 
 
-def _scalar_slack(records, k, lipschitz):
-    """The inequalities round by round, on K ArmStates replayed from the records."""
+def _replay(records, k, lipschitz):
+    """(slack, message) of K ArmStates replayed from the records, every arm checked every round:
+    the (per_round, cumulative) slack so far, and the first bound broken, or None."""
     arms = [ArmState() for _ in range(k)]
     per_round = cumulative = 0.0
     for rec in records:
         if rec.t > len(arms):
             log_t = math.log(rec.t)
-            per_round = max(per_round,
-                            rec.compensation / math.sqrt(2.0 * log_t / arms[rec.chosen].pulls))
-            for arm in arms:
+            radius = math.sqrt(2.0 * log_t / arms[rec.chosen].pulls)
+            if rec.compensation > radius + 1e-9 * max(1.0, radius):
+                return (per_round, cumulative), (f"round {rec.t}: compensation {rec.compensation} "
+                                                 f"exceeds per-round drift bound {radius}")
+            per_round = max(per_round, rec.compensation / radius)
+            for i, arm in enumerate(arms):
                 cap = 2.0 * lipschitz * math.sqrt(2.0 * arm.pulls * log_t)
+                if arm.drift_sum > cap + 1e-9 * max(1.0, cap):
+                    return (per_round, cumulative), (f"round {rec.t}: arm {i} cumulative drift "
+                                                     f"{arm.drift_sum} exceeds bound {cap}")
                 if arm.drift_sum > 0:
                     cumulative = max(cumulative, arm.drift_sum / cap)
         arms[rec.chosen].pulls += 1
         arms[rec.chosen].drift_sum += rec.drift
-    return per_round, cumulative
+    return (per_round, cumulative), None
 
 
 def test_run_ucb_drift_slack_clean():
@@ -412,28 +417,8 @@ def test_run_ucb_drift_slack_clean():
         traj = run(inst, PolicyKind.ucb(), DriftModel("linear", lipschitz=1.1),
                    MechanismOptions(), 1500, seed)
         slack = ucb_drift_check(inst.k, 1.1)(traj.records)  # raises DiagnosticError on a violation
-        assert slack == _scalar_slack(traj.records, inst.k, 1.1)
+        assert _replay(traj.records, inst.k, 1.1) == (slack, None)
         assert all(0.0 < s <= 1.0 for s in slack)
-
-
-def _first_violation(records, k, lipschitz):
-    """The message of the first bound broken, every arm checked every round; None if none."""
-    arms = [ArmState() for _ in range(k)]
-    for rec in records:
-        if rec.t > len(arms):
-            log_t = math.log(rec.t)
-            radius = math.sqrt(2.0 * log_t / arms[rec.chosen].pulls)
-            if rec.compensation > radius + 1e-9 * max(1.0, radius):
-                return (f"round {rec.t}: compensation {rec.compensation} exceeds "
-                        f"per-round drift bound {radius}")
-            for i, arm in enumerate(arms):
-                cap = 2.0 * lipschitz * math.sqrt(2.0 * arm.pulls * log_t)
-                if arm.drift_sum > cap + 1e-9 * max(1.0, cap):
-                    return (f"round {rec.t}: arm {i} cumulative drift {arm.drift_sum} "
-                            f"exceeds bound {cap}")
-        arms[rec.chosen].pulls += 1
-        arms[rec.chosen].drift_sum += rec.drift
-    return None
 
 
 # a stretch of rounds that all pull one arm, so the other arms go unpulled for its length
@@ -456,12 +441,12 @@ def test_ucb_drift_check_equals_a_check_of_every_arm_every_round(k, lipschitz, w
         for x, b in rounds:
             records.append(RoundRecord(len(records) + 1, arm % k, 0, x > 0, x, b, 0.5, 0.5, 0.0))
     check = ucb_drift_check(k, lipschitz)
-    expected = _first_violation(records, k, lipschitz)
+    expected_slack, expected = _replay(records, k, lipschitz)
     if expected is None:
-        assert ucb_drift_check(k, lipschitz)(records) == _scalar_slack(records, k, lipschitz)
+        assert ucb_drift_check(k, lipschitz)(records) == expected_slack
         for start in range(0, len(records), cut):  # any cut into blocks reads the same
             slack = check(records[start:start + cut])
-        assert slack == _scalar_slack(records, k, lipschitz)
+        assert slack == expected_slack
     else:
         with pytest.raises(DiagnosticError) as err:
             ucb_drift_check(k, lipschitz)(records)

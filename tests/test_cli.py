@@ -132,42 +132,6 @@ def test_run_does_not_import_the_worker_pool():
     assert done.stdout.splitlines()[-1] == "[]"
 
 
-def test_run_rejects_negative_drift_coefficient(tmp_path, capsys):
-    with pytest.raises(SystemExit) as err:
-        run_cli(["run", "--policy", "ucb", "--l", "-1", "--out-dir", str(tmp_path)])
-    assert err.value.code == 2
-    assert "must be >= 0" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("args,flag", [
-    pytest.param(["run", "--policy", "ucb", "--l", "nan"], "--l", id="args0---l"),
-    pytest.param(["run", "--policy", "ucb", "--l", "inf"], "--l", id="args1---l"),
-    pytest.param(["run", "--policy", "ucb", "--sigma", "nan"], "--sigma", id="args2---sigma"),
-    pytest.param(["run", "--policy", "ucb", "--drift", "clipped_linear", "--cap", "inf"], "--cap",
-                 id="args3---cap"),
-    pytest.param(["run", "--policy", "egreedy", "--c", "nan"], "--c", id="args4---c"),
-    pytest.param(["trace", "--policy", "ucb", "--l", "nan", "--draws", "0"], "--l", id="args5---l"),
-    pytest.param(["bounds", "--delta-lower", "nan"], "--delta-lower", id="args6---delta-lower"),
-    pytest.param(["bounds", "--c", "inf"], "--c", id="args7---c"),
-    pytest.param(["bounds", "--l", "inf"], "--l", id="args8---l"),
-])
-def test_non_finite_flag_exits_2_naming_it(tmp_path, capsys, args, flag):
-    with pytest.raises(SystemExit) as err:
-        run_cli(args + (["--out-dir", str(tmp_path)] if args[0] != "trace" else []))
-    assert err.value.code == 2
-    assert f"{flag} must be finite" in capsys.readouterr().err
-    assert not (tmp_path / "manifest.json").exists()
-
-
-@pytest.mark.parametrize("c", ["0", "-2.5"])
-def test_bounds_non_positive_c_exits_2_naming_it(tmp_path, capsys, c):
-    with pytest.raises(SystemExit) as err:
-        run_cli(["bounds", "--c", c, "--out-dir", str(tmp_path)])
-    assert err.value.code == 2
-    assert "--c must be > 0" in capsys.readouterr().err
-    assert not (tmp_path / "manifest.json").exists()
-
-
 @pytest.mark.parametrize("args,message", [
     pytest.param(["run", "--policy", "ucb", "--drift", "clipped_linear"],
                  "--cap is required by clipped_linear",
@@ -271,6 +235,30 @@ def test_bounds_non_positive_c_exits_2_naming_it(tmp_path, capsys, c):
     pytest.param(["bounds", "--means", "2e-170,1e-170"],
                  "--means must have a smallest gap with a square above 0, got 1e-170",
                  id="bounds --means 2e-170,1e-170"),
+    pytest.param(["run", "--policy", "ucb", "--l", "nan"], "--l must be finite, got nan",
+                 id="run --l nan"),
+    pytest.param(["run", "--policy", "ucb", "--l", "inf"], "--l must be finite, got inf",
+                 id="run --l inf"),
+    pytest.param(["run", "--policy", "ucb", "--sigma", "nan"], "--sigma must be finite, got nan",
+                 id="run --sigma nan"),
+    pytest.param(["run", "--policy", "ucb", "--drift", "clipped_linear", "--cap", "inf"],
+                 "--cap must be finite, got inf", id="run --drift clipped_linear --cap inf"),
+    pytest.param(["run", "--policy", "egreedy", "--c", "nan"], "--c must be finite, got nan",
+                 id="run --policy egreedy --c nan"),
+    pytest.param(["trace", "--policy", "ucb", "--l", "nan", "--draws", "0"],
+                 "--l must be finite, got nan", id="trace --l nan"),
+    pytest.param(["bounds", "--delta-lower", "nan"], "--delta-lower must be finite, got nan",
+                 id="bounds --delta-lower nan"),
+    pytest.param(["bounds", "--c", "inf"], "--c must be finite, got inf", id="bounds --c inf"),
+    pytest.param(["bounds", "--l", "inf"], "--l must be finite, got inf", id="bounds --l inf"),
+    pytest.param(["bounds", "--c", "0"], "--c must be > 0, got 0.0", id="bounds --c 0"),
+    pytest.param(["bounds", "--c", "-2.5"], "--c must be > 0, got -2.5", id="bounds --c -2.5"),
+    pytest.param(["run", "--policy", "ucb", "--l", "-1"], "--l must be >= 0, got -1.0",
+                 id="run --l -1"),
+    pytest.param(["run", "--policy", "ucb", "--T", "20", "--seed", "-1"],
+                 "--seed must be >= 0, got -1", id="run --seed -1"),
+    pytest.param(["sweep", "--config", str(REPO / "configs" / "nine_arm_sweep.json"),
+                  "--jobs", "0"], "--jobs must be >= 1", id="sweep --jobs 0"),
 ])
 def test_library_rejections_exit_2_naming_the_flag(tmp_path, capsys, args, message):
     with pytest.raises(SystemExit) as err:
@@ -280,13 +268,14 @@ def test_library_rejections_exit_2_naming_the_flag(tmp_path, capsys, args, messa
     assert not (tmp_path / "manifest.json").exists()
 
 
-def test_sweep_jobs_below_1_exits_2(tmp_path, capsys):
-    with pytest.raises(SystemExit) as err:
-        run_cli(["sweep", "--config", str(REPO / "configs" / "nine_arm_sweep.json"),
-                 "--jobs", "0", "--out-dir", str(tmp_path)])
-    assert err.value.code == 2
-    assert "--jobs must be >= 1" in capsys.readouterr().err
-    assert not (tmp_path / "manifest.json").exists()
+def test_edge_values_are_accepted(tmp_path, capsys):
+    # the least --seed of run, and the longest --T of trace: 20 rounds, one draw each
+    assert run_cli(["run", "--policy", "ucb", "--T", "20", "--seed", "0",
+                    "--out-dir", str(tmp_path)]) == 0
+    assert read_rows(tmp_path / "summary.csv")[0]["seed"] == "0"
+    assert run_cli(["trace", "--policy", "ucb", "--T", "20", "--draws", ",".join(["0"] * 20)]) == 0
+    header, *played = capsys.readouterr().out.splitlines()[1:]  # after run's summary line
+    assert header == ",".join(mechanism.TRAJECTORY_COLUMNS) and len(played) == 20
 
 
 def test_run_into_a_file_exits_1_naming_the_command(tmp_path, capsys):
@@ -323,14 +312,6 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "ucb regret" in done.stdout
-
-
-def test_run_negative_seed_exits_2_naming_it(tmp_path, capsys):
-    with pytest.raises(SystemExit) as err:
-        run_cli(["run", "--policy", "ucb", "--T", "20", "--seed", "-1",
-                 "--out-dir", str(tmp_path)])
-    assert err.value.code == 2
-    assert "--seed" in capsys.readouterr().err
 
 
 def test_run_outputs_and_summary_schema(tmp_path):
@@ -490,59 +471,111 @@ def test_sweep_manifest_round_trip(tmp_path):
 
 # ---------------------------------------------------------------- bounds
 
-def test_bounds_prints_frequency_bound(capsys):
-    assert run_cli(["bounds", "--l", "0", "--T", "20000", "--delta-lower", "0.1"]) == 0
-    out = capsys.readouterr().out
-    line = next(l for l in out.splitlines() if "per-arm compensated pulls" in l)
-    value = float(line.split("<=")[1])
-    assert value == pytest.approx(1980.6975105072254, abs=0.5)
+# What `bounds` prints, pinned as text so that a change to a bound reads as a diff.  The
+# defaults: nine arms 0.9 down to 0.1, l = 0, c = 4, T = 20000 and delta_lower 0.9 - 0.8
+AT_DEFAULTS = """\
+inputs: K=9 T=20000 l=0 c=4 delta=0.1 delta_lower=0.1
+warning: c=4 fails the exploration-schedule condition c >= 36/delta = 360
+ucb regret                          <= 2248.04935
+ucb compensation                    <= 6036.46205
+egreedy regret                      <= 480505.752
+egreedy compensation                <= 732.462651
+thompson regret                     <= 3.97912373e+09
+thompson compensation               <= 17826.2776
+thompson per-arm compensated pulls  <= 1980.69751
+"""
+AT_L_1_1 = """\
+inputs: K=9 T=20000 l=1.1 c=4 delta=0.1 delta_lower=0.1
+warning: c=4 fails the exploration-schedule condition c >= 36/delta = 360
+ucb regret                          <= 9590.80628
+ucb compensation                    <= 12516.7384
+egreedy regret                      <= 482654.31
+egreedy compensation                <= 805.708917
+thompson regret                     <= 3.97931549e+09
+thompson compensation               <= 19608.9054
+thompson per-arm compensated pulls  <= 1980.69751
+"""
 
 
-def test_bounds_warns_on_small_c(capsys):
-    assert run_cli(["bounds", "--c", "4"]) == 0
-    assert "warning" in capsys.readouterr().out
-    # delta is 0.9-0.8 in floats, slightly under 0.1, so clear the bar with margin
-    assert run_cli(["bounds", "--c", "400"]) == 0
-    assert "warning" not in capsys.readouterr().out
-
-
-def parse_bound_values(text):
-    vals = []
-    for line in text.splitlines():
-        if "<=" in line:
-            vals.append(float(line.split("<=")[1]))
-    return vals
-
-
-def test_bounds_all_non_decreasing_in_l(capsys):
-    assert run_cli(["bounds", "--l", "0"]) == 0
-    at_zero = parse_bound_values(capsys.readouterr().out)
-    assert run_cli(["bounds", "--l", "1.1"]) == 0
-    at_drift = parse_bound_values(capsys.readouterr().out)
-    assert len(at_zero) == 7  # six policy bounds + frequency bound
-    assert all(hi >= lo for lo, hi in zip(at_zero, at_drift))
-
-
-@pytest.mark.parametrize("args", [
-    pytest.param(["--l", "1e308"], id="--l 1e308"),
-    pytest.param(["--l", "1.1", "--delta-lower", "1e-160"], id="--l 1.1 --delta-lower 1e-160"),
+@pytest.mark.parametrize("args, table", [
+    pytest.param([], AT_DEFAULTS, id="defaults"),
+    pytest.param(["--l", "0", "--T", "20000", "--delta-lower", "0.1"], AT_DEFAULTS,
+                 id="compensated pulls 2 ln T / delta_lower^2"),
+    pytest.param(["--c", "4"], AT_DEFAULTS, id="warns below 36/delta"),
+    # delta is 0.9-0.8 in floats, slightly under 0.1, so c = 400 clears the bar with margin
+    pytest.param(["--c", "400"], """\
+inputs: K=9 T=20000 l=0 c=400 delta=0.1 delta_lower=0.1
+ucb regret                          <= 2248.04935
+ucb compensation                    <= 6036.46205
+egreedy regret                      <= 4.79650387e+09
+egreedy compensation                <= 42651.9262
+thompson regret                     <= 3.97912373e+09
+thompson compensation               <= 17826.2776
+thompson per-arm compensated pulls  <= 1980.69751
+""", id="no warning at or above 36/delta"),
+    pytest.param(["--l", "1.1"], AT_L_1_1, id="every bound at or above its l=0 value"),
+    pytest.param(["--l", "1.1", "--c", "4", "--T", "20000", "--delta-lower", "0.1"], AT_L_1_1,
+                 id="README example"),
+    pytest.param(["--c", "1e308"], """\
+inputs: K=9 T=20000 l=0 c=1e+308 delta=0.1 delta_lower=0.1
+ucb regret                          <= 2248.04935
+ucb compensation                    <= 6036.46205
+egreedy regret                      <= inf
+egreedy compensation                <= inf
+thompson regret                     <= 3.97912373e+09
+thompson compensation               <= 17826.2776
+thompson per-arm compensated pulls  <= 1980.69751
+""", id="egreedy bounds overflow to inf"),
+    pytest.param(["--l", "1e308"], """\
+inputs: K=9 T=20000 l=1e+308 c=4 delta=0.1 delta_lower=0.1
+warning: c=4 fails the exploration-schedule condition c >= 36/delta = 360
+ucb regret                          <= inf
+ucb compensation                    <= inf
+egreedy regret                      <= inf
+egreedy compensation                <= inf
+thompson regret                     <= inf
+thompson compensation               <= inf
+thompson per-arm compensated pulls  <= 1980.69751
+""", id="thompson threshold inf at l 1e308"),
+    pytest.param(["--l", "1.1", "--delta-lower", "1e-160"], """\
+inputs: K=9 T=20000 l=1.1 c=4 delta=0.1 delta_lower=1e-160
+warning: c=4 fails the exploration-schedule condition c >= 36/delta = 360
+ucb regret                          <= 9590.80628
+ucb compensation                    <= 12516.7384
+egreedy regret                      <= 482654.31
+egreedy compensation                <= 805.708917
+thompson regret                     <= inf
+thompson compensation               <= inf
+thompson per-arm compensated pulls  <= inf
+""", id="thompson threshold inf at delta_lower 1e-160"),
     # a finite delta_lower^2 of 1e308, but 4 gap l and 3 delta_lower^2 overflow: inf/inf
-    pytest.param(["--l", "1e308", "--delta-lower", "1e154"], id="--l 1e308 --delta-lower 1e154"),
-])
-def test_bounds_print_an_overflowed_thompson_threshold_as_inf(capsys, args):
-    # as the egreedy rows print inf at --c 1e308
-    assert run_cli(["bounds"] + args) == 0
-    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("thompson regret"))
-    assert line.split("<=")[1] == " inf"
-
-
-def test_bounds_print_no_nan_when_sqrt_3_over_c_overflows(capsys):
+    pytest.param(["--l", "1e308", "--delta-lower", "1e154"], """\
+inputs: K=9 T=20000 l=1e+308 c=4 delta=0.1 delta_lower=1e+154
+warning: c=4 fails the exploration-schedule condition c >= 36/delta = 360
+ucb regret                          <= inf
+ucb compensation                    <= inf
+egreedy regret                      <= inf
+egreedy compensation                <= inf
+thompson regret                     <= inf
+thompson compensation               <= inf
+thompson per-arm compensated pulls  <= 1.98069751e-307
+""", id="thompson threshold inf, not nan, at inf/inf"),
     # sqrt(3/c) overflows to inf, and l = 0 drops the drift term that multiplies it
-    assert run_cli(["bounds", "--means", "0.9,0.5", "--c", "1e-320"]) == 0
-    out = capsys.readouterr().out
-    assert "nan" not in out
-    values = parse_bound_values(out)
-    assert len(values) == 7 and all(math.isfinite(v) for v in values)
+    pytest.param(["--means", "0.9,0.5", "--c", "1e-320"], """\
+inputs: K=2 T=20000 l=0 c=9.99988867e-321 delta=0.4 delta_lower=0.4
+warning: c=9.99988867e-321 fails the exploration-schedule condition c >= 36/delta = 90
+ucb regret                          <= 199.385698
+ucb compensation                    <= 824.568281
+egreedy regret                      <= 1.99997773e-319
+egreedy compensation                <= 3.77705786e-159
+thompson regret                     <= 217476766
+thompson compensation               <= 247.587189
+thompson per-arm compensated pulls  <= 123.793594
+""", id="no nan when sqrt(3 over c) overflows"),
+])
+def test_bounds_prints_the_pinned_table(capsys, args, table):
+    assert run_cli(["bounds"] + args) == 0
+    assert capsys.readouterr().out == table
 
 
 def test_bounds_writes_file(tmp_path, capsys):

@@ -468,9 +468,10 @@ def test_read_blocks_gives_the_same_rows_however_the_records_are_cut(policy):
 @pytest.mark.parametrize("means, horizon", [
     (NINE_ARM_MEANS, 9), (NINE_ARM_MEANS, BLOCK_ROUNDS - 1), (NINE_ARM_MEANS, BLOCK_ROUNDS),
     (NINE_ARM_MEANS, BLOCK_ROUNDS + 1), (NINE_ARM_MEANS, 2 * BLOCK_ROUNDS + 3),
-    # a warm start longer than a block is cut like any other rounds
+    # a warm start longer than a block, or than two, is cut like any other rounds
     (tuple(0.9 - i / 2000 for i in range(BLOCK_ROUNDS + 6)), BLOCK_ROUNDS + 9),
-], ids=["T=K", "T=1023", "T=1024", "T=1025", "T=2051", "K=1030"])
+    (tuple(0.9 - i / 4000 for i in range(2 * BLOCK_ROUNDS + 2)), 2 * BLOCK_ROUNDS + 9),
+], ids=["T=K", "T=1023", "T=1024", "T=1025", "T=2051", "K=1030", "K=2050"])
 def test_run_hands_on_block_the_kept_records_cut_at_block_rounds(means, horizon):
     inst = BanditInstance(means, NoiseModel("gaussian", 1.0))
     args = (inst, PolicyKind.ucb(), DriftModel("linear", lipschitz=1.1), MechanismOptions(),
